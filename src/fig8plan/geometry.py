@@ -55,21 +55,6 @@ class CirclePoint:
         if not (0.0 <= self.s < 1.0):
             raise DomainError(f"arc coordinate {self.s!r} outside [0, 1)")
 
-    @property
-    def is_center(self) -> bool:
-        return self.s == 0.0
-
-    @property
-    def is_pole(self) -> bool:
-        return self.s == 0.5
-
-
-def canonicalize(p: CirclePoint) -> CirclePoint:
-    """Return the canonical form of a position; the center is always (A, 0)."""
-    if p.s == 0.0 and p.circle != "A":
-        return CirclePoint("A", 0.0)
-    return p
-
 
 def circle_point(circle: str, s: float) -> CirclePoint:
     """Construct a canonical position, wrapping s = 1 back to the center."""
@@ -88,10 +73,6 @@ def dist_gamma(p: CirclePoint, q: CirclePoint) -> float:
         d = abs(p.s - q.s)
         return min(d, 1.0 - d)
     return min(p.s, 1.0 - p.s) + min(q.s, 1.0 - q.s)
-
-
-def circle_points_close(p: CirclePoint, q: CirclePoint, tol: float = EPS) -> bool:
-    return dist_gamma(p, q) <= tol
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,10 +184,6 @@ def parse_position(text: str) -> CirclePoint:
     return circle_point(head, s)
 
 
-def format_position(p: CirclePoint) -> str:
-    return f"{p.circle}:{p.s:.12g}"
-
-
 # ---------------------------------------------------------------------------
 # Piecewise-linear trajectories
 # ---------------------------------------------------------------------------
@@ -283,18 +260,6 @@ class PathSegment:
     def end_config(self) -> Configuration:
         return configuration(self.circle1, self.a1, self.circle2, self.b1)
 
-    def reversed(self) -> "PathSegment":
-        return PathSegment(
-            1.0 - self.t1,
-            1.0 - self.t0,
-            self.circle1,
-            self.a1,
-            self.a0,
-            self.circle2,
-            self.b1,
-            self.b0,
-        )
-
 
 @dataclass(frozen=True)
 class PhysPath:
@@ -356,9 +321,6 @@ class PhysPath:
         seg = self.segment_at(t)
         a, b = seg.interpolate(t)
         return configuration(seg.circle1, a, seg.circle2, b)
-
-    def reversed(self) -> "PhysPath":
-        return PhysPath(tuple(seg.reversed() for seg in reversed(self.segments)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -444,23 +406,6 @@ def constant_path(c: Configuration) -> PhysPath:
             ),
         )
     )
-
-
-def path_concat(front: PhysPath, back: PhysPath) -> PhysPath:
-    """Concatenate two trajectories whose junction configurations agree.
-
-    Durations are reassigned proportionally to each part's arc sweep, so a
-    constant prefix or suffix costs no time.
-    """
-    if not configs_close(front.end, back.start, EPS):
-        raise ContractError("trajectory endpoints disagree beyond tolerance")
-    legs = [
-        ChartLeg(seg.circle1, seg.a0, seg.a1, seg.circle2, seg.b0, seg.b1)
-        for seg in front.segments + back.segments
-    ]
-    if all(leg.sweep == 0.0 for leg in legs):
-        return constant_path(front.start)
-    return path_from_legs(legs)
 
 
 def path_min_separation(path: PhysPath, n: int = 64) -> float:

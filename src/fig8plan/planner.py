@@ -1,9 +1,10 @@
 """Three-instruction trajectory planner.
 
 A plan runs in three phases: retract the start configuration onto the spine,
-walk the spine to the goal's image, then play the goal's retraction trace
-backwards.  The middle walk is chosen by one of three instructions keyed to
-how degenerate the endpoint pair is on the spine:
+walk the spine to the goal's image, then play the goal's retraction leg
+backwards.  The chart legs of all three phases are assembled into one
+trajectory in a single pass.  The middle walk is chosen by one of three
+instructions keyed to how degenerate the endpoint pair is on the spine:
 
   1  both images interior and not facing each other across a circle,
   2  one image a vertex, or the images an antipodal interior pair,
@@ -36,7 +37,6 @@ from .geometry import (
 )
 from .retraction import retract
 from .spine import (
-    CIRCLE_VERTICES,
     ChainPoint,
     ChainStep,
     arc_dist,
@@ -47,6 +47,7 @@ from .spine import (
     positive_successor,
     shortest_arc,
     steps_to_legs,
+    theta_on,
     vertex_point,
     vertex_theta_on,
 )
@@ -70,15 +71,6 @@ def classify_domain(x: ChainPoint, y: ChainPoint) -> InstructionDomain:
     return InstructionDomain.U1
 
 
-def _goal_theta_on(circle: str, goal: ChainPoint) -> float | None:
-    """Angle of the goal on the given circle, None when it does not lie there."""
-    if goal.is_vertex:
-        if goal.vertex in CIRCLE_VERTICES[circle]:
-            return vertex_theta_on(circle, goal.vertex)
-        return None
-    return goal.theta if goal.circle == circle else None
-
-
 def _walk(start: ChainPoint, goal: ChainPoint, positive_ties: bool) -> list[list[ChainStep]]:
     """Shared walk for instructions 1 and 2.
 
@@ -92,7 +84,7 @@ def _walk(start: ChainPoint, goal: ChainPoint, positive_ties: bool) -> list[list
         if cur == goal:
             return moves
         circle = cur.circle
-        goal_theta = _goal_theta_on(circle, goal)
+        goal_theta = theta_on(circle, goal)
         if goal_theta is not None:
             if positive_ties and abs(arc_dist(cur.theta, goal_theta) - 0.5) <= EPS:
                 direction = 1
@@ -147,7 +139,12 @@ def plan_steps(start: ChainPoint, goal: ChainPoint) -> tuple[InstructionDomain, 
 
 @dataclass(frozen=True)
 class Plan:
-    """A complete collision-free trajectory between two configurations."""
+    """A complete collision-free trajectory between two configurations.
+
+    trace_in is the start's retraction leg and trace_out the goal's, already
+    reversed to run towards the goal.  Each holds one leg, or none when its
+    endpoint lies on the spine or the plan is parked (start == goal).
+    """
 
     start: Configuration
     goal: Configuration
@@ -158,8 +155,8 @@ class Plan:
     hop_count: int
     path: PhysPath
     spine_interval: tuple[float, float]
-    trace_in: PhysPath
-    trace_out: PhysPath
+    trace_in: tuple[ChartLeg, ...]
+    trace_out: tuple[ChartLeg, ...]
 
     @property
     def instruction(self) -> int:
@@ -168,19 +165,6 @@ class Plan:
     @property
     def chain_length(self) -> float:
         return sum(s.length for s in self.steps)
-
-
-def _trace_legs(trace: PhysPath, reverse: bool = False) -> list[ChartLeg]:
-    segments = reversed(trace.segments) if reverse else trace.segments
-    legs = []
-    for seg in segments:
-        if reverse:
-            leg = ChartLeg(seg.circle1, seg.a1, seg.a0, seg.circle2, seg.b1, seg.b0)
-        else:
-            leg = ChartLeg(seg.circle1, seg.a0, seg.a1, seg.circle2, seg.b0, seg.b1)
-        if leg.sweep > 0.0:
-            legs.append(leg)
-    return legs
 
 
 def plan(start: Configuration, goal: Configuration) -> Plan:
@@ -201,18 +185,25 @@ def plan(start: Configuration, goal: Configuration) -> Plan:
             hop_count=0,
             path=still,
             spine_interval=(0.0, 1.0) if on else (0.5, 0.5),
-            trace_in=still,
-            trace_out=still,
+            trace_in=(),
+            trace_out=(),
         )
     r_in = retract(start)
     r_out = retract(goal)
     domain, moves = plan_steps(r_in.point, r_out.point)
     steps = tuple(s for move in moves for s in move)
 
-    legs_in = _trace_legs(r_in.trace)
+    # A retraction leg of zero sweep (an endpoint already on the spine) adds
+    # no motion; the goal's leg is played backwards.
+    legs_in = (r_in.leg,) if r_in.leg.sweep > 0.0 else ()
     legs_spine = steps_to_legs(list(steps))
-    legs_out = _trace_legs(r_out.trace, reverse=True)
-    legs = legs_in + legs_spine + legs_out
+    back = r_out.leg
+    legs_out = (
+        (ChartLeg(back.circle1, back.a1, back.a0, back.circle2, back.b1, back.b0),)
+        if back.sweep > 0.0
+        else ()
+    )
+    legs = [*legs_in, *legs_spine, *legs_out]
     if legs:
         path = path_from_legs(legs)
     else:
@@ -236,8 +227,8 @@ def plan(start: Configuration, goal: Configuration) -> Plan:
         hop_count=len(moves),
         path=path,
         spine_interval=interval,
-        trace_in=r_in.trace,
-        trace_out=r_out.trace,
+        trace_in=legs_in,
+        trace_out=legs_out,
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .geometry import PhysPath, config_to_flat
 from .planner import Plan
-from .spine import CHAIN_CIRCLES, CHAIN_VERTICES, chain_to_flat, chart_coords, vertex_point
+from .spine import CHAIN_CIRCLES, CHAIN_VERTICES, ChainStep, chain_to_flat, step_to_leg, vertex_point
 
 _SQUARE_CELL = {"AA": (0, 0), "AB": (1, 0), "BA": (0, 1), "BB": (1, 1)}
 
@@ -73,6 +73,11 @@ def _line(spec: RenderSpec, square: str, p0, p1, cls: str) -> str:
     x1, y1 = spec.to_xy(square, *p0)
     x2, y2 = spec.to_xy(square, *p1)
     return f'<line class="{cls}" x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}"/>'
+
+
+def _leg_line(spec: RenderSpec, leg, cls: str) -> str:
+    """Draw a chart leg or path segment: both carry circle1, a0, a1, circle2, b0, b1."""
+    return _line(spec, leg.circle1 + leg.circle2, (leg.a0, leg.b0), (leg.a1, leg.b1), cls)
 
 
 def _squares_layer(spec: RenderSpec) -> list[str]:
@@ -142,11 +147,7 @@ def _spine_layer(spec: RenderSpec) -> list[str]:
     parts = ['<g id="spine">']
     for circle in CHAIN_CIRCLES:
         for t0, t1 in ((0.0, 0.5), (0.5, 1.0)):
-            hint = (t0 + t1) / 2.0
-            sq0, a0, b0 = chart_coords(circle, t0, hint)
-            sq1, a1, b1 = chart_coords(circle, t1, hint)
-            assert sq0 == sq1
-            parts.append(_line(spec, sq0, (a0, b0), (a1, b1), "spine-arc"))
+            parts.append(_leg_line(spec, step_to_leg(ChainStep(circle, t0, t1, 1)), "spine-arc"))
     parts.append("</g>")
     return parts
 
@@ -169,15 +170,13 @@ def _path_lines(spec: RenderSpec, path: PhysPath, cls: str) -> list[str]:
     for seg in path.segments:
         if seg.a0 == seg.a1 and seg.b0 == seg.b1:
             continue
-        square = seg.circle1 + seg.circle2
-        lines.append(_line(spec, square, (seg.a0, seg.b0), (seg.a1, seg.b1), cls))
+        lines.append(_leg_line(spec, seg, cls))
     return lines
 
 
 def _traces_layer(spec: RenderSpec, plan: Plan) -> list[str]:
     parts = ['<g id="traces">']
-    parts.extend(_path_lines(spec, plan.trace_in, "trace"))
-    parts.extend(_path_lines(spec, plan.trace_out, "trace"))
+    parts.extend(_leg_line(spec, leg, "trace") for leg in plan.trace_in + plan.trace_out)
     parts.append("</g>")
     return parts
 

@@ -25,12 +25,9 @@ from .geometry import (
     ChartLeg,
     Configuration,
     FlatCoord,
-    PhysPath,
     SNAP_EPS,
     canonical_flat,
     config_to_flat,
-    flat_to_config,
-    path_from_legs,
 )
 from .spine import ChainPoint, flat_to_chain
 
@@ -88,43 +85,25 @@ def _clip(x: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class RetractResult:
-    """Where a configuration lands on the spine and how it got there."""
+    """Where a configuration lands on the spine and the chart leg that gets it there."""
 
     point: ChainPoint
     flat: FlatCoord
     scale: float
-    trace: PhysPath
+    leg: ChartLeg
 
 
 def retract(c: Configuration) -> RetractResult:
-    """Retract a configuration onto the spine with its straight-line trace.
+    """Retract a configuration onto the spine along its straight chart leg.
 
-    The trace runs from the input to the image inside one square chart; it is
+    The leg runs from the input to the image inside one square chart; it is
     collision free because the corner ray never meets the diagonal.
     """
     f = config_to_flat(c)
     image, scale = retract_flat(f)
-    leg = ChartLeg(f.square[0], f.a, image.a, f.square[1], f.b, image.b)
-    trace = path_from_legs([leg])
     return RetractResult(
         point=flat_to_chain(image),
         flat=image,
         scale=scale,
-        trace=trace,
+        leg=ChartLeg(f.square[0], f.a, image.a, f.square[1], f.b, image.b),
     )
-
-
-def spine_image(c: Configuration) -> ChainPoint:
-    return retract(c).point
-
-
-def is_on_spine(c: Configuration) -> bool:
-    try:
-        result = retract_flat(config_to_flat(c))
-    except SingularityError:
-        return False
-    return result[1] == 1.0
-
-
-def spine_config(c: Configuration) -> Configuration:
-    return flat_to_config(retract(c).flat)

@@ -35,7 +35,6 @@ from .geometry import (
     FlatCoord,
     MIXED_SQUARES,
     canonical_flat,
-    config_to_flat,
     configuration,
     flat_to_config,
 )
@@ -156,11 +155,6 @@ def positive_successor(vertex: str) -> tuple[str, str]:
     return SUCCESSOR[vertex]
 
 
-def current_circle(p: ChainPoint) -> str:
-    """Circle a traversal leaves p along; for canonical points, the stored one."""
-    return p.circle
-
-
 # ---------------------------------------------------------------------------
 # Charts between the spine and the flat squares
 # ---------------------------------------------------------------------------
@@ -215,10 +209,6 @@ def flat_to_chain(f: FlatCoord) -> ChainPoint:
     if abs(abs(sigma) - 0.5) <= EPS:
         return chain_point("R" if f.square == "AA" else "Bc", f.a)
     raise DomainError(f"{f} is not on the spine")
-
-
-def config_to_chain(c: Configuration) -> ChainPoint:
-    return flat_to_chain(config_to_flat(c))
 
 
 def on_spine(f: FlatCoord) -> bool:
@@ -377,23 +367,8 @@ def shortest_arc(theta_from: float, theta_to: float) -> tuple[int, float]:
     return (-1, 1.0 - delta)
 
 
-def shortest_arc_path(x: ChainPoint, y: ChainPoint) -> list[ChainStep]:
-    """Steps along the strictly shorter arc of a circle both points lie on.
-
-    A dead tie (half a turn apart) goes positive; that only happens between
-    the two vertices of a circle, so it is a safety net rather than a case the
-    planner's dispatch ever relies on.
-    """
-    for circle in CHAIN_CIRCLES:
-        tx = _theta_on(circle, x)
-        ty = _theta_on(circle, y)
-        if tx is not None and ty is not None:
-            direction, _ = shortest_arc(tx, ty)
-            return make_steps(circle, tx, ty, direction)
-    raise DomainError(f"{x} and {y} share no circle")
-
-
-def _theta_on(circle: str, p: ChainPoint) -> float | None:
+def theta_on(circle: str, p: ChainPoint) -> float | None:
+    """Angle of p on the given circle, None when p does not lie on it."""
     if p.is_vertex:
         if p.vertex in CIRCLE_VERTICES[circle]:
             return vertex_theta_on(circle, p.vertex)
@@ -412,11 +387,6 @@ def step_to_leg(step: ChainStep) -> ChartLeg:
 
 def steps_to_legs(steps: list[ChainStep]) -> list[ChartLeg]:
     return [step_to_leg(s) for s in steps]
-
-
-def step_endpoint(step: ChainStep, which: int) -> ChainPoint:
-    theta = step.t_from if which == 0 else step.t_to
-    return chain_point(step.circle, theta)
 
 
 VERTEX_CONFIG = {

@@ -476,7 +476,7 @@ def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
         worst_fix = max(worst_fix, fix_err)
         if fix_err > 1e-9:
             return False, f"sample {i}: idempotence error {fix_err:.3e} at {_format_config(c)}"
-        trace = r.trace
+        trace = path_from_legs([r.leg])
         end_err = max(
             config_dist(trace.config_at(0.0), c),
             config_dist(trace.config_at(1.0), chain_to_config(r.point)),

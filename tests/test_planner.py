@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fig8plan.geometry import (
+    Configuration,
     FlatCoord,
     config_dist,
     configuration,
     flat_to_config,
+    parse_position,
     path_min_separation,
 )
 from fig8plan.planner import (
@@ -21,6 +23,7 @@ from fig8plan.planner import (
 )
 from fig8plan.spine import (
     CHAIN_VERTICES,
+    VERTEX_CONFIG,
     ChainPoint,
     chain_to_config,
     vertex_point,
@@ -177,6 +180,77 @@ def test_plan_json_shape():
         assert set(w) == {"t", "r1", "r2"}
         assert w["r1"]["circle"] in ("A", "B")
         assert 0.0 <= w["r1"]["s"] < 1.0
+
+
+_MIXED_WAYPOINTS = [
+    (0.0, "A", 0.3, "B", 0.7),
+    (0.100628930818, "A", 0.5, "B", 0.5),
+    (0.352201257862, "A", 0.0, "B", 0.5),
+    (0.603773584906, "B", 0.5, "A", 0.0),
+    (0.85534591195, "B", 0.5, "A", 0.5),
+    (0.949685534591, "B", 0.3125, "A", 0.5),
+    (1.0, "B", 0.25, "A", 0.6),
+]
+
+# (start, goal, instruction, hops, waypoints as (t, circle1, s1, circle2, s2)).
+# The first three are the pairs of scripts/demo_scenarios.py; the README pair
+# is the mixed-circle pair written as command-line positions.  In the
+# same-circle plan the goal sits within float resolution of the spine, so
+# its backward retraction leg is a sub-resolution last segment and t = 1.0
+# appears twice after rounding.
+GOLDEN_PLANS = {
+    "same_circle": (
+        configuration("A", 0.12, "A", 0.62),
+        configuration("A", 0.8, "A", 0.3),
+        1,
+        1,
+        [
+            (0.0, "A", 0.12, "A", 0.62),
+            (0.375, "A", 0.0, "A", 0.5),
+            (1.0, "A", 0.8, "A", 0.3),
+            (1.0, "A", 0.8, "A", 0.3),
+        ],
+    ),
+    "mixed_circles": (
+        configuration("A", 0.3, "B", 0.7),
+        configuration("B", 0.25, "A", 0.6),
+        2,
+        4,
+        _MIXED_WAYPOINTS,
+    ),
+    "vertex_to_vertex": (
+        VERTEX_CONFIG["C1"],
+        VERTEX_CONFIG["C2"],
+        3,
+        3,
+        [
+            (0.0, "A", 0.5, "B", 0.5),
+            (0.333333333333, "A", 0.0, "B", 0.5),
+            (0.666666666667, "B", 0.5, "A", 0.0),
+            (1.0, "B", 0.5, "A", 0.5),
+        ],
+    ),
+    "readme": (
+        Configuration(parse_position("A:0.3"), parse_position("B:0.7")),
+        Configuration(parse_position("B:0.25"), parse_position("A:0.6")),
+        2,
+        4,
+        _MIXED_WAYPOINTS,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_PLANS)
+def test_plan_json_golden(name):
+    start, goal, instruction, hops, waypoints = GOLDEN_PLANS[name]
+    assert plan_to_json(plan(start, goal)) == {
+        "instruction": instruction,
+        "hops": hops,
+        "waypoints": [
+            {"t": t, "r1": {"circle": c1, "s": s1}, "r2": {"circle": c2, "s": s2}}
+            for t, c1, s1, c2, s2 in waypoints
+        ],
+    }
 
 
 squares = st.sampled_from(("AA", "BB", "AB", "BA"))

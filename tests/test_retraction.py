@@ -10,15 +10,10 @@ from fig8plan.geometry import (
     config_to_flat,
     configuration,
     flat_to_config,
+    path_from_legs,
     path_min_separation,
 )
-from fig8plan.retraction import (
-    region_corner,
-    retract,
-    retract_flat,
-    spine_config,
-    spine_image,
-)
+from fig8plan.retraction import region_corner, retract, retract_flat
 from fig8plan.spine import ChainPoint, chain_to_config, dist_chain, on_spine, vertex_point
 
 coords = st.floats(min_value=0.001, max_value=0.999, allow_nan=False)
@@ -120,16 +115,17 @@ def test_trace_runs_input_to_image_collision_free(square, a, b):
         return
     c = flat_to_config(FlatCoord(square, a, b))
     r = retract(c)
-    assert config_dist(r.trace.start, c) < 1e-9
-    assert config_dist(r.trace.end, flat_to_config(r.flat)) < 1e-9
-    assert path_min_separation(r.trace, n=64) > 0.0
+    trace = path_from_legs([r.leg])
+    assert config_dist(trace.start, c) < 1e-9
+    assert config_dist(trace.end, flat_to_config(r.flat)) < 1e-9
+    assert path_min_separation(trace, n=64) > 0.0
 
 
 def test_trace_is_constant_on_spine():
     c = chain_to_config(ChainPoint("H1", 0.3))
     r = retract(c)
     assert r.scale == 1.0
-    assert config_dist(r.trace.start, r.trace.end) < 1e-12
+    assert r.leg.sweep < 1e-12
 
 
 def test_gluing_continuity_center_seam():
@@ -137,8 +133,8 @@ def test_gluing_continuity_center_seam():
     # stay close even though the charts jump between squares.
     delta = 1e-6
     r2 = ("B", 0.75)
-    x = spine_image(configuration("A", delta, *r2))
-    y = spine_image(configuration("B", delta, *r2))
+    x = retract(configuration("A", delta, *r2)).point
+    y = retract(configuration("B", delta, *r2)).point
     gap = config_dist(configuration("A", delta, *r2), configuration("B", delta, *r2))
     assert dist_chain(x, y) <= 50.0 * gap
 
@@ -147,8 +143,8 @@ def test_gluing_continuity_same_circle_seam():
     # Robot 2 crosses the center while robot 1 stays on circle A: the chart
     # square flips between AA and AB.
     delta = 1e-6
-    x = spine_image(configuration("A", 0.3, "A", 1.0 - delta))
-    y = spine_image(configuration("A", 0.3, "B", delta))
+    x = retract(configuration("A", 0.3, "A", 1.0 - delta)).point
+    y = retract(configuration("A", 0.3, "B", delta)).point
     gap = 2.0 * delta
     assert dist_chain(x, y) <= 50.0 * gap
 
@@ -156,11 +152,11 @@ def test_gluing_continuity_same_circle_seam():
 def test_gluing_continuity_across_diagonal_band():
     # Nearby points on either side of a sub-diagonal retract to nearby images.
     delta = 1e-6
-    x = spine_image(configuration("A", 0.2, "A", 0.7 - delta))
-    y = spine_image(configuration("A", 0.2, "A", 0.7 + delta))
+    x = retract(configuration("A", 0.2, "A", 0.7 - delta)).point
+    y = retract(configuration("A", 0.2, "A", 0.7 + delta)).point
     assert dist_chain(x, y) <= 50.0 * (2.0 * delta)
 
 
 def test_spine_config_matches_point():
-    c = configuration("A", 0.1, "A", 0.3)
-    assert spine_config(c) == chain_to_config(spine_image(c))
+    r = retract(configuration("A", 0.1, "A", 0.3))
+    assert flat_to_config(r.flat) == chain_to_config(r.point)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fig8plan.errors import DomainError
-from fig8plan.geometry import FlatCoord, configuration, path_from_legs
+from fig8plan.geometry import FlatCoord, config_to_flat, configuration, path_from_legs
 from fig8plan.spine import (
     CHAIN_CIRCLES,
     CHAIN_VERTICES,
@@ -15,17 +15,15 @@ from fig8plan.spine import (
     chain_point,
     chain_to_config,
     chain_to_flat,
-    config_to_chain,
     dist_chain,
     flat_to_chain,
     is_antipodal,
     make_steps,
     on_spine,
-    shortest_arc_path,
-    step_endpoint,
     positive_successor,
     shortest_arc,
     steps_to_legs,
+    theta_on,
     vertex_dist,
     vertex_point,
     vertex_theta_on,
@@ -60,7 +58,7 @@ def test_every_vertex_lies_on_two_circles():
 def test_vertex_configs():
     for name, config in VERTEX_CONFIG.items():
         assert chain_to_config(vertex_point(name)) == config
-        assert config_to_chain(config) == vertex_point(name)
+        assert flat_to_chain(config_to_flat(config)) == vertex_point(name)
 
 
 def test_successor_walk_closes_in_six():
@@ -148,26 +146,6 @@ def test_shortest_arc():
     assert direction == 1 and span == pytest.approx(0.5)
 
 
-def test_shortest_arc_path_interior_and_vertex():
-    steps = shortest_arc_path(chain_point("R", 0.2), chain_point("R", 0.4))
-    assert [(s.t_from, s.t_to) for s in steps] == [(0.2, 0.4)]
-
-    # HA sits at theta 0 of R, so the short way to (R, 0.9) is negative.
-    steps = shortest_arc_path(vertex_point("HA"), chain_point("R", 0.9))
-    assert steps[0].direction == -1
-    assert step_endpoint(steps[-1], 1) == chain_point("R", 0.9)
-
-    # Dead tie between the two vertices of a circle goes positive.
-    steps = shortest_arc_path(vertex_point("HA"), vertex_point("VA"))
-    assert all(s.direction == +1 for s in steps)
-    assert sum(s.length for s in steps) == pytest.approx(0.5)
-
-    assert shortest_arc_path(vertex_point("C1"), vertex_point("C1")) == []
-
-    with pytest.raises(DomainError):
-        shortest_arc_path(chain_point("R", 0.2), chain_point("H1", 0.2))
-
-
 def test_make_steps_frozen():
     steps = make_steps("R", 0.2, 0.9, 1)
     assert [(s.t_from, s.t_to) for s in steps] == [(0.2, 0.5), (0.5, 0.9)]
@@ -207,7 +185,7 @@ def test_steps_to_path_stays_on_spine():
     assert path.end == chain_to_config(ChainPoint("R", 0.9))
     for k in range(33):
         c = path.config_at(k / 32)
-        assert on_spine(__import__("fig8plan.geometry", fromlist=["config_to_flat"]).config_to_flat(c))
+        assert on_spine(config_to_flat(c))
 
 
 def test_steps_cross_center_wrap():
@@ -225,6 +203,12 @@ def test_vertex_theta_on():
     assert vertex_theta_on("R", "VA") == 0.5
     with pytest.raises(DomainError):
         vertex_theta_on("R", "C1")
+    # A vertex lies on two circles; an interior point only on its own.
+    assert theta_on("R", vertex_point("VA")) == 0.5
+    assert theta_on("V1", vertex_point("VA")) == 0.0
+    assert theta_on("H1", vertex_point("VA")) is None
+    assert theta_on("R", ChainPoint("R", 0.3)) == 0.3
+    assert theta_on("Bc", ChainPoint("R", 0.3)) is None
 
 
 def test_antipodal_slide_legs():
