@@ -35,13 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to-r2", required=True, metavar="C:S", help="goal of robot 2")
     p.add_argument("--out", metavar="FILE", help="write the plan JSON here instead of stdout")
     p.add_argument("--svg", metavar="FILE", help="also render the plan to this SVG file")
-    p.add_argument(
-        "--samples",
-        type=int,
-        default=64,
-        metavar="N",
-        help="separation samples per segment during validation (default 64)",
-    )
     p.set_defaults(func=cmd_plan)
 
     v = sub.add_parser("verify", help="run a verification suite")
@@ -63,10 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_plan(args) -> int:
     start = Configuration(parse_position(args.from_r1), parse_position(args.from_r2))
     goal = Configuration(parse_position(args.to_r1), parse_position(args.to_r2))
-    if args.samples < 2:
-        raise DomainError("--samples must be at least 2")
     result = plan(start, goal)
-    validate_plan(result, samples=args.samples)
+    validate_plan(result)
     text = json.dumps(plan_to_json(result), indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

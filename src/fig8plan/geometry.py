@@ -24,7 +24,7 @@ in a single square chart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import CollisionError, ContractError, DomainError
@@ -263,9 +263,16 @@ class PathSegment:
 
 @dataclass(frozen=True)
 class PhysPath:
-    """A validated piecewise-linear trajectory over t in [0, 1]."""
+    """A validated piecewise-linear trajectory over t in [0, 1].
+
+    waypoints holds (t, configuration) at t = 0 and at each segment's end
+    time; it is built once, while the segments are validated.
+    """
 
     segments: tuple[PathSegment, ...]
+    waypoints: tuple[tuple[float, Configuration], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -273,32 +280,33 @@ class PhysPath:
         if self.segments[0].t0 != 0.0 or self.segments[-1].t1 != 1.0:
             raise ContractError("trajectory must span t in [0, 1]")
         prev = self.segments[0]
-        prev.start_config()
+        pts = [(prev.t0, prev.start_config())]
         for seg in self.segments[1:]:
             if seg.t0 != prev.t1:
                 raise ContractError("trajectory segments must be contiguous in t")
-            if not configs_close(prev.end_config(), seg.start_config(), EPS):
+            end = prev.end_config()
+            # a junction at the same chart point is already validated as end
+            same = (seg.circle1, seg.a0, seg.circle2, seg.b0) == (
+                prev.circle1, prev.a1, prev.circle2, prev.b1
+            )
+            if not same and not configs_close(end, seg.start_config(), EPS):
                 raise ContractError("trajectory waypoints disagree across a junction")
+            pts.append((prev.t1, end))
             prev = seg
-        prev.end_config()
+        pts.append((prev.t1, prev.end_config()))
+        object.__setattr__(self, "waypoints", tuple(pts))
 
     @cached_property
     def _starts(self) -> tuple[float, ...]:
         return tuple(seg.t0 for seg in self.segments)
 
-    @cached_property
-    def waypoints(self) -> tuple[tuple[float, Configuration], ...]:
-        pts = [(self.segments[0].t0, self.segments[0].start_config())]
-        pts.extend((seg.t1, seg.end_config()) for seg in self.segments)
-        return tuple(pts)
-
     @property
     def start(self) -> Configuration:
-        return self.segments[0].start_config()
+        return self.waypoints[0][1]
 
     @property
     def end(self) -> Configuration:
-        return self.segments[-1].end_config()
+        return self.waypoints[-1][1]
 
     @cached_property
     def sweep(self) -> float:
@@ -408,30 +416,37 @@ def constant_path(c: Configuration) -> PhysPath:
     )
 
 
-def path_min_separation(path: PhysPath, n: int = 64) -> float:
-    """Smallest sampled distance between the robots along a trajectory.
+def path_min_separation(path: PhysPath) -> float:
+    """Exact smallest distance between the robots along a trajectory.
 
-    Samples n uniformly spaced times per segment, endpoints included.
+    The minimum over a segment sits at one of its two waypoints unless the
+    robots pass each other inside it, so the path minimum is read off the
+    waypoints.  Within a segment each robot moves affinely in one chart and
+    never crosses the center or a pole (0, 1/2 or 1) in the interior:
+
+    * Cross-circle segments: the distance is min(x, 1 - x) + min(y, 1 - y),
+      and each term is affine while its robot stays inside one half circle,
+      so the sum is affine in time and is smallest at an endpoint.
+    * Same-circle segments: with delta = a - b affine in time, the distance
+      is min(|delta|, 1 - |delta|).  While delta keeps its sign, |delta| is
+      affine and the minimum of two affine functions is concave, so again
+      the smallest value is at an endpoint.  If delta changes sign, the
+      robots meet inside the segment and the minimum is 0.
     """
-    if n < 2:
-        raise DomainError("need at least 2 samples per segment")
     best = math.inf
-    step = 1.0 / (n - 1)
     for seg in path.segments:
-        same = seg.circle1 == seg.circle2
-        da, db = seg.a1 - seg.a0, seg.b1 - seg.b0
-        for k in range(n):
-            u = k * step
-            x = seg.a0 + u * da
-            y = seg.b0 + u * db
-            if same:
-                d = abs(x - y)
-                if d > 0.5:
-                    d = 1.0 - d
-            else:
-                d = min(x, 1.0 - x) + min(y, 1.0 - y)
-            if d < best:
-                best = d
+        if seg.circle1 == seg.circle2:
+            d0, d1 = seg.a0 - seg.b0, seg.a1 - seg.b1
+            if d0 < 0.0 < d1 or d1 < 0.0 < d0:
+                return 0.0
+            d = min(min(abs(d0), 1.0 - abs(d0)), min(abs(d1), 1.0 - abs(d1)))
+        else:
+            d = min(
+                min(seg.a0, 1.0 - seg.a0) + min(seg.b0, 1.0 - seg.b0),
+                min(seg.a1, 1.0 - seg.a1) + min(seg.b1, 1.0 - seg.b1),
+            )
+        if d < best:
+            best = d
     return best
 
 

@@ -31,6 +31,7 @@ from .geometry import (
     PhysPath,
     config_dist,
     config_to_flat,
+    configuration,
     constant_path,
     path_from_legs,
     path_min_separation,
@@ -249,22 +250,42 @@ def plan_to_json(p: Plan, digits: int = 12) -> dict:
     return {"instruction": p.instruction, "hops": p.hop_count, "waypoints": waypoints}
 
 
-def validate_plan(p: Plan, tol: float = EPS, samples: int = 64) -> None:
-    """Check a plan's contract; raises ContractError with a witness on failure."""
-    if config_dist(p.path.start, p.start) > tol:
-        raise ContractError(f"plan does not start at its start: {p.path.start} vs {p.start}")
-    if config_dist(p.path.end, p.goal) > tol:
-        raise ContractError(f"plan does not end at its goal: {p.path.end} vs {p.goal}")
-    sep = path_min_separation(p.path, n=samples)
+def validate_plan(p: Plan, tol: float = EPS) -> None:
+    """Check a plan's contract; raises ContractError with a witness on failure.
+
+    Separation and spine membership are certified exactly from the waypoints.
+    Each spine segment (one whose midpoint time lies in spine_interval) is
+    straight in its square, and a square holds at most two straight spine
+    lines, so a segment whose start, midpoint and end are on the spine lies
+    on one of those lines throughout.
+    """
+    waypoints = p.path.waypoints
+    start, end = waypoints[0][1], waypoints[-1][1]
+    if config_dist(start, p.start) > tol:
+        raise ContractError(f"plan does not start at its start: {start} vs {p.start}")
+    if config_dist(end, p.goal) > tol:
+        raise ContractError(f"plan does not end at its goal: {end} vs {p.goal}")
+    sep = path_min_separation(p.path)
     if sep <= 0.0:
         raise ContractError(f"plan separation dropped to {sep}")
     t0, t1 = p.spine_interval
     if t1 > t0:
-        for k in range(17):
-            t = t0 + (t1 - t0) * (k / 16.0)
-            f = config_to_flat(p.path.config_at(t))
-            if not on_spine(f):
-                raise ContractError(f"plan leaves the spine at t={t}: {f}")
+        checked = -1  # index of the last waypoint already certified
+        for i, seg in enumerate(p.path.segments):
+            tm = 0.5 * (seg.t0 + seg.t1)
+            if not t0 <= tm <= t1:
+                continue
+            mid = configuration(
+                seg.circle1, 0.5 * (seg.a0 + seg.a1), seg.circle2, 0.5 * (seg.b0 + seg.b1)
+            )
+            points = [(tm, mid), waypoints[i + 1]]
+            if checked != i:
+                points.append(waypoints[i])
+            checked = i + 1
+            for t, c in points:
+                f = config_to_flat(c)
+                if not on_spine(f):
+                    raise ContractError(f"plan leaves the spine at t={t}: {f}")
     elif p.start != p.goal:
         # collapsed interval with distinct endpoints: both retraction images
         # coincide, so the single middle instant must sit on the spine

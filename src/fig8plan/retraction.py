@@ -45,7 +45,8 @@ def retract_flat(f: FlatCoord) -> tuple[FlatCoord, float]:
     """Project a flat point onto the spine along its corner ray.
 
     Returns the image and the ray scale lambda; lambda == 1 exactly when the
-    input already lies on the spine.
+    input already lies on the spine, and then the input is its own image
+    (rebuilding it from the corner would move it by rounding).
     """
     ca, cb = region_corner(f)
     ua, ub = f.a - ca, f.b - cb
@@ -56,6 +57,8 @@ def retract_flat(f: FlatCoord) -> tuple[FlatCoord, float]:
         if 1.0 - sigma <= SINGULAR_EPS:
             raise SingularityError(f"{f} is within {SINGULAR_EPS} of a corner state")
         scale = 1.0 / (2.0 * (1.0 - sigma))
+        if scale == 1.0:
+            return f, scale
         a_out = ca + scale * ua
         b_out = a_out + 0.5 if (ca, cb) == (0, 1) else a_out - 0.5
     else:
@@ -63,6 +66,8 @@ def retract_flat(f: FlatCoord) -> tuple[FlatCoord, float]:
         if m <= SINGULAR_EPS:
             raise SingularityError(f"{f} is within {SINGULAR_EPS} of a corner state")
         scale = 0.5 / m
+        if scale == 1.0:
+            return f, scale
         if abs(ua) >= abs(ub):
             a_out = 0.5
             b_out = cb + scale * ub

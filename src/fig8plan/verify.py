@@ -16,10 +16,10 @@ from random import Random
 
 from .errors import DomainError
 from .geometry import (
-    EPS,
     CIRCLES,
     CirclePoint,
     Configuration,
+    PhysPath,
     circle_point,
     config_dist,
     constant_path,
@@ -51,6 +51,12 @@ SUITE_NAMES = ("collision", "partition", "retraction", "continuity", "terminatio
 
 # Grid resolution of the Dijkstra oracles, nodes per unit-circumference circle.
 ORACLE_NODES = 1000
+
+# Density of the sampled separation oracle, and how far the exact minimum may
+# sit from it: sampling includes both waypoints of every segment, so the two
+# differ only by rounding of the endpoint samples.
+SEPARATION_SAMPLES = 64
+SEPARATION_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +301,45 @@ def continuity_probe(
 
 
 # ---------------------------------------------------------------------------
+# sampled separation oracle
+
+
+def sampled_min_separation(path: PhysPath, n: int) -> float:
+    """Smallest sampled distance between the robots along a trajectory.
+
+    Samples n uniformly spaced times per segment, endpoints included.  It
+    shares no code with the exact geometry.path_min_separation; the two agree
+    up to rounding unless the robots meet strictly between two samples.
+    """
+    if n < 2:
+        raise DomainError("need at least 2 samples per segment")
+    best = float("inf")
+    step = 1.0 / (n - 1)
+    for seg in path.segments:
+        same = seg.circle1 == seg.circle2
+        da, db = seg.a1 - seg.a0, seg.b1 - seg.b0
+        for k in range(n):
+            u = k * step
+            x = seg.a0 + u * da
+            y = seg.b0 + u * db
+            if same:
+                d = abs(x - y)
+                if d > 0.5:
+                    d = 1.0 - d
+            else:
+                d = min(x, 1.0 - x) + min(y, 1.0 - y)
+            if d < best:
+                best = d
+    return best
+
+
+def _separation_gap(path: PhysPath) -> tuple[float, float]:
+    """Exact minimum separation and its distance from the sampled oracle."""
+    sep = path_min_separation(path)
+    return sep, abs(sampled_min_separation(path, SEPARATION_SAMPLES) - sep)
+
+
+# ---------------------------------------------------------------------------
 # Dijkstra oracles on discretized graphs
 
 
@@ -396,6 +441,7 @@ class SuiteReport:
 def _suite_collision(rng: Random, n: int) -> tuple[bool, str]:
     worst_end = 0.0
     worst_sep = float("inf")
+    worst_gap = 0.0
     for i in range(n):
         start = random_config(rng)
         goal = random_config(rng)
@@ -405,15 +451,19 @@ def _suite_collision(rng: Random, n: int) -> tuple[bool, str]:
             config_dist(path.config_at(0.0), start),
             config_dist(path.config_at(1.0), goal),
         )
-        sep = path_min_separation(path, 64)
+        sep, gap = _separation_gap(path)
         worst_end = max(worst_end, err)
         worst_sep = min(worst_sep, sep)
-        if err > 1e-9 or sep <= 0.0:
+        worst_gap = max(worst_gap, gap)
+        if err > 1e-9 or sep <= 0.0 or gap > SEPARATION_TOL:
             return False, (
                 f"pair {i}: start {_format_config(start)} goal {_format_config(goal)}"
-                f" endpoint err {err:.3e} min sep {sep:.3e}"
+                f" endpoint err {err:.3e} min sep {sep:.3e} oracle gap {gap:.3e}"
             )
-    return True, f"worst endpoint err {worst_end:.3e}, min separation {worst_sep:.3e}"
+    return True, (
+        f"worst endpoint err {worst_end:.3e}, min separation {worst_sep:.3e},"
+        f" worst oracle gap {worst_gap:.3e}"
+    )
 
 
 def _domain_flags(x: ChainPoint, y: ChainPoint) -> tuple[bool, bool, bool]:
@@ -465,6 +515,7 @@ def _suite_partition(rng: Random, n: int) -> tuple[bool, str]:
 def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
     worst_fix = 0.0
     worst_trace = 0.0
+    worst_gap = 0.0
     for i in range(n):
         c = random_config(rng)
         r = retract(c)
@@ -484,13 +535,18 @@ def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
         worst_trace = max(worst_trace, end_err)
         if end_err > 1e-9:
             return False, f"sample {i}: trace endpoint error {end_err:.3e}"
-        if path_min_separation(trace, 64) <= 0.0:
+        sep, gap = _separation_gap(trace)
+        worst_gap = max(worst_gap, gap)
+        if sep <= 0.0:
             return False, f"sample {i}: trace of {_format_config(c)} collides"
+        if gap > SEPARATION_TOL:
+            return False, f"sample {i}: trace of {_format_config(c)} oracle gap {gap:.3e}"
     ok, witness = _gluing_probe(rng, max(n // 10, 100))
     if not ok:
         return False, witness
     return True, (
-        f"worst idempotence {worst_fix:.3e}, worst trace endpoint {worst_trace:.3e}; {witness}"
+        f"worst idempotence {worst_fix:.3e}, worst trace endpoint {worst_trace:.3e},"
+        f" worst oracle gap {worst_gap:.3e}; {witness}"
     )
 
 

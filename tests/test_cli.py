@@ -146,13 +146,5 @@ def test_render_to_stdout(capsys):
     assert out.startswith("<svg")
 
 
-def test_samples_floor(capsys):
-    code, _, _ = run(
-        capsys, "plan", "--from-r1", "A:0.3", "--from-r2", "B:0.7",
-        "--to-r1", "B:0.25", "--to-r2", "A:0.6", "--samples", "1",
-    )
-    assert code == 2
-
-
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0

@@ -26,6 +26,7 @@ from fig8plan.geometry import (
     path_min_separation,
     path_sup_distance,
 )
+from fig8plan.verify import sampled_min_separation
 
 circles = st.sampled_from(("A", "B"))
 arcs = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -188,7 +189,8 @@ def test_path_from_legs_splits_at_center():
 def test_min_separation_frozen_values():
     path = path_from_legs([ChartLeg("A", 0.2, 0.8, "B", 0.25, 0.25)])
     # Robot 1 sweeps through its pole while robot 2 parks a quarter turn into B.
-    assert path_min_separation(path, n=64) == pytest.approx(0.45)
+    assert path_min_separation(path) == pytest.approx(0.45)
+    assert sampled_min_separation(path, 64) == pytest.approx(0.45)
     apart = constant_path(configuration("A", 0.1, "A", 0.6))
     assert path_min_separation(apart) == pytest.approx(0.5)
 
@@ -196,7 +198,23 @@ def test_min_separation_frozen_values():
 def test_min_separation_worst_case_interior():
     # Head-on approach that stops short: closest at the final waypoint.
     path = path_from_legs([ChartLeg("A", 0.2, 0.4, "A", 0.6, 0.45)])
-    assert path_min_separation(path, n=129) == pytest.approx(0.05)
+    assert path_min_separation(path) == pytest.approx(0.05)
+    assert sampled_min_separation(path, 129) == pytest.approx(0.05)
+
+
+def test_min_separation_sees_crossing_between_samples():
+    # Robot 2 passes robot 1 at u ~ 7e-14, inside SNAP_EPS of the segment's
+    # start, so the segment is accepted; no sample lands before the crossing.
+    path = PhysPath((PathSegment(0.0, 1.0, "A", 0.3, 0.3, "A", 0.3 - 1e-14, 0.45),))
+    assert sampled_min_separation(path, 64) == pytest.approx(1e-14)
+    assert path_min_separation(path) == 0.0
+
+
+def test_waypoints_are_built_once_per_path():
+    path = path_from_legs([ChartLeg("A", 0.2, 0.8, "B", 0.25, 0.25)])
+    assert path.start is path.waypoints[0][1]
+    assert path.end is path.waypoints[-1][1]
+    assert [t for t, _ in path.waypoints] == [0.0, path.segments[0].t1, 1.0]
 
 
 def test_constant_path_and_concat_identity():

@@ -1,11 +1,16 @@
 """Instruction dispatch, spine walks, and assembled plans."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fig8plan.errors import ContractError
 from fig8plan.geometry import (
     Configuration,
     FlatCoord,
+    PathSegment,
+    PhysPath,
     config_dist,
     configuration,
     flat_to_config,
@@ -124,7 +129,7 @@ def test_plan_end_to_end_u1():
     assert p.hop_count == 4
     assert config_dist(p.path.start, start) <= 1e-9
     assert config_dist(p.path.end, goal) <= 1e-9
-    assert path_min_separation(p.path, n=64) > 0.0
+    assert path_min_separation(p.path) > 0.0
     validate_plan(p)
     t0, t1 = p.spine_interval
     assert 0.0 < t0 < t1 < 1.0
@@ -167,6 +172,29 @@ def test_plan_vertex_to_vertex():
     validate_plan(p)
 
 
+def _with_path(path: PhysPath, spine_interval: tuple[float, float]):
+    """A real plan whose trajectory is swapped for a hand-built one."""
+    base = plan(configuration("A", 0.1, "A", 0.3), configuration("B", 0.2, "B", 0.6))
+    return dataclasses.replace(
+        base, start=path.start, goal=path.end, path=path, spine_interval=spine_interval
+    )
+
+
+def test_validate_rejects_crossing_between_samples():
+    # Robot 2 passes robot 1 at u ~ 7e-14; 64 samples per segment miss it.
+    path = PhysPath((PathSegment(0.0, 1.0, "A", 0.3, 0.3, "A", 0.3 - 1e-14, 0.45),))
+    with pytest.raises(ContractError, match="separation dropped to 0.0"):
+        validate_plan(_with_path(path, (0.5, 0.5)))
+
+
+def test_validate_rejects_chord_between_spine_points():
+    # Both ends lie on the spine lines of AB (a = 1/2, then b = 1/2), but the
+    # straight move between them cuts the corner through (0.35, 0.35).
+    path = PhysPath((PathSegment(0.0, 1.0, "A", 0.5, 0.2, "B", 0.2, 0.5),))
+    with pytest.raises(ContractError, match="leaves the spine at t=0.5"):
+        validate_plan(_with_path(path, (0.0, 1.0)))
+
+
 def test_plan_json_shape():
     p = plan(configuration("A", 0.1, "A", 0.3), configuration("B", 0.2, "B", 0.6))
     doc = plan_to_json(p)
@@ -195,9 +223,8 @@ _MIXED_WAYPOINTS = [
 # (start, goal, instruction, hops, waypoints as (t, circle1, s1, circle2, s2)).
 # The first three are the pairs of scripts/demo_scenarios.py; the README pair
 # is the mixed-circle pair written as command-line positions.  In the
-# same-circle plan the goal sits within float resolution of the spine, so
-# its backward retraction leg is a sub-resolution last segment and t = 1.0
-# appears twice after rounding.
+# same-circle plan the goal lies on the spine, so the plan ends with its
+# spine walk and has no backward retraction leg.
 GOLDEN_PLANS = {
     "same_circle": (
         configuration("A", 0.12, "A", 0.62),
@@ -207,7 +234,6 @@ GOLDEN_PLANS = {
         [
             (0.0, "A", 0.12, "A", 0.62),
             (0.375, "A", 0.0, "A", 0.5),
-            (1.0, "A", 0.8, "A", 0.3),
             (1.0, "A", 0.8, "A", 0.3),
         ],
     ),

@@ -5,10 +5,17 @@ from types import SimpleNamespace
 import pytest
 
 from fig8plan.errors import DomainError
-from fig8plan.geometry import circle_point, config_dist, configuration
-from fig8plan.planner import InstructionDomain
+from fig8plan.geometry import (
+    Configuration,
+    circle_point,
+    config_dist,
+    configuration,
+    dist_gamma,
+    path_min_separation,
+)
+from fig8plan.planner import InstructionDomain, plan
 from fig8plan.retraction import retract
-from fig8plan.spine import build_chain, chain_point, dist_chain, vertex_point
+from fig8plan.spine import VERTEX_CONFIG, build_chain, chain_point, dist_chain, vertex_point
 from fig8plan.verify import (
     SUITE_NAMES,
     SuiteReport,
@@ -19,6 +26,7 @@ from fig8plan.verify import (
     random_chain_point,
     random_config,
     run_suite,
+    sampled_min_separation,
     spanning_tree_cycle_count,
     tc_wedge,
 )
@@ -197,3 +205,30 @@ def test_gluing_twin_images_stay_close():
     assert gap == pytest.approx(1e-4, abs=1e-12)
     image_gap = dist_chain(retract(twin_a).point, retract(twin_b).point)
     assert image_gap <= 50.0 * gap
+
+
+def _boundary_config(rng):
+    """Both robots near the center, a pole or a quarter point, 1e-4 apart or more."""
+    def near_mark():
+        offset = rng.choice((-1, 1)) * rng.choice((0.0, 1e-7, 1e-5, 1e-3))
+        return circle_point(rng.choice("AB"), (rng.choice((0.0, 0.25, 0.5, 0.75)) + offset) % 1.0)
+
+    while True:
+        p1, p2 = near_mark(), near_mark()
+        if dist_gamma(p1, p2) >= 1e-4:
+            return Configuration(p1, p2)
+
+
+def test_exact_separation_matches_sampled_oracle():
+    from random import Random
+
+    rng = Random(29)
+    vertices = list(VERTEX_CONFIG.values())
+    pairs = [(random_config(rng), random_config(rng)) for _ in range(300)]
+    pairs += [(x, y) for x in vertices for y in vertices]
+    pairs += [(_boundary_config(rng), _boundary_config(rng)) for _ in range(300)]
+    for start, goal in pairs:
+        path = plan(start, goal).path
+        exact = path_min_separation(path)
+        assert exact > 0.0
+        assert abs(sampled_min_separation(path, 64) - exact) <= 1e-12
