@@ -19,6 +19,12 @@ Trajectories are piecewise linear: between consecutive waypoints each robot
 stays on one circle and its arc coordinate is affine in time.  Builders split
 segments wherever a robot crosses the center or a pole, so every segment lives
 in a single square chart.
+
+Three constants bound the admissible inputs (README, "Admissible inputs"):
+EPS is the spine snap (spine.chain_point) and the endpoint and junction
+tolerance; SNAP_EPS is the resolution below which motion is dropped
+(path_from_legs, spine.make_steps) and a coordinate reads as the center
+(circle_point); retraction.SINGULAR_EPS guards the removed corners.
 """
 
 from __future__ import annotations
@@ -102,10 +108,6 @@ def configuration(c1: str, s1: float, c2: str, s2: float) -> Configuration:
 def config_dist(x: Configuration, y: Configuration) -> float:
     """Distance between configurations: the larger of the two robots' moves."""
     return max(dist_gamma(x.p1, y.p1), dist_gamma(x.p2, y.p2))
-
-
-def configs_close(x: Configuration, y: Configuration, tol: float = EPS) -> bool:
-    return config_dist(x, y) <= tol
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,7 +291,7 @@ class PhysPath:
             same = (seg.circle1, seg.a0, seg.circle2, seg.b0) == (
                 prev.circle1, prev.a1, prev.circle2, prev.b1
             )
-            if not same and not configs_close(end, seg.start_config(), EPS):
+            if not same and config_dist(end, seg.start_config()) > EPS:
                 raise ContractError("trajectory waypoints disagree across a junction")
             pts.append((prev.t1, end))
             prev = seg
@@ -347,58 +349,50 @@ class ChartLeg:
         return max(abs(self.a1 - self.a0), abs(self.b1 - self.b0))
 
 
-def _split_fractions(lo: float, hi: float) -> list[float]:
-    cuts = []
-    low, high = min(lo, hi), max(lo, hi)
-    for crit in _CRITICAL:
-        if low < crit < high:
-            cuts.append((crit - lo) / (hi - lo))
-    return cuts
-
-
-def _interp(lo: float, hi: float, u: float) -> float:
-    v = lo + u * (hi - lo)
-    # Pin values that are meant to be exactly at a chart boundary.
-    for crit in _CRITICAL:
-        if abs(v - crit) < SNAP_EPS:
-            return crit
-    return v
+def _cuts(v0: float, v1: float) -> dict[float, float]:
+    """Fractions of the way from v0 to v1 at which the value crosses the
+    center or a pole, each mapped to that critical value."""
+    low, high = min(v0, v1), max(v0, v1)
+    return {(crit - v0) / (v1 - v0): crit for crit in _CRITICAL if low < crit < high}
 
 
 def path_from_legs(legs: list[ChartLeg]) -> PhysPath:
     """Assemble a trajectory from chart legs.
 
-    Legs are split at pole and center crossings, timed proportionally to arc
-    sweep, and normalized to t in [0, 1].  Zero-sweep legs are dropped unless
-    the whole input is stationary, which yields a constant trajectory.
+    Legs are split at pole and center crossings: a piece starts and ends on
+    its leg's own endpoint values, and at a cut the crossing coordinate takes
+    the critical value exactly.  Pieces are timed proportionally to arc sweep
+    and normalized to t in [0, 1].  A piece that sweeps at most SNAP_EPS times
+    the total is dropped: below that resolution its times could not increase
+    strictly, and the dropped motion stays far below EPS.  A stationary input
+    yields a constant trajectory.
     """
-    pieces: list[tuple[ChartLeg, float]] = []
+    pieces: list[ChartLeg] = []
     for leg in legs:
-        cuts = sorted(set(_split_fractions(leg.a0, leg.a1) + _split_fractions(leg.b0, leg.b1)))
-        bounds = [0.0, *cuts, 1.0]
-        for u0, u1 in zip(bounds, bounds[1:]):
-            piece = ChartLeg(
-                leg.circle1,
-                _interp(leg.a0, leg.a1, u0),
-                _interp(leg.a0, leg.a1, u1),
-                leg.circle2,
-                _interp(leg.b0, leg.b1, u0),
-                _interp(leg.b0, leg.b1, u1),
-            )
-            if piece.sweep > 0.0:
-                pieces.append((piece, piece.sweep))
-    if not pieces:
+        cut_a, cut_b = _cuts(leg.a0, leg.a1), _cuts(leg.b0, leg.b1)
+        points = [(leg.a0, leg.b0)]
+        for u in sorted(cut_a.keys() | cut_b.keys()):
+            a = cut_a.get(u, leg.a0 + u * (leg.a1 - leg.a0))
+            b = cut_b.get(u, leg.b0 + u * (leg.b1 - leg.b0))
+            points.append((a, b))
+        points.append((leg.a1, leg.b1))
+        for (a0, b0), (a1, b1) in zip(points, points[1:]):
+            pieces.append(ChartLeg(leg.circle1, a0, a1, leg.circle2, b0, b1))
+    sweeps = [piece.sweep for piece in pieces]
+    floor = SNAP_EPS * sum(sweeps)
+    weighted = [(piece, w) for piece, w in zip(pieces, sweeps) if w > floor]
+    if not weighted:
         if not legs:
             raise DomainError("cannot build a trajectory from no legs")
         first = legs[0]
         return constant_path(configuration(first.circle1, first.a0, first.circle2, first.b0))
-    total = sum(w for _, w in pieces)
+    total = sum(w for _, w in weighted)
     segments = []
     acc = 0.0
-    for i, (piece, w) in enumerate(pieces):
+    for i, (piece, w) in enumerate(weighted):
         t0 = acc / total
         acc += w
-        t1 = 1.0 if i == len(pieces) - 1 else acc / total
+        t1 = 1.0 if i == len(weighted) - 1 else acc / total
         segments.append(
             PathSegment(t0, t1, piece.circle1, piece.a0, piece.a1, piece.circle2, piece.b0, piece.b1)
         )

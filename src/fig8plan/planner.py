@@ -143,8 +143,9 @@ class Plan:
     """A complete collision-free trajectory between two configurations.
 
     trace_in is the start's retraction leg and trace_out the goal's, already
-    reversed to run towards the goal.  Each holds one leg, or none when its
-    endpoint lies on the spine or the plan is parked (start == goal).
+    reversed to run towards the goal.  Each holds one leg, or none when the
+    leg has zero sweep (an endpoint on the spine that does not snap onto a
+    vertex) or the plan is parked (start == goal).
     """
 
     start: Configuration
@@ -194,8 +195,8 @@ def plan(start: Configuration, goal: Configuration) -> Plan:
     domain, moves = plan_steps(r_in.point, r_out.point)
     steps = tuple(s for move in moves for s in move)
 
-    # A retraction leg of zero sweep (an endpoint already on the spine) adds
-    # no motion; the goal's leg is played backwards.
+    # A retraction leg of zero sweep (an endpoint already on the spine, not
+    # snapped onto a vertex) adds no motion; the goal's leg is played backwards.
     legs_in = (r_in.leg,) if r_in.leg.sweep > 0.0 else ()
     legs_spine = steps_to_legs(list(steps))
     back = r_out.leg
@@ -233,11 +234,15 @@ def plan(start: Configuration, goal: Configuration) -> Plan:
     )
 
 
-def plan_to_json(p: Plan, digits: int = 12) -> dict:
-    """JSON-ready summary: instruction number, hop count, timed waypoints."""
+def plan_to_json(p: Plan) -> dict:
+    """JSON-ready summary: instruction number, hop count, timed waypoints.
+
+    Values carry 12 significant digits, at which times still strictly
+    increase: every segment lasts more than SNAP_EPS = 1e-12 (path_from_legs).
+    """
 
     def rnd(x: float) -> float:
-        return float(f"{x:.{digits}g}")
+        return float(f"{x:.12g}")
 
     waypoints = [
         {
@@ -250,20 +255,20 @@ def plan_to_json(p: Plan, digits: int = 12) -> dict:
     return {"instruction": p.instruction, "hops": p.hop_count, "waypoints": waypoints}
 
 
-def validate_plan(p: Plan, tol: float = EPS) -> None:
+def validate_plan(p: Plan) -> None:
     """Check a plan's contract; raises ContractError with a witness on failure.
 
-    Separation and spine membership are certified exactly from the waypoints.
-    Each spine segment (one whose midpoint time lies in spine_interval) is
-    straight in its square, and a square holds at most two straight spine
-    lines, so a segment whose start, midpoint and end are on the spine lies
-    on one of those lines throughout.
+    Endpoints must match to EPS; separation and spine membership are
+    certified exactly from the waypoints.  Each spine segment (one whose
+    midpoint time lies in spine_interval) is straight in its square, and a
+    square holds at most two straight spine lines, so a segment whose start,
+    midpoint and end are on the spine lies on one of those lines throughout.
     """
     waypoints = p.path.waypoints
     start, end = waypoints[0][1], waypoints[-1][1]
-    if config_dist(start, p.start) > tol:
+    if config_dist(start, p.start) > EPS:
         raise ContractError(f"plan does not start at its start: {start} vs {p.start}")
-    if config_dist(end, p.goal) > tol:
+    if config_dist(end, p.goal) > EPS:
         raise ContractError(f"plan does not end at its goal: {end} vs {p.goal}")
     sep = path_min_separation(p.path)
     if sep <= 0.0:

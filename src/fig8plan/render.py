@@ -3,9 +3,10 @@
 The canvas shows the four coordinate squares: AA top-left, AB top-right,
 BA bottom-left, BB bottom-right, each with robot 1 along x and robot 2 along
 y (y flipped so coordinates grow upward).  Removed collision diagonals are
-dashed, identified square edges carry matching tick marks, and the spine,
-retraction traces, and planned path are separate toggleable layers.  The
-output is a self-contained SVG 1.1 document with inline styles only.
+dashed, identified square edges carry matching tick marks, and the squares,
+diagonals, spine, retraction traces, planned path and vertices each get a
+layer of their own.  The output is a self-contained SVG 1.1 document with
+inline styles only.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from .planner import Plan
 from .spine import CHAIN_CIRCLES, CHAIN_VERTICES, ChainStep, chain_to_flat, step_to_leg, vertex_point
 
 _SQUARE_CELL = {"AA": (0, 0), "AB": (1, 0), "BA": (0, 1), "BB": (1, 1)}
+
+# Canvas border and the space between squares, in px.
+_MARGIN = 40.0
+_GAP = 56.0
 
 _STYLE = """
   .square-outline { fill: #fdfdfb; stroke: #555; stroke-width: 1.5; }
@@ -35,30 +40,22 @@ _STYLE = """
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """Canvas geometry and layer toggles; defaults draw everything."""
+    """Canvas geometry: the side of the square canvas in px."""
 
     size: float = 720.0
-    margin: float = 40.0
-    gap: float = 56.0
-    show_squares: bool = True
-    show_diagonal: bool = True
-    show_spine: bool = True
-    show_traces: bool = True
-    show_path: bool = True
-    show_vertices: bool = True
 
     def __post_init__(self):
-        if self.size - 2.0 * self.margin - self.gap < 40.0:
+        if self.size - 2.0 * _MARGIN - _GAP < 40.0:
             raise ValueError("canvas too small for the four-square layout")
 
     @property
     def side(self) -> float:
-        return (self.size - 2.0 * self.margin - self.gap) / 2.0
+        return (self.size - 2.0 * _MARGIN - _GAP) / 2.0
 
     def origin(self, square: str) -> tuple[float, float]:
         col, row = _SQUARE_CELL[square]
-        step = self.side + self.gap
-        return self.margin + col * step, self.margin + row * step
+        step = self.side + _GAP
+        return _MARGIN + col * step, _MARGIN + row * step
 
     def to_xy(self, square: str, a: float, b: float) -> tuple[float, float]:
         ox, oy = self.origin(square)
@@ -220,17 +217,12 @@ def render_svg(plan: Plan | None = None, spec: RenderSpec | None = None) -> str:
         f"<style>{_STYLE}</style>",
         f'<rect x="0" y="0" width="{s}" height="{s}" fill="#ffffff"/>',
     ]
-    if spec.show_squares:
-        parts.extend(_squares_layer(spec))
-    if spec.show_diagonal:
-        parts.extend(_diagonal_layer(spec))
-    if spec.show_spine:
-        parts.extend(_spine_layer(spec))
-    if plan is not None and spec.show_traces:
+    parts.extend(_squares_layer(spec))
+    parts.extend(_diagonal_layer(spec))
+    parts.extend(_spine_layer(spec))
+    if plan is not None:
         parts.extend(_traces_layer(spec, plan))
-    if plan is not None and spec.show_path:
         parts.extend(_path_layer(spec, plan))
-    if spec.show_vertices:
-        parts.extend(_vertices_layer(spec))
+    parts.extend(_vertices_layer(spec))
     parts.append("</svg>")
     return "\n".join(parts)

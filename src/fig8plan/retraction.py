@@ -25,7 +25,6 @@ from .geometry import (
     ChartLeg,
     Configuration,
     FlatCoord,
-    SNAP_EPS,
     canonical_flat,
     config_to_flat,
 )
@@ -41,12 +40,13 @@ def region_corner(f: FlatCoord) -> tuple[int, int]:
     return (0 if f.a <= 0.5 else 1, 0 if f.b <= 0.5 else 1)
 
 
-def retract_flat(f: FlatCoord) -> tuple[FlatCoord, float]:
+def retract_flat(f: FlatCoord) -> tuple[float, float, float]:
     """Project a flat point onto the spine along its corner ray.
 
-    Returns the image and the ray scale lambda; lambda == 1 exactly when the
-    input already lies on the spine, and then the input is its own image
-    (rebuilding it from the corner would move it by rounding).
+    Returns the image's chart values (a, b) in the input's own square, which
+    may read 0 or 1 at the center, and the ray scale lambda; lambda == 1
+    exactly when the input already lies on the spine, and then it is its own
+    image (rebuilding it from the corner would move it by rounding).
     """
     ca, cb = region_corner(f)
     ua, ub = f.a - ca, f.b - cb
@@ -58,7 +58,7 @@ def retract_flat(f: FlatCoord) -> tuple[FlatCoord, float]:
             raise SingularityError(f"{f} is within {SINGULAR_EPS} of a corner state")
         scale = 1.0 / (2.0 * (1.0 - sigma))
         if scale == 1.0:
-            return f, scale
+            return f.a, f.b, scale
         a_out = ca + scale * ua
         b_out = a_out + 0.5 if (ca, cb) == (0, 1) else a_out - 0.5
     else:
@@ -67,7 +67,7 @@ def retract_flat(f: FlatCoord) -> tuple[FlatCoord, float]:
             raise SingularityError(f"{f} is within {SINGULAR_EPS} of a corner state")
         scale = 0.5 / m
         if scale == 1.0:
-            return f, scale
+            return f.a, f.b, scale
         if abs(ua) >= abs(ub):
             a_out = 0.5
             b_out = cb + scale * ub
@@ -76,16 +76,7 @@ def retract_flat(f: FlatCoord) -> tuple[FlatCoord, float]:
         else:
             a_out = ca + scale * ua
             b_out = 0.5
-    image = canonical_flat(f.square, _clip(a_out), _clip(b_out))
-    return image, scale
-
-
-def _clip(x: float) -> float:
-    if -SNAP_EPS < x < 0.0:
-        return 0.0
-    if 1.0 < x < 1.0 + SNAP_EPS:
-        return 1.0
-    return x
+    return a_out, b_out, scale
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,14 +92,21 @@ class RetractResult:
 def retract(c: Configuration) -> RetractResult:
     """Retract a configuration onto the spine along its straight chart leg.
 
-    The leg runs from the input to the image inside one square chart; it is
-    collision free because the corner ray never meets the diagonal.
+    The leg runs from the input to the chart values of the returned spine
+    point inside the input's own square; it is collision free because the
+    corner ray never meets the diagonal.  An image within EPS of a vertex
+    snaps onto it (chain_point), and the leg then ends on the vertex itself,
+    so the spine walk starts exactly where the leg stops.
     """
     f = config_to_flat(c)
-    image, scale = retract_flat(f)
+    a, b, scale = retract_flat(f)
+    image = f if scale == 1.0 else canonical_flat(f.square, a, b)
+    point = flat_to_chain(image)
+    if point.is_vertex:
+        a, b = round(2.0 * a) / 2.0, round(2.0 * b) / 2.0
     return RetractResult(
-        point=flat_to_chain(image),
+        point=point,
         flat=image,
         scale=scale,
-        leg=ChartLeg(f.square[0], f.a, image.a, f.square[1], f.b, image.b),
+        leg=ChartLeg(f.square[0], f.a, a, f.square[1], f.b, b),
     )

@@ -19,6 +19,10 @@ pole: HA/HB put robot 1 at the center with robot 2 at a pole, VA/VB swap the
 roles, C1/C2 put both robots at opposite poles.  Every point gets a single
 canonical representation; a vertex is stored on its designated circle, the
 circle a positive traversal leaves it along.
+
+An angle within EPS of a vertex is that vertex (chain_point), the one place a
+spine position is moved: make_steps starts and ends arc moves on the exact
+angles it is given, a move of at most SNAP_EPS being none.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from functools import cache
 from .errors import ContractError, DomainError
 from .geometry import (
     EPS,
+    SNAP_EPS,
     ChartLeg,
     Configuration,
     FlatCoord,
@@ -321,42 +326,29 @@ def make_steps(circle: str, theta_from: float, theta_to: float, direction: int) 
     """Split a directed arc move into vertex-free steps.
 
     The move runs from theta_from in the given direction (+1 with theta
-    increasing) until it reaches theta_to, never a full turn or more.
+    increasing) until it reaches theta_to, never a full turn or more.  It is
+    cut at the multiples of 1/2 strictly between its ends, and it starts and
+    ends on the given angles exactly (a raw chart angle of 1 standing for 0).
+    A move of at most SNAP_EPS is no move.
     """
     if direction not in (1, -1):
         raise DomainError(f"direction must be +1 or -1, got {direction!r}")
     t0 = theta_from % 1.0
     t1 = theta_to % 1.0
-    span = ((t1 - t0) * direction) % 1.0
-    if span <= EPS or span >= 1.0 - EPS:
+    if arc_dist(t0, t1) <= SNAP_EPS:
         return []
-    u0, u1 = t0, t0 + direction * span
-    lo, hi = min(u0, u1), max(u0, u1)
-    cuts = []
-    k = math.floor(lo / 0.5) + 1
-    while k * 0.5 < hi - EPS:
-        if k * 0.5 > lo + EPS:
-            cuts.append(k * 0.5)
-        k += 1
-    if direction < 0:
-        cuts.reverse()
-    us = [u0, *cuts, u1]
+    # Raw chart angles: a positive step may end at 1 but never start there,
+    # a negative one the other way round.
+    a, goal = (t0, t1 or 1.0) if direction > 0 else (t0 or 1.0, t1)
     steps = []
-    for i, (ua, ub) in enumerate(zip(us, us[1:])):
-        shift = math.floor(min(ua, ub) + EPS)
-        ra, rb = ua - shift, ub - shift
-        if i == len(us) - 2:
-            # Land exactly on the requested endpoint float.
-            for cand in (t1, t1 + 1.0):
-                if abs(rb - cand) < 2 * EPS and cand <= 1.0:
-                    rb = cand
-                    break
-        ra = min(max(ra, 0.0), 1.0)
-        rb = min(max(rb, 0.0), 1.0)
-        if abs(rb - ra) <= EPS:
-            continue
-        steps.append(ChainStep(circle, ra, rb, direction))
-    return steps
+    while True:
+        # the next vertex angle strictly beyond a
+        end = 0.5 * (math.floor(2.0 * a) + 1) if direction > 0 else 0.5 * (math.ceil(2.0 * a) - 1)
+        if min(a, end) <= goal <= max(a, end):
+            steps.append(ChainStep(circle, a, goal, direction))
+            return steps
+        steps.append(ChainStep(circle, a, end, direction))
+        a = end % 1.0 if direction > 0 else end or 1.0
 
 
 def shortest_arc(theta_from: float, theta_to: float) -> tuple[int, float]:

@@ -134,15 +134,28 @@ def tc_wedge(n: int, m: int) -> int:
 # samplers
 
 
-def random_config(rng: Random, min_sep: float = 1e-6) -> Configuration:
-    """Uniform-ish valid configuration with separation at least min_sep.
+def _random_position(rng: Random) -> CirclePoint:
+    # Half the draws are uniform; the rest sit on the center, a pole or a
+    # quarter point, or 1e-13 ... 1e-8 off one, where snapping is decided.
+    if rng.random() < 0.5:
+        s = rng.random()
+    else:
+        base = rng.choice((0.0, 0.25, 0.5, 0.75))
+        offset = rng.choice((0.0, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8))
+        s = (base + rng.choice((offset, -offset))) % 1.0
+    return circle_point(rng.choice(CIRCLES), s)
 
-    The separation floor keeps samples retractable: it bounds the scale factor
-    of the retraction away from the singular guard.
+
+def random_config(rng: Random, min_sep: float = 1e-6) -> Configuration:
+    """Valid configuration with separation at least min_sep.
+
+    Each coordinate is uniform or a boundary draw (see _random_position).
+    The separation floor keeps samples retractable: it bounds the scale
+    factor of the retraction away from the singular guard.
     """
     while True:
-        p1 = circle_point(rng.choice(CIRCLES), rng.random())
-        p2 = circle_point(rng.choice(CIRCLES), rng.random())
+        p1 = _random_position(rng)
+        p2 = _random_position(rng)
         if dist_gamma(p1, p2) < min_sep:
             continue
         return Configuration(p1, p2)

@@ -148,3 +148,23 @@ def test_render_to_stdout(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # used to exit 1: path assembly pulled B:0.4999999999999 onto the pole
+        ("B:0.249999999", "A:0.9948468822843032", "B:1e-09", "B:0.4999999999999"),
+        # used to exit 2: a spine step straddled 1/2 and read chart value -1e-9
+        ("A:0.7500000001", "A:0.500000002", "A:0.4999999995", "A:0.999999999"),
+    ],
+)
+def test_boundary_replays_plan(capsys, argv):
+    code, out, err = run(
+        capsys, "plan", "--from-r1", argv[0], "--from-r2", argv[1],
+        "--to-r1", argv[2], "--to-r2", argv[3],
+    )
+    assert code == 0, err
+    ts = [w["t"] for w in json.loads(out)["waypoints"]]
+    assert ts[0] == 0.0 and ts[-1] == 1.0
+    assert all(b > a for a, b in zip(ts, ts[1:]))

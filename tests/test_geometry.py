@@ -186,6 +186,29 @@ def test_path_from_legs_splits_at_center():
     assert junction.p1 == CirclePoint("A", 0.0)
 
 
+def test_path_from_legs_keeps_leg_endpoints_exact():
+    # A value 1e-13 short of the pole used to be pulled onto it.
+    path = path_from_legs([ChartLeg("A", 0.2, 0.3, "B", 1e-9, 0.4999999999999)])
+    assert path.end == configuration("A", 0.3, "B", 0.4999999999999)
+    # At a cut the crossing coordinate takes the critical value exactly.
+    path = path_from_legs([ChartLeg("A", 0.3, 0.7, "B", 0.1, 0.2)])
+    assert [(seg.a0, seg.a1) for seg in path.segments] == [(0.3, 0.5), (0.5, 0.7)]
+    assert path.end == configuration("A", 0.7, "B", 0.2)
+
+
+def test_path_from_legs_drops_sub_resolution_pieces():
+    # A last leg of 1e-13 after a sweep of 0.3 used to become a segment from
+    # t = 0.99999999999967 to 1, which rounds to a repeated t = 1 in JSON.
+    path = path_from_legs(
+        [
+            ChartLeg("A", 0.1, 0.4, "B", 0.3, 0.3),
+            ChartLeg("A", 0.4, 0.4 + 1e-13, "B", 0.3, 0.3),
+        ]
+    )
+    assert [(seg.t0, seg.t1) for seg in path.segments] == [(0.0, 1.0)]
+    assert config_dist(path.end, configuration("A", 0.4 + 1e-13, "B", 0.3)) <= 1e-13
+
+
 def test_min_separation_frozen_values():
     path = path_from_legs([ChartLeg("A", 0.2, 0.8, "B", 0.25, 0.25)])
     # Robot 1 sweeps through its pole while robot 2 parks a quarter turn into B.

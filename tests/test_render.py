@@ -50,15 +50,8 @@ def test_svg_is_self_contained():
     assert svg.count("http") == 1  # the xmlns only
 
 
-def test_layer_toggles():
-    svg = render_svg(spec=RenderSpec(show_spine=False, show_vertices=False))
-    assert 'class="spine-arc"' not in svg
-    assert 'class="vertex"' not in svg
-    assert 'class="square-outline"' in svg
-
-
 def test_identified_edges_carry_matching_ticks():
-    svg = render_svg(spec=RenderSpec(show_spine=False, show_traces=False))
+    svg = render_svg()
     # vertical-edge classes pair AA with BA (robot 2 on circle A) and AB with
     # BB; horizontal-edge classes pair AA with AB and BA with BB.  Tick counts
     # per square: AA 1+1+3+3, AB 2+2+3+3, BA 1+1+4+4, BB 2+2+4+4.
@@ -100,4 +93,4 @@ def test_empty_plan_renders_marker_pair_only():
 
 def test_canvas_too_small_rejected():
     with pytest.raises(ValueError):
-        RenderSpec(size=100.0, margin=40.0, gap=56.0)
+        RenderSpec(size=100.0)

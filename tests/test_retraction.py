@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from fig8plan.errors import SingularityError
 from fig8plan.geometry import (
     FlatCoord,
+    canonical_flat,
     config_dist,
     config_to_flat,
     configuration,
@@ -13,6 +14,7 @@ from fig8plan.geometry import (
     path_from_legs,
     path_min_separation,
 )
+from fig8plan.planner import plan, validate_plan
 from fig8plan.retraction import region_corner, retract, retract_flat
 from fig8plan.spine import ChainPoint, chain_to_config, dist_chain, on_spine, vertex_point
 
@@ -29,26 +31,25 @@ def test_region_corner():
 
 
 def test_retract_flat_frozen_same_circle():
-    image, scale = retract_flat(FlatCoord("AA", 0.1, 0.3))
-    assert image == FlatCoord("AA", 0.0625, 0.5625)
+    a, b, scale = retract_flat(FlatCoord("AA", 0.1, 0.3))
+    assert (a, b) == (0.0625, 0.5625)
     assert scale == pytest.approx(0.625)
 
 
 def test_retract_flat_frozen_mixed():
-    image, scale = retract_flat(FlatCoord("AB", 0.2, 0.3))
-    assert image.square == "AB"
-    assert image.a == pytest.approx(1.0 / 3.0)
-    assert image.b == 0.5
+    a, b, scale = retract_flat(FlatCoord("AB", 0.2, 0.3))
+    assert a == pytest.approx(1.0 / 3.0)
+    assert b == 0.5
     assert scale == pytest.approx(5.0 / 3.0)
 
 
 def test_retract_far_corner_pulls_inward():
     # Beyond the sub-diagonal the scale drops below 1: the image sits between
     # the input and the reference corner.
-    image, scale = retract_flat(FlatCoord("AA", 0.7, 0.9))
+    a, b, scale = retract_flat(FlatCoord("AA", 0.7, 0.9))
     assert scale == pytest.approx(0.625)
-    assert image.a == pytest.approx(0.4375)
-    assert image.b == pytest.approx(0.9375)
+    assert a == pytest.approx(0.4375)
+    assert b == pytest.approx(0.9375)
 
 
 def test_spine_points_are_fixed():
@@ -58,10 +59,7 @@ def test_spine_points_are_fixed():
         FlatCoord("AA", 0.2, 0.7),
         FlatCoord("BB", 0.9, 0.4),
     ):
-        image, scale = retract_flat(f)
-        assert scale == 1.0
-        assert abs(image.a - f.a) < 1e-12 and abs(image.b - f.b) < 1e-12
-        assert image.square == f.square
+        assert retract_flat(f) == (f.a, f.b, 1.0)
 
 
 def test_seeded_spine_configurations_retract_to_themselves():
@@ -90,6 +88,20 @@ def test_center_state_rule():
     assert r.flat == FlatCoord("AB", 0.5, 0.0)
 
 
+def test_near_vertex_leg_ends_on_the_vertex():
+    # Both images lie within EPS of VA and snap onto it; the legs used to end
+    # on the unsnapped images, 2 EPS apart, so the plan broke at a junction.
+    start = configuration("A", 0.2668, "A", 1e-10)
+    goal = configuration("A", 0.5000000000001, "A", 0.999999999)
+    for c in (start, goal):
+        r = retract(c)
+        assert r.point == vertex_point("VA")
+        leg = r.leg
+        assert leg.circle1 + leg.circle2 == config_to_flat(c).square
+        assert configuration(leg.circle1, leg.a1, leg.circle2, leg.b1) == chain_to_config(r.point)
+    validate_plan(plan(start, goal))
+
+
 def test_singularity_guards():
     with pytest.raises(SingularityError):
         retract_flat(FlatCoord("AB", 1e-13, 1e-13))
@@ -106,23 +118,25 @@ def test_same_circle_image_on_spine(square, a, b):
     if abs(a - b) < 1e-6 or abs(a - b) > 1.0 - 1e-6:
         return
     f = FlatCoord(square, a, b)
-    image, scale = retract_flat(f)
+    image_a, image_b, scale = retract_flat(f)
+    image = canonical_flat(square, image_a, image_b)
     assert on_spine(image)
     assert 0.5 < scale
-    again, rescale = retract_flat(image)
+    again_a, again_b, rescale = retract_flat(image)
     assert rescale == 1.0
-    assert abs(again.a - image.a) < 1e-12 and abs(again.b - image.b) < 1e-12
+    assert abs(again_a - image.a) < 1e-12 and abs(again_b - image.b) < 1e-12
 
 
 @given(st.sampled_from(("AB", "BA")), coords, coords)
 def test_mixed_image_on_spine(square, a, b):
     f = FlatCoord(square, a, b)
-    image, scale = retract_flat(f)
+    image_a, image_b, scale = retract_flat(f)
+    image = canonical_flat(square, image_a, image_b)
     assert on_spine(image)
     assert scale >= 1.0
-    again, rescale = retract_flat(image)
+    again_a, again_b, rescale = retract_flat(image)
     assert rescale == 1.0
-    assert abs(again.a - image.a) < 1e-12 and abs(again.b - image.b) < 1e-12
+    assert abs(again_a - image.a) < 1e-12 and abs(again_b - image.b) < 1e-12
 
 
 @given(st.sampled_from(("AA", "BB", "AB", "BA")), coords, coords)

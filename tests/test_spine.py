@@ -11,6 +11,7 @@ from fig8plan.spine import (
     CIRCLE_VERTICES,
     VERTEX_CONFIG,
     ChainPoint,
+    ChainStep,
     build_chain,
     chain_point,
     chain_to_config,
@@ -161,21 +162,29 @@ def test_make_steps_frozen():
 def test_make_steps_properties(circle, t0, t1, direction):
     steps = make_steps(circle, t0, t1, direction)
     span = ((t1 - t0) * direction) % 1.0
-    if span <= 1e-9 or span >= 1.0 - 1e-9:
+    if fold(t1 - t0) <= 1e-12:
         assert steps == []
         return
-    # Endpoints within EPS of a vertex snap onto it, so allow that much slack.
-    assert sum(s.length for s in steps) == pytest.approx(span, abs=3e-9)
-    assert fold(steps[0].t_from - t0) <= 2e-9
-    assert fold(steps[-1].t_to - t1) <= 2e-9
+    # Any move longer than SNAP_EPS is kept, and it starts and ends on the
+    # given angles exactly (a raw chart angle of 1 is the angle 0).
+    assert sum(s.length for s in steps) == pytest.approx(span, abs=1e-12)
+    assert steps[0].t_from % 1.0 == t0
+    assert steps[-1].t_to % 1.0 == t1
     for s in steps:
         lo, hi = min(s.t_from, s.t_to), max(s.t_from, s.t_to)
-        for crit in (0.5,):
-            assert not (lo < crit < hi)
-        assert 0.0 <= lo and hi <= 1.0
+        assert not (lo < 0.5 < hi)
+        assert 0.0 <= lo < hi <= 1.0
         assert s.direction == direction
     for prev, nxt in zip(steps, steps[1:]):
-        assert fold(prev.t_to - nxt.t_from) < 1e-9
+        assert prev.t_to % 1.0 == nxt.t_from % 1.0
+        assert prev.t_to in (0.0, 0.5, 1.0)
+
+
+def test_make_steps_keeps_a_short_move_exact():
+    # A move of EPS from a vertex used to be dropped, so a plan could end
+    # more than EPS from its goal.
+    assert make_steps("R", 0.0, 1e-9, 1) == [ChainStep("R", 0.0, 1e-9, 1)]
+    assert make_steps("R", 0.0, 1e-13, 1) == []
 
 
 def test_steps_to_path_stays_on_spine():

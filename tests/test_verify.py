@@ -185,6 +185,20 @@ def test_random_config_respects_separation_floor():
         assert c.separation >= 1e-3
 
 
+def test_random_config_reaches_the_boundary_band():
+    from random import Random
+
+    rng = Random(123)
+    offsets = set()
+    for _ in range(400):
+        c = random_config(rng)
+        for p in (c.p1, c.p2):
+            offsets.add(abs(4.0 * p.s - round(4.0 * p.s)) / 4.0)
+    # exact quarter points and positions 1e-12 ... 1e-8 off one are drawn
+    assert 0.0 in offsets
+    assert any(1e-13 < d < 2e-8 for d in offsets)
+
+
 def test_random_chain_point_interior_margin():
     from random import Random
 
