@@ -3,7 +3,7 @@
 Usage: python scripts/run_all_suites.py [--seed S] [--full]
 
 --full uses the acceptance-sized sample counts instead of the quick defaults,
-which takes on the order of half a minute.
+which takes about 15 s on a 2-vCPU machine.
 """
 
 import argparse

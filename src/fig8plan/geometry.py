@@ -75,10 +75,16 @@ def dist_gamma(p: CirclePoint, q: CirclePoint) -> float:
     On a shared circle this is ordinary circle distance; across circles every
     path runs through the center, so distances add up center-to-center.
     """
-    if p.circle == q.circle:
-        d = abs(p.s - q.s)
+    return _chart_dist(p.circle == q.circle, p.s, q.s)
+
+
+def _chart_dist(same_circle: bool, x: float, y: float) -> float:
+    """dist_gamma of two arc values in [0, 1], on one circle or on two;
+    a value of 1 is the center, like 0."""
+    if same_circle:
+        d = abs(x - y)
         return min(d, 1.0 - d)
-    return min(p.s, 1.0 - p.s) + min(q.s, 1.0 - q.s)
+    return min(x, 1.0 - x) + min(y, 1.0 - y)
 
 
 @dataclass(frozen=True, slots=True)
@@ -444,15 +450,61 @@ def path_min_separation(path: PhysPath) -> float:
     return best
 
 
-def path_sup_distance(p: PhysPath, q: PhysPath, n: int = 256) -> float:
-    """Largest sampled configuration distance between two trajectories."""
-    if n < 2:
-        raise DomainError("need at least 2 samples")
+def _chart_at(seg: PathSegment, t: float) -> tuple[float, float]:
+    """Chart values of a segment at a time in [t0, t1], exact at both ends."""
+    if t == seg.t0:
+        return seg.a0, seg.b0
+    if t == seg.t1:
+        return seg.a1, seg.b1
+    return seg.interpolate(t)
+
+
+def path_sup_distance(p: PhysPath, q: PhysPath) -> float:
+    """Exact largest configuration distance between two trajectories over t.
+
+    The segment times of both paths are merged in one sweep.  On each merged
+    interval every robot of each path moves affinely in one chart and does
+    not reach 0, 1/2 or 1 in the interior, so per robot, with x its chart
+    value on p and y on q:
+
+    * Different circles: the distance min(x, 1 - x) + min(y, 1 - y) is
+      affine in time, so its largest value is at an interval end.
+    * One circle: with d = x - y affine in time, the distance is
+      min(|d|, 1 - |d|).  Its only interior maxima are where |d| = 1/2,
+      and there it equals 1/2.
+
+    At the center both formulas agree, so the circle label of a robot there
+    does not matter.  The supremum is therefore the largest interval-end
+    value, or 1/2 where a same-circle d passes +-1/2; config_dist takes the
+    larger robot, and the supremum of a maximum is the maximum of suprema.
+    Both sides of a junction are read, so a jump within the junction
+    tolerance counts too.
+    """
     worst = 0.0
-    step = 1.0 / (n - 1)
-    for k in range(n):
-        t = k * step
-        d = config_dist(p.config_at(t), q.config_at(t))
-        if d > worst:
-            worst = d
-    return worst
+    ps, qs = p.segments, q.segments
+    i = j = 0
+    t0 = 0.0
+    while True:
+        sp, sq = ps[i], qs[j]
+        t1 = min(sp.t1, sq.t1)
+        (pa0, pb0), (pa1, pb1) = _chart_at(sp, t0), _chart_at(sp, t1)
+        (qa0, qb0), (qa1, qb1) = _chart_at(sq, t0), _chart_at(sq, t1)
+        for same, x0, x1, y0, y1 in (
+            (sp.circle1 == sq.circle1, pa0, pa1, qa0, qa1),
+            (sp.circle2 == sq.circle2, pb0, pb1, qb0, qb1),
+        ):
+            d = max(_chart_dist(same, x0, y0), _chart_dist(same, x1, y1))
+            if same:
+                d0, d1 = x0 - y0, x1 - y1
+                lo, hi = min(d0, d1), max(d0, d1)
+                if lo < 0.5 < hi or lo < -0.5 < hi:
+                    d = 0.5
+            if d > worst:
+                worst = d
+        if t1 == 1.0:
+            return worst
+        t0 = t1
+        if sp.t1 == t1:
+            i += 1
+        if sq.t1 == t1:
+            j += 1

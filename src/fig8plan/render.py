@@ -11,8 +11,10 @@ inline styles only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from .errors import DomainError
 from .geometry import PhysPath, config_to_flat
 from .planner import Plan
 from .spine import CHAIN_CIRCLES, CHAIN_VERTICES, ChainStep, chain_to_flat, step_to_leg, vertex_point
@@ -45,8 +47,10 @@ class RenderSpec:
     size: float = 720.0
 
     def __post_init__(self):
-        if self.size - 2.0 * _MARGIN - _GAP < 40.0:
-            raise ValueError("canvas too small for the four-square layout")
+        if not math.isfinite(self.size) or self.size - 2.0 * _MARGIN - _GAP < 40.0:
+            raise DomainError(
+                f"canvas size {self.size!r} px is not finite or too small for the four-square layout"
+            )
 
     @property
     def side(self) -> float:

@@ -198,30 +198,34 @@ def chain_to_config(p: ChainPoint) -> Configuration:
     return flat_to_config(chain_to_flat(p))
 
 
+def _spine_circle(f: FlatCoord) -> str | None:
+    """The spine circle whose line holds a flat point, None off the spine.
+
+    A mixed-square point on both cross lines is the C vertex, read on its H
+    circle at theta = 1/2.
+    """
+    if f.square in MIXED_SQUARES:
+        first = f.square == "AB"
+        if abs(f.b - 0.5) <= EPS:
+            return "H1" if first else "H2"
+        if abs(f.a - 0.5) <= EPS:
+            return "V1" if first else "V2"
+        return None
+    if abs(abs(f.b - f.a) - 0.5) <= EPS:
+        return "R" if f.square == "AA" else "Bc"
+    return None
+
+
 def flat_to_chain(f: FlatCoord) -> ChainPoint:
     """Identify a flat point lying on the spine; DomainError otherwise."""
-    if f.square in MIXED_SQUARES:
-        a_mid = abs(f.a - 0.5) <= EPS
-        b_mid = abs(f.b - 0.5) <= EPS
-        first = f.square == "AB"
-        if b_mid:
-            # Cross point (a_mid too) is the C vertex at theta = 1/2.
-            return chain_point("H1" if first else "H2", f.a)
-        if a_mid:
-            return chain_point("V1" if first else "V2", f.b)
+    circle = _spine_circle(f)
+    if circle is None:
         raise DomainError(f"{f} is not on the spine")
-    sigma = f.b - f.a
-    if abs(abs(sigma) - 0.5) <= EPS:
-        return chain_point("R" if f.square == "AA" else "Bc", f.a)
-    raise DomainError(f"{f} is not on the spine")
+    return chain_point(circle, f.b if circle in ("V1", "V2") else f.a)
 
 
 def on_spine(f: FlatCoord) -> bool:
-    try:
-        flat_to_chain(f)
-    except DomainError:
-        return False
-    return True
+    return _spine_circle(f) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -250,23 +250,31 @@ def continuity_probe(
     seed: int,
     deltas=_LADDER,
     samples: int = 16,
-    sup_samples: int = 256,
 ) -> list[tuple[float, float]]:
     """Max sup-distance between paths of nearby in-domain inputs, per delta.
 
-    Perturbations stay strictly inside the instruction's domain: base pairs
-    keep a margin of 10*delta from the domain boundary, and for U2 the
-    perturbation moves along the antipodal stratum (both points slide
-    together) or holds the vertex fixed.  U3 has a finite domain, so the probe
-    degenerates to running each vertex pair twice and comparing.
+    The sup distance over t is exact (geometry.path_sup_distance), so a
+    jump between two paths cannot hide between sample times.  Perturbations
+    stay strictly inside the instruction's domain: base pairs keep a margin
+    of 10*delta from the domain boundary, and for U2 the perturbation moves
+    along the antipodal stratum (both points slide together) or holds the
+    vertex fixed.  U3 has a finite domain, so the probe degenerates to
+    running each vertex pair twice and comparing.
     """
     deltas = tuple(deltas)
     if not deltas or any(d <= 1e-12 for d in deltas):
         raise DomainError("deltas must be positive and above 1e-12")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise DomainError("deltas must be strictly decreasing")
+    worst = dict.fromkeys(deltas, 0.0)
+    for delta, p, q in _probe_path_pairs(domain, seed, deltas, samples):
+        worst[delta] = max(worst[delta], path_sup_distance(p, q))
+    return list(worst.items())
+
+
+def _probe_path_pairs(domain: InstructionDomain, seed: int, deltas, samples: int):
+    """Yield (delta, path, nearby path) for every comparison the probe makes."""
     rng = Random(seed)
-    rows = []
     if domain is InstructionDomain.U3:
         pairs = [
             (vertex_point(u), vertex_point(v))
@@ -274,19 +282,14 @@ def continuity_probe(
             for v in CHAIN_VERTICES
         ]
         for delta in deltas:
-            worst = 0.0
             for x, y in pairs:
-                first = _instruction_path(x, y)
-                again = _instruction_path(x, y)
-                worst = max(worst, path_sup_distance(first, again, sup_samples))
-            rows.append((delta, worst))
-        return rows
+                yield delta, _instruction_path(x, y), _instruction_path(x, y)
+        return
 
     for delta in deltas:
         margin = 10.0 * delta
         if margin >= 0.24:
             raise DomainError(f"delta {delta} leaves no room for the boundary margin")
-        worst = 0.0
         for _ in range(samples):
             if domain is InstructionDomain.U1:
                 x, y = _sample_u1_pair(rng, margin)
@@ -308,9 +311,7 @@ def continuity_probe(
                     raise DomainError(
                         f"perturbation left {domain}: {_format_chain(x2)}, {_format_chain(y2)}"
                     )
-                worst = max(worst, path_sup_distance(base, _instruction_path(x2, y2), sup_samples))
-        rows.append((delta, worst))
-    return rows
+                yield delta, base, _instruction_path(x2, y2)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,15 @@ def test_render_to_stdout(capsys):
     assert out.startswith("<svg")
 
 
+@pytest.mark.parametrize("size", ["100", "nan", "inf"])
+def test_render_rejects_bad_size(capsys, size):
+    # 100 used to raise an uncaught ValueError; nan wrote width="nan".
+    code, out, err = run(capsys, "render", "--size", size)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: canvas size") and "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 

@@ -26,7 +26,8 @@ from fig8plan.geometry import (
     path_min_separation,
     path_sup_distance,
 )
-from fig8plan.verify import sampled_min_separation
+from fig8plan.planner import InstructionDomain
+from fig8plan.verify import _probe_path_pairs, sampled_min_separation
 
 circles = st.sampled_from(("A", "B"))
 arcs = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -247,7 +248,7 @@ def test_constant_path_and_concat_identity():
     still = constant_path(path.start)
     assert still.start == still.end == path.start
     glued = path_from_legs([ChartLeg("A", 0.2, 0.2, "B", 0.25, 0.25), leg])
-    assert path_sup_distance(glued, path, n=256) < 1e-12
+    assert path_sup_distance(glued, path) < 1e-12
     assert glued.start == path.start and glued.end == path.end
 
 
@@ -272,11 +273,73 @@ def test_concat_joins_at_pole_waypoint():
     assert whole.config_at(0.5).p1 == CirclePoint("A", 0.5)
 
 
+def sampled_sup_distance(p: PhysPath, q: PhysPath, n: int = 256) -> float:
+    """Reference for path_sup_distance: the largest distance at n sample times."""
+    worst = 0.0
+    step = 1.0 / (n - 1)
+    for k in range(n):
+        t = k * step
+        d = config_dist(p.config_at(t), q.config_at(t))
+        if d > worst:
+            worst = d
+    return worst
+
+
 def test_sup_distance_frozen_value():
     fwd = path_from_legs([ChartLeg("A", 0.0, 0.5, "B", 0.25, 0.25)])
     bwd = path_from_legs([ChartLeg("A", 0.5, 0.0, "B", 0.25, 0.25)])
     # Half-sweeps in opposite directions are farthest apart at the ends.
-    assert path_sup_distance(fwd, bwd, n=257) == pytest.approx(0.5)
+    assert path_sup_distance(fwd, bwd) == pytest.approx(0.5)
+    assert sampled_sup_distance(fwd, bwd, 257) == pytest.approx(0.5)
+
+
+def test_sup_distance_sees_maximum_between_samples():
+    # Robot 1 runs 0.1 -> 0.4 on one path and 0.9 -> 0.6 on the other: the
+    # two are half a circle apart at t = 1/2 only, which no sample k/255 hits.
+    p = path_from_legs([ChartLeg("A", 0.1, 0.4, "B", 0.25, 0.25)])
+    q = path_from_legs([ChartLeg("A", 0.9, 0.6, "B", 0.25, 0.25)])
+    assert path_sup_distance(p, q) == 0.5
+    assert sampled_sup_distance(p, q) < 0.499
+
+
+def test_sup_distance_sees_maximum_at_a_junction():
+    # Robot 1 turns back at t = 3/7, where it is farthest from the parked
+    # robot; no sample k/255 hits that junction.
+    there_and_back = path_from_legs(
+        [
+            ChartLeg("A", 0.1, 0.4, "B", 0.25, 0.25),
+            ChartLeg("A", 0.4, 0.0, "B", 0.25, 0.25),
+        ]
+    )
+    parked = constant_path(configuration("A", 0.1, "B", 0.25))
+    assert there_and_back.segments[0].t1 == pytest.approx(3.0 / 7.0)
+    exact = path_sup_distance(there_and_back, parked)
+    assert exact == pytest.approx(0.3, abs=1e-15)
+    assert path_sup_distance(parked, there_and_back) == exact
+    assert sampled_sup_distance(there_and_back, parked) < exact - 5e-4
+
+
+def _continuity_path_pairs():
+    for domain in (InstructionDomain.U1, InstructionDomain.U2):
+        for seed in (0, 1):
+            for _, p, q in _probe_path_pairs(domain, seed, (1e-2, 1e-3, 1e-4), 4):
+                yield p, q
+    # The probe compares each vertex pair's path with itself; neighbouring
+    # vertex pairs give paths with different junctions.
+    u3 = [p for _, p, _ in _probe_path_pairs(InstructionDomain.U3, 0, (1e-2,), 0)]
+    yield from zip(u3, u3[1:])
+
+
+def test_sup_distance_matches_sampled_reference():
+    count = 0
+    for p, q in _continuity_path_pairs():
+        exact = path_sup_distance(p, q)
+        sampled = sampled_sup_distance(p, q)
+        assert exact >= sampled - 1e-15
+        assert abs(exact - sampled) <= 1e-12
+        count += 1
+    # 2 seeds x 3 deltas x 4 samples x (4 U1 or 2 U2 perturbations), 35 U3
+    assert count == 96 + 48 + 35
 
 
 def test_waypoints_are_time_ordered():
