@@ -1,6 +1,6 @@
 """Collision-free motion planning for two robots on a figure-eight track."""
 
-from .errors import CollisionError, ContractError, DomainError, SingularityError
+from .errors import CollisionError, ContractError, DomainError
 from .geometry import (
     CirclePoint,
     Configuration,
@@ -32,7 +32,6 @@ __all__ = [
     "Plan",
     "PhysPath",
     "RenderSpec",
-    "SingularityError",
     "SuiteReport",
     "build_chain",
     "chain_point",

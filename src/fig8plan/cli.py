@@ -2,9 +2,10 @@
 
 Exit codes are part of the contract: 0 success, 1 failing verification suite
 or broken plan contract, 2 usage or parse errors (including unknown suites),
-3 colliding input configurations, 4 inputs within the singular guard of the
-retraction.  Emitted JSON is byte-stable for fixed inputs: floats carry 12
-significant digits and key order never changes.
+3 colliding input configurations.  Code 4 is retired: every valid input
+plans, so it is never emitted, and it is not reused.  Emitted JSON is
+byte-stable for fixed inputs: floats carry 12 significant digits and key
+order never changes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .errors import CollisionError, ContractError, DomainError, SingularityError
+from .errors import CollisionError, ContractError, DomainError
 from .geometry import Configuration, parse_position
 from .planner import plan, plan_to_json, validate_plan
 from .render import RenderSpec, render_svg
@@ -81,7 +82,7 @@ def cmd_verify(args) -> int:
 
 def cmd_tc(args) -> int:
     b1 = cycle_rank(build_chain())
-    print(json.dumps({"b1": b1, "tc": tc_wedge(b1, 1)}))
+    print(json.dumps({"b1": b1, "tc": tc_wedge(b1)}))
     return 0
 
 
@@ -108,9 +109,6 @@ def main(argv=None) -> int:
     except CollisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except SingularityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

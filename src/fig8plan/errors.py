@@ -9,9 +9,5 @@ class CollisionError(DomainError):
     """Both robots occupy the same point of the track."""
 
 
-class SingularityError(DomainError):
-    """Input too close to a collision state for the retraction to act on."""
-
-
 class ContractError(RuntimeError):
     """An internal consistency contract was violated."""

@@ -20,11 +20,11 @@ stays on one circle and its arc coordinate is affine in time.  Builders split
 segments wherever a robot crosses the center or a pole, so every segment lives
 in a single square chart.
 
-Three constants bound the admissible inputs (README, "Admissible inputs"):
+Two constants bound the admissible inputs (README, "Admissible inputs"):
 EPS is the spine snap (spine.chain_point) and the endpoint and junction
 tolerance; SNAP_EPS is the resolution below which motion is dropped
 (path_from_legs, spine.make_steps) and a coordinate reads as the center
-(circle_point); retraction.SINGULAR_EPS guards the removed corners.
+(circle_point).
 """
 
 from __future__ import annotations
@@ -50,7 +50,11 @@ def other_circle(circle: str) -> str:
 
 @dataclass(frozen=True, slots=True)
 class CirclePoint:
-    """A position on the track: circle label and arc fraction s in [0, 1)."""
+    """A position on the track: circle label and arc fraction s in [0, 1).
+
+    s is 0 (the center) or at least SNAP_EPS from it on both sides, as
+    circle_point makes it; this keeps the retraction scale finite.
+    """
 
     circle: str
     s: float
@@ -60,6 +64,8 @@ class CirclePoint:
             raise DomainError(f"unknown circle {self.circle!r}")
         if not (0.0 <= self.s < 1.0):
             raise DomainError(f"arc coordinate {self.s!r} outside [0, 1)")
+        if 0.0 < self.s < SNAP_EPS or 1.0 - self.s < SNAP_EPS:
+            raise DomainError(f"arc coordinate {self.s!r} reads as the center (circle_point)")
 
 
 def circle_point(circle: str, s: float) -> CirclePoint:
@@ -334,8 +340,9 @@ class PhysPath:
         return self.segments[lo]
 
     def config_at(self, t: float) -> Configuration:
+        """Configuration at time t, exact at the segment ends (waypoints)."""
         seg = self.segment_at(t)
-        a, b = seg.interpolate(t)
+        a, b = _chart_at(seg, t)
         return configuration(seg.circle1, a, seg.circle2, b)
 
 

@@ -10,16 +10,19 @@ sub-diagonal |b - a| = 1/2 without ever crossing the diagonal, and the family
 stays continuous across all square gluings.
 
 The scale factor lambda multiplying the offset vector equals 1 exactly on the
-spine.  It grows without bound near the removed corner states, so inputs
-within SINGULAR_EPS of a corner (mixed) or of the diagonal or puncture corner
-(same-circle) are rejected rather than mapped.
+spine.  It grows near the removed corner states but stays finite for every
+valid configuration, so every one of them is mapped.  In a same-circle square
+sigma = |b - a| > 0 (the diagonal is removed) and 1 - sigma >= 2 SNAP_EPS
+(a CirclePoint is the center or at least SNAP_EPS away from it); in a mixed
+square the offset m from the nearest corner is at least SNAP_EPS
+(the double-center state is removed).  So lambda <= 1 / (2 SNAP_EPS) = 5e11,
+and the image is a bounded rescaling inside the square.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SingularityError
 from .geometry import (
     SAME_CIRCLE_SQUARES,
     ChartLeg,
@@ -29,8 +32,6 @@ from .geometry import (
     config_to_flat,
 )
 from .spine import ChainPoint, flat_to_chain
-
-SINGULAR_EPS = 1e-12
 
 
 def region_corner(f: FlatCoord) -> tuple[int, int]:
@@ -52,10 +53,6 @@ def retract_flat(f: FlatCoord) -> tuple[float, float, float]:
     ua, ub = f.a - ca, f.b - cb
     if f.square in SAME_CIRCLE_SQUARES:
         sigma = abs(f.b - f.a)
-        if sigma <= SINGULAR_EPS:
-            raise SingularityError(f"{f} is within {SINGULAR_EPS} of the diagonal")
-        if 1.0 - sigma <= SINGULAR_EPS:
-            raise SingularityError(f"{f} is within {SINGULAR_EPS} of a corner state")
         scale = 1.0 / (2.0 * (1.0 - sigma))
         if scale == 1.0:
             return f.a, f.b, scale
@@ -63,8 +60,6 @@ def retract_flat(f: FlatCoord) -> tuple[float, float, float]:
         b_out = a_out + 0.5 if (ca, cb) == (0, 1) else a_out - 0.5
     else:
         m = max(abs(ua), abs(ub))
-        if m <= SINGULAR_EPS:
-            raise SingularityError(f"{f} is within {SINGULAR_EPS} of a corner state")
         scale = 0.5 / m
         if scale == 1.0:
             return f.a, f.b, scale

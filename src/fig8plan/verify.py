@@ -117,17 +117,11 @@ def spanning_tree_cycle_count(g) -> int:
     return len(edges) - len(tree)
 
 
-def tc_wedge(n: int, m: int) -> int:
-    """Topological complexity of a wedge of n spheres of dimension m.
-
-    The only case that stays at 2 is a single odd-dimensional sphere; any
-    even-dimensional factor or any genuine wedge forces 3.
-    """
-    if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
-        raise DomainError(f"wedge parameters must be integers >= 1, got n={n}, m={m}")
-    if n == 1 and m % 2 == 1:
-        return 2
-    return 3
+def tc_wedge(n: int) -> int:
+    """Topological complexity of a wedge of n circles: 2 for one circle, 3 for more."""
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"a wedge needs an integer number of circles >= 1, got {n!r}")
+    return 2 if n == 1 else 3
 
 
 # ---------------------------------------------------------------------------
@@ -146,28 +140,29 @@ def _random_position(rng: Random) -> CirclePoint:
     return circle_point(rng.choice(CIRCLES), s)
 
 
-def random_config(rng: Random, min_sep: float = 1e-6) -> Configuration:
-    """Valid configuration with separation at least min_sep.
+def random_config(rng: Random) -> Configuration:
+    """Valid configuration; only coincident draws are drawn again.
 
-    Each coordinate is uniform or a boundary draw (see _random_position).
-    The separation floor keeps samples retractable: it bounds the scale
-    factor of the retraction away from the singular guard.
+    Each coordinate is uniform or a boundary draw (see _random_position), so
+    the two robots may sit as little as 1e-13 apart, or both next to the
+    center, where the retraction scale is largest.
     """
     while True:
         p1 = _random_position(rng)
         p2 = _random_position(rng)
-        if dist_gamma(p1, p2) < min_sep:
-            continue
-        return Configuration(p1, p2)
+        if p1 != p2:
+            return Configuration(p1, p2)
 
 
-def random_chain_point(rng: Random, vertex_prob: float = 0.0, margin: float = 1e-6) -> ChainPoint:
+def random_chain_point(rng: Random, vertex_prob: float = 0.0) -> ChainPoint:
+    """A vertex with probability vertex_prob, else a circle point more than
+    1e-6 from both vertices of its circle."""
     if vertex_prob and rng.random() < vertex_prob:
         return vertex_point(rng.choice(CHAIN_VERTICES))
     while True:
         theta = rng.random()
         folded = theta % 0.5
-        if min(folded, 0.5 - folded) > margin:
+        if min(folded, 0.5 - folded) > 1e-6:
             return chain_point(rng.choice(CHAIN_CIRCLES), theta)
 
 
@@ -564,13 +559,13 @@ def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
     )
 
 
-def _gluing_probe(rng: Random, n: int, delta: float = 1e-4, margin: float = 0.05) -> tuple[bool, str]:
+def _gluing_probe(rng: Random, n: int) -> tuple[bool, str]:
     """Retraction images of center-straddling twins stay 50-Lipschitz close.
 
-    A twin pair puts one robot just off the center on two different branches
-    (distance delta apart on the track) while the other robot sits at least
-    `margin` away from the center, and compares the chain distance of the two
-    spine images against 50x the configuration distance.
+    A twin pair puts one robot 5e-5 off the center on two different branches
+    (1e-4 apart on the track) while the other robot sits at least 0.05 away
+    from the center, and compares the chain distance of the two spine images
+    against 50x the configuration distance.
     """
     branches = [("A", False), ("A", True), ("B", False), ("B", True)]
     worst_ratio = 0.0
@@ -579,10 +574,10 @@ def _gluing_probe(rng: Random, n: int, delta: float = 1e-4, margin: float = 0.05
         circle_b, far_b = branches[rng.randrange(4)]
         if (circle_a, far_a) == (circle_b, far_b):
             circle_b, far_b = branches[(branches.index((circle_a, far_a)) + 1 + rng.randrange(3)) % 4]
-        s = delta / 2.0
+        s = 5e-5
         moving_a = circle_point(circle_a, 1.0 - s if far_a else s)
         moving_b = circle_point(circle_b, 1.0 - s if far_b else s)
-        other = circle_point(rng.choice(CIRCLES), rng.uniform(margin, 1.0 - margin))
+        other = circle_point(rng.choice(CIRCLES), rng.uniform(0.05, 0.95))
         if rng.random() < 0.5:
             ca, cb = Configuration(moving_a, other), Configuration(moving_b, other)
         else:

@@ -44,8 +44,8 @@ def plan_batch():
     t0 = perf_counter()
     batch = []
     for _ in range(BATCH_SIZE):
-        start = random_config(rng, min_sep=1e-6)
-        goal = random_config(rng, min_sep=1e-6)
+        start = random_config(rng)
+        goal = random_config(rng)
         batch.append((start, goal, plan(start, goal)))
     elapsed = perf_counter() - t0
     return batch, elapsed
@@ -108,6 +108,7 @@ def test_planned_paths_are_collision_free(plan_batch):
         assert config_dist(p.path.config_at(0.0), start) <= 1e-9
         assert config_dist(p.path.config_at(1.0), goal) <= 1e-9
         assert path_min_separation(p.path) > 0.0
+        validate_plan(p)
     check_elapsed = perf_counter() - t0
     assert plan_elapsed + check_elapsed < 30.0
 

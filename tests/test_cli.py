@@ -111,13 +111,14 @@ def test_exit_code_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
-def test_exit_code_singular(capsys):
-    code, _, err = run(
+def test_near_diagonal_input_plans(capsys):
+    # Two robots 1e-16 apart on one circle plan like any other valid input.
+    code, out, err = run(
         capsys, "plan", "--from-r1", "A:0.3", "--from-r2", "A:0.3000000000000001",
         "--to-r1", "B:0.1", "--to-r2", "A:0.6",
     )
-    assert code == 4
-    assert "diagonal" in err
+    assert code == 0, err
+    assert json.loads(out)["instruction"] in (1, 2, 3)
 
 
 def test_verify_passing_suite(capsys):

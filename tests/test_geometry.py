@@ -46,6 +46,10 @@ def test_circle_point_rejects_out_of_range():
         CirclePoint("A", -0.25)
     with pytest.raises(DomainError):
         CirclePoint("C", 0.5)
+    # within SNAP_EPS of the center: circle_point reads these as the center
+    for s in (1e-310, 1e-13, 1.0 - 1e-13):
+        with pytest.raises(DomainError):
+            CirclePoint("A", s)
 
 
 def test_dist_gamma_frozen_values():
@@ -364,6 +368,16 @@ def test_config_at_stays_collision_free(t):
     )
     c = path.config_at(t)
     assert c.separation > 0.0
+
+
+def test_config_at_is_exact_at_segment_ends():
+    # Interpolating at t = 1 would round a0 + (a1 - a0) away from 1e-12;
+    # below SNAP_EPS that reads as the center, here a collision.
+    path = path_from_legs([ChartLeg("A", 0.5, 1e-12, "B", 0.5, 0.0)])
+    assert path.config_at(0.0) == path.start
+    assert path.config_at(1.0) == path.end
+    drift = path_from_legs([ChartLeg("A", 0.2, 1e-12, "B", 0.5, 0.0)])
+    assert drift.config_at(1.0).p1.s == 1e-12
 
 
 def test_physpath_requires_unit_interval():

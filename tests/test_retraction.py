@@ -1,9 +1,10 @@
 """Retraction onto the spine: images, scales, traces, seam continuity."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from fig8plan.errors import SingularityError
 from fig8plan.geometry import (
     FlatCoord,
     canonical_flat,
@@ -102,15 +103,20 @@ def test_near_vertex_leg_ends_on_the_vertex():
     validate_plan(plan(start, goal))
 
 
-def test_singularity_guards():
-    with pytest.raises(SingularityError):
-        retract_flat(FlatCoord("AB", 1e-13, 1e-13))
-    with pytest.raises(SingularityError):
-        retract_flat(FlatCoord("AA", 1e-13, 1.0 - 1e-13))
-    with pytest.raises(SingularityError):
-        retract_flat(FlatCoord("AA", 0.3, 0.3 + 1e-13))
-    # Clear of the guards, nearby points still retract.
-    retract_flat(FlatCoord("AA", 0.3, 0.3 + 1e-9))
+def test_points_next_to_removed_corners_retract_with_finite_scale():
+    # Next to a removed corner or the diagonal the scale is large (or, by
+    # the diagonal, about 1/2) but finite, and the image is on the spine.
+    for f in (
+        FlatCoord("AB", 1e-13, 1e-13),
+        FlatCoord("AA", 1e-13, 1.0 - 1e-13),
+        FlatCoord("AA", 0.3, 0.3 + 1e-13),
+    ):
+        a, b, scale = retract_flat(f)
+        assert math.isfinite(scale) and scale > 0.5
+        assert on_spine(canonical_flat(f.square, a, b))
+    # The largest scale a configuration reaches is 1 / (2 SNAP_EPS) = 5e11.
+    assert retract(configuration("A", 1e-12, "B", 1e-12)).scale == pytest.approx(5e11)
+    assert 1e11 < retract(configuration("A", 1e-12, "A", 1.0 - 2e-12)).scale < 5e11
 
 
 @given(st.sampled_from(("AA", "BB")), coords, coords)
