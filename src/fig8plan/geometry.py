@@ -29,6 +29,8 @@ tolerance; SNAP_EPS is the resolution below which motion is dropped
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -68,9 +70,14 @@ class CirclePoint:
             raise DomainError(f"arc coordinate {self.s!r} reads as the center (circle_point)")
 
 
+def reads_as_center(s: float) -> bool:
+    """True for an arc value within SNAP_EPS of the center, 0 or 1."""
+    return abs(s) < SNAP_EPS or abs(s - 1.0) < SNAP_EPS
+
+
 def circle_point(circle: str, s: float) -> CirclePoint:
     """Construct a canonical position, wrapping s = 1 back to the center."""
-    if abs(s) < SNAP_EPS or abs(s - 1.0) < SNAP_EPS:
+    if reads_as_center(s):
         return CirclePoint("A", 0.0)
     return CirclePoint(circle, s)
 
@@ -113,8 +120,25 @@ class Configuration:
 
 
 def configuration(c1: str, s1: float, c2: str, s2: float) -> Configuration:
-    """Convenience constructor canonicalizing both positions."""
+    """Convenience constructor canonicalizing both positions; each of the six
+    spine vertices (each robot at the center or a pole) is one shared object."""
+    shared = _VERTEX_CONFIGS.get((c1, s1, c2, s2))
+    if shared is not None:
+        return shared
     return Configuration(circle_point(c1, s1), circle_point(c2, s2))
+
+
+def _vertex_configs() -> dict[tuple[str, float, str, float], Configuration]:
+    """Every raw chart form of the six vertex configurations, one object each."""
+    table, shared = {}, {}
+    for key in itertools.product(CIRCLES, (0.0, 0.5, 1.0), CIRCLES, (0.0, 0.5, 1.0)):
+        if 0.5 in key[1::2] and key[:2] != key[2:]:  # a robot at a pole, no collision
+            c = Configuration(circle_point(*key[:2]), circle_point(*key[2:]))
+            table[key] = shared.setdefault(c, c)
+    return table
+
+
+_VERTEX_CONFIGS = _vertex_configs()
 
 
 def config_dist(x: Configuration, y: Configuration) -> float:
@@ -126,9 +150,10 @@ def config_dist(x: Configuration, y: Configuration) -> float:
 class FlatCoord:
     """Canonical square-chart coordinates of a configuration.
 
-    Invariants: coordinates lie in [0, 1); a zero coordinate (robot at the
-    center) only appears in a mixed square; same-circle squares exclude the
-    diagonal a = b; no square contains the double-center state.
+    Invariants: coordinates lie in [0, 1) and, like a CirclePoint's, are 0 or
+    at least SNAP_EPS from the center on both sides; a zero coordinate (robot
+    at the center) only appears in a mixed square; same-circle squares exclude
+    the diagonal a = b; no square contains the double-center state.
     """
 
     square: str
@@ -142,6 +167,9 @@ class FlatCoord:
             raise DomainError(
                 f"coordinates ({self.a!r}, {self.b!r}) outside canonical range [0, 1)"
             )
+        for v in (self.a, self.b):
+            if 0.0 < v < SNAP_EPS or 1.0 - v < SNAP_EPS:
+                raise DomainError(f"coordinate {v!r} reads as the center (circle_point)")
         if self.square in SAME_CIRCLE_SQUARES:
             if self.a == 0.0 or self.b == 0.0:
                 raise DomainError(
@@ -155,19 +183,12 @@ class FlatCoord:
 
 def config_to_flat(c: Configuration) -> FlatCoord:
     """Chart a configuration onto its canonical square."""
-    s1, s2 = c.p1.s, c.p2.s
-    if s1 == 0.0:
-        return FlatCoord(other_circle(c.p2.circle) + c.p2.circle, 0.0, s2)
-    if s2 == 0.0:
-        return FlatCoord(c.p1.circle + other_circle(c.p1.circle), s1, 0.0)
-    return FlatCoord(c.p1.circle + c.p2.circle, s1, s2)
+    return canonical_flat(c.p1.circle + c.p2.circle, c.p1.s, c.p2.s)
 
 
 def flat_to_config(f: FlatCoord) -> Configuration:
     """Invert the chart; exact inverse of config_to_flat on canonical input."""
-    p1 = circle_point(f.square[0], f.a)
-    p2 = circle_point(f.square[1], f.b)
-    return Configuration(p1, p2)
+    return configuration(f.square[0], f.a, f.square[1], f.b)
 
 
 def canonical_flat(square: str, a: float, b: float) -> FlatCoord:
@@ -175,13 +196,17 @@ def canonical_flat(square: str, a: float, b: float) -> FlatCoord:
 
     Accepts coordinate values in [0, 1] (1 wraps to the center) and square
     assignments that put a center robot in a same-circle square; both are
-    normalized.  Raises CollisionError for diagonal or double-center input.
+    normalized as circle_point and config_to_flat would.  Raises
+    CollisionError for diagonal or double-center input.
     """
     if square not in SQUARES:
         raise DomainError(f"unknown square {square!r}")
-    p1 = circle_point(square[0], a)
-    p2 = circle_point(square[1], b)
-    return config_to_flat(Configuration(p1, p2))
+    if reads_as_center(a):
+        b = 0.0 if reads_as_center(b) else b
+        return FlatCoord(other_circle(square[1]) + square[1], 0.0, b)
+    if reads_as_center(b):
+        return FlatCoord(square[0] + other_circle(square[0]), a, 0.0)
+    return FlatCoord(square, a, b)
 
 
 def parse_position(text: str) -> CirclePoint:
@@ -202,9 +227,6 @@ def parse_position(text: str) -> CirclePoint:
 # Piecewise-linear trajectories
 # ---------------------------------------------------------------------------
 
-_CRITICAL = (0.0, 0.5, 1.0)
-
-
 @dataclass(frozen=True, slots=True)
 class PathSegment:
     """One affine leg of a trajectory.
@@ -212,7 +234,7 @@ class PathSegment:
     Arc values live in [0, 1] chart form; a value of 1 is the center seen from
     the far side of a circle, so a single segment never wraps.  The open
     interior of a leg must avoid the center and the pole: crossings force a
-    waypoint split.
+    waypoint split.  In [0, 1] only the pole can lie strictly inside.
     """
 
     t0: float
@@ -233,12 +255,8 @@ class PathSegment:
             for v in (lo, hi):
                 if not (0.0 <= v <= 1.0):
                     raise DomainError(f"chart value {v!r} outside [0, 1]")
-            low, high = min(lo, hi), max(lo, hi)
-            for crit in _CRITICAL:
-                if low < crit < high:
-                    raise ContractError(
-                        f"segment interior crosses arc value {crit}; split required"
-                    )
+            if min(lo, hi) < 0.5 < max(lo, hi):
+                raise ContractError("segment interior crosses arc value 0.5; split required")
         self._check_collision_free()
 
     def _check_collision_free(self) -> None:
@@ -256,23 +274,10 @@ class PathSegment:
             if SNAP_EPS < u < 1.0 - SNAP_EPS:
                 raise CollisionError("trajectory segment passes through a collision")
 
-    def interpolate(self, t: float) -> tuple[float, float]:
-        u = (t - self.t0) / (self.t1 - self.t0)
-        return (
-            self.a0 + u * (self.a1 - self.a0),
-            self.b0 + u * (self.b1 - self.b0),
-        )
-
     @property
     def sweep(self) -> float:
         """Largest arc distance either robot travels within the segment."""
         return max(abs(self.a1 - self.a0), abs(self.b1 - self.b0))
-
-    def start_config(self) -> Configuration:
-        return configuration(self.circle1, self.a0, self.circle2, self.b0)
-
-    def end_config(self) -> Configuration:
-        return configuration(self.circle1, self.a1, self.circle2, self.b1)
 
 
 @dataclass(frozen=True)
@@ -280,7 +285,7 @@ class PhysPath:
     """A validated piecewise-linear trajectory over t in [0, 1].
 
     waypoints holds (t, configuration) at t = 0 and at each segment's end
-    time; it is built once, while the segments are validated.
+    time; it is built once, after the junctions are checked.
     """
 
     segments: tuple[PathSegment, ...]
@@ -289,25 +294,26 @@ class PhysPath:
     )
 
     def __post_init__(self) -> None:
-        if not self.segments:
+        segs = self.segments
+        if not segs:
             raise DomainError("a trajectory needs at least one segment")
-        if self.segments[0].t0 != 0.0 or self.segments[-1].t1 != 1.0:
+        if segs[0].t0 != 0.0 or segs[-1].t1 != 1.0:
             raise ContractError("trajectory must span t in [0, 1]")
-        prev = self.segments[0]
-        pts = [(prev.t0, prev.start_config())]
-        for seg in self.segments[1:]:
+        for prev, seg in zip(segs, segs[1:]):
             if seg.t0 != prev.t1:
                 raise ContractError("trajectory segments must be contiguous in t")
-            end = prev.end_config()
-            # a junction at the same chart point is already validated as end
-            same = (seg.circle1, seg.a0, seg.circle2, seg.b0) == (
-                prev.circle1, prev.a1, prev.circle2, prev.b1
-            )
-            if not same and config_dist(end, seg.start_config()) > EPS:
-                raise ContractError("trajectory waypoints disagree across a junction")
-            pts.append((prev.t1, end))
-            prev = seg
-        pts.append((prev.t1, prev.end_config()))
+            # a junction at one chart point is validated as prev's end below; at
+            # any other, the start side is checked on chart values (config_dist's metric)
+            c1, a, c2, b = seg.circle1, seg.a0, seg.circle2, seg.b0
+            if (c1, a, c2, b) != (prev.circle1, prev.a1, prev.circle2, prev.b1):
+                if (c1 == c2 and a == b) or (reads_as_center(a) and reads_as_center(b)):
+                    raise CollisionError(f"robots coincide at t={seg.t0}")
+                if max(_chart_dist(c1 == prev.circle1, a, prev.a1),
+                       _chart_dist(c2 == prev.circle2, b, prev.b1)) > EPS:
+                    raise ContractError("trajectory waypoints disagree across a junction")
+        first = segs[0]
+        pts = [(0.0, configuration(first.circle1, first.a0, first.circle2, first.b0))]
+        pts += [(seg.t1, configuration(seg.circle1, seg.a1, seg.circle2, seg.b1)) for seg in segs]
         object.__setattr__(self, "waypoints", tuple(pts))
 
     @cached_property
@@ -330,14 +336,7 @@ class PhysPath:
     def segment_at(self, t: float) -> PathSegment:
         if not (0.0 <= t <= 1.0):
             raise DomainError(f"time {t!r} outside [0, 1]")
-        lo, hi = 0, len(self.segments) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._starts[mid] <= t:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self.segments[lo]
+        return self.segments[bisect.bisect_right(self._starts, t) - 1]
 
     def config_at(self, t: float) -> Configuration:
         """Configuration at time t, exact at the segment ends (waypoints)."""
@@ -362,53 +361,45 @@ class ChartLeg:
         return max(abs(self.a1 - self.a0), abs(self.b1 - self.b0))
 
 
-def _cuts(v0: float, v1: float) -> dict[float, float]:
-    """Fractions of the way from v0 to v1 at which the value crosses the
-    center or a pole, each mapped to that critical value."""
-    low, high = min(v0, v1), max(v0, v1)
-    return {(crit - v0) / (v1 - v0): crit for crit in _CRITICAL if low < crit < high}
-
-
 def path_from_legs(legs: list[ChartLeg]) -> PhysPath:
     """Assemble a trajectory from chart legs.
 
-    Legs are split at pole and center crossings: a piece starts and ends on
-    its leg's own endpoint values, and at a cut the crossing coordinate takes
-    the critical value exactly.  Pieces are timed proportionally to arc sweep
-    and normalized to t in [0, 1].  A piece that sweeps at most SNAP_EPS times
-    the total is dropped: below that resolution its times could not increase
-    strictly, and the dropped motion stays far below EPS.  A stationary input
-    yields a constant trajectory.
+    Legs are cut straight into segments where a coordinate crosses the pole,
+    1/2: chart values lie in [0, 1], so the center, 0 or 1, is at most a
+    leg's end, and the pole is the only interior cut.  A piece starts and
+    ends on its leg's own endpoint values, and at a cut the crossing
+    coordinate is exactly 1/2.  Pieces are timed proportionally to arc sweep
+    and normalized to t in [0, 1].  A piece that sweeps at most SNAP_EPS
+    times the total is dropped: below that resolution its times could not
+    increase strictly, and the dropped motion stays far below EPS.  A
+    stationary input yields a constant trajectory.
     """
-    pieces: list[ChartLeg] = []
+    pieces = []  # (circle1, a0, a1, circle2, b0, b1, sweep)
     for leg in legs:
-        cut_a, cut_b = _cuts(leg.a0, leg.a1), _cuts(leg.b0, leg.b1)
-        points = [(leg.a0, leg.b0)]
-        for u in sorted(cut_a.keys() | cut_b.keys()):
-            a = cut_a.get(u, leg.a0 + u * (leg.a1 - leg.a0))
-            b = cut_b.get(u, leg.b0 + u * (leg.b1 - leg.b0))
-            points.append((a, b))
-        points.append((leg.a1, leg.b1))
-        for (a0, b0), (a1, b1) in zip(points, points[1:]):
-            pieces.append(ChartLeg(leg.circle1, a0, a1, leg.circle2, b0, b1))
-    sweeps = [piece.sweep for piece in pieces]
-    floor = SNAP_EPS * sum(sweeps)
-    weighted = [(piece, w) for piece, w in zip(pieces, sweeps) if w > floor]
-    if not weighted:
+        c1, a0, a1, c2, b0, b1 = leg.circle1, leg.a0, leg.a1, leg.circle2, leg.b0, leg.b1
+        ua = (0.5 - a0) / (a1 - a0) if min(a0, a1) < 0.5 < max(a0, a1) else None
+        ub = (0.5 - b0) / (b1 - b0) if min(b0, b1) < 0.5 < max(b0, b1) else None
+        points = [(a0, b0)]
+        for u in sorted({ua, ub} - {None}):
+            points.append((0.5 if u == ua else a0 + u * (a1 - a0), 0.5 if u == ub else b0 + u * (b1 - b0)))
+        points.append((a1, b1))
+        for (x0, y0), (x1, y1) in zip(points, points[1:]):
+            pieces.append((c1, x0, x1, c2, y0, y1, max(abs(x1 - x0), abs(y1 - y0))))
+    floor = SNAP_EPS * sum(piece[6] for piece in pieces)
+    kept = [piece for piece in pieces if piece[6] > floor]
+    if not kept:
         if not legs:
             raise DomainError("cannot build a trajectory from no legs")
         first = legs[0]
         return constant_path(configuration(first.circle1, first.a0, first.circle2, first.b0))
-    total = sum(w for _, w in weighted)
+    total = sum(piece[6] for piece in kept)
     segments = []
     acc = 0.0
-    for i, (piece, w) in enumerate(weighted):
+    for i, (c1, a0, a1, c2, b0, b1, sweep) in enumerate(kept):
         t0 = acc / total
-        acc += w
-        t1 = 1.0 if i == len(weighted) - 1 else acc / total
-        segments.append(
-            PathSegment(t0, t1, piece.circle1, piece.a0, piece.a1, piece.circle2, piece.b0, piece.b1)
-        )
+        acc += sweep
+        t1 = 1.0 if i == len(kept) - 1 else acc / total
+        segments.append(PathSegment(t0, t1, c1, a0, a1, c2, b0, b1))
     return PhysPath(tuple(segments))
 
 
@@ -463,7 +454,8 @@ def _chart_at(seg: PathSegment, t: float) -> tuple[float, float]:
         return seg.a0, seg.b0
     if t == seg.t1:
         return seg.a1, seg.b1
-    return seg.interpolate(t)
+    u = (t - seg.t0) / (seg.t1 - seg.t0)
+    return seg.a0 + u * (seg.a1 - seg.a0), seg.b0 + u * (seg.b1 - seg.b0)
 
 
 def path_sup_distance(p: PhysPath, q: PhysPath) -> float:

@@ -31,7 +31,6 @@ from .geometry import (
     PhysPath,
     config_dist,
     config_to_flat,
-    configuration,
     constant_path,
     path_from_legs,
     path_min_separation,
@@ -42,6 +41,7 @@ from .spine import (
     ChainStep,
     arc_dist,
     chain_point,
+    chart_on_spine,
     is_antipodal,
     make_steps,
     on_spine,
@@ -197,12 +197,13 @@ def plan(start: Configuration, goal: Configuration) -> Plan:
 
     # A retraction leg of zero sweep (an endpoint already on the spine, not
     # snapped onto a vertex) adds no motion; the goal's leg is played backwards.
-    legs_in = (r_in.leg,) if r_in.leg.sweep > 0.0 else ()
+    sw_in, sw_out = r_in.leg.sweep, r_out.leg.sweep
+    legs_in = (r_in.leg,) if sw_in > 0.0 else ()
     legs_spine = steps_to_legs(list(steps))
     back = r_out.leg
     legs_out = (
         (ChartLeg(back.circle1, back.a1, back.a0, back.circle2, back.b1, back.b0),)
-        if back.sweep > 0.0
+        if sw_out > 0.0
         else ()
     )
     legs = [*legs_in, *legs_spine, *legs_out]
@@ -211,9 +212,8 @@ def plan(start: Configuration, goal: Configuration) -> Plan:
     else:
         path = constant_path(start)
 
-    sw_in = sum(leg.sweep for leg in legs_in)
     sw_spine = sum(leg.sweep for leg in legs_spine)
-    total = sw_in + sw_spine + sum(leg.sweep for leg in legs_out)
+    total = sw_in + sw_spine + sw_out
     if total > 0.0:
         interval = (sw_in / total, (sw_in + sw_spine) / total)
     else:
@@ -259,10 +259,12 @@ def validate_plan(p: Plan) -> None:
     """Check a plan's contract; raises ContractError with a witness on failure.
 
     Endpoints must match to EPS; separation and spine membership are
-    certified exactly from the waypoints.  Each spine segment (one whose
+    certified exactly from the segments.  Each spine segment (one whose
     midpoint time lies in spine_interval) is straight in its square, and a
     square holds at most two straight spine lines, so a segment whose start,
     midpoint and end are on the spine lies on one of those lines throughout.
+    The three points are tested on the segment's own chart values
+    (chart_on_spine), without building a configuration for any of them.
     """
     waypoints = p.path.waypoints
     start, end = waypoints[0][1], waypoints[-1][1]
@@ -275,22 +277,18 @@ def validate_plan(p: Plan) -> None:
         raise ContractError(f"plan separation dropped to {sep}")
     t0, t1 = p.spine_interval
     if t1 > t0:
-        checked = -1  # index of the last waypoint already certified
-        for i, seg in enumerate(p.path.segments):
+        for seg in p.path.segments:
             tm = 0.5 * (seg.t0 + seg.t1)
             if not t0 <= tm <= t1:
                 continue
-            mid = configuration(
-                seg.circle1, 0.5 * (seg.a0 + seg.a1), seg.circle2, 0.5 * (seg.b0 + seg.b1)
-            )
-            points = [(tm, mid), waypoints[i + 1]]
-            if checked != i:
-                points.append(waypoints[i])
-            checked = i + 1
-            for t, c in points:
-                f = config_to_flat(c)
-                if not on_spine(f):
-                    raise ContractError(f"plan leaves the spine at t={t}: {f}")
+            square = seg.circle1 + seg.circle2
+            for t, a, b in (
+                (seg.t0, seg.a0, seg.b0),
+                (tm, 0.5 * (seg.a0 + seg.a1), 0.5 * (seg.b0 + seg.b1)),
+                (seg.t1, seg.a1, seg.b1),
+            ):
+                if not chart_on_spine(square[0] == square[1], a, b):
+                    raise ContractError(f"plan leaves the spine at t={t}: {square} ({a}, {b})")
     elif p.start != p.goal:
         # collapsed interval with distinct endpoints: both retraction images
         # coincide, so the single middle instant must sit on the spine

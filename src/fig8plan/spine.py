@@ -42,6 +42,7 @@ from .geometry import (
     canonical_flat,
     configuration,
     flat_to_config,
+    reads_as_center,
 )
 
 CHAIN_VERTICES = ("HA", "VA", "C1", "HB", "VB", "C2")
@@ -226,6 +227,15 @@ def flat_to_chain(f: FlatCoord) -> ChainPoint:
 
 def on_spine(f: FlatCoord) -> bool:
     return _spine_circle(f) is not None
+
+
+def chart_on_spine(same_circle: bool, a: float, b: float) -> bool:
+    """on_spine(config_to_flat(configuration(...))) of raw chart values a, b
+    in [0, 1], without building them: the spine lines agree across the square
+    gluings, so a center robot (0 or 1) is tested as its mixed square would."""
+    if same_circle and not (reads_as_center(a) or reads_as_center(b)):
+        return abs(abs(b - a) - 0.5) <= EPS
+    return abs(a - 0.5) <= EPS or abs(b - 0.5) <= EPS
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from fig8plan.errors import CollisionError, ContractError, DomainError
 from fig8plan.geometry import (
+    SNAP_EPS,
     ChartLeg,
     CirclePoint,
     Configuration,
@@ -109,6 +110,25 @@ def test_flat_coord_invariants():
         FlatCoord("AB", 0.0, 0.0)
     with pytest.raises(DomainError):
         FlatCoord("XY", 0.1, 0.2)
+
+
+@pytest.mark.parametrize(
+    "square, a, b",
+    (
+        ("AB", 5e-324, 0.0),
+        ("AB", 5e-324, 1e-323),
+        ("BA", 0.3, 1e-13),
+        ("AA", 0.3, 1.0 - 1e-13),
+        ("BB", math.nextafter(SNAP_EPS, 0.0), 0.7),
+    ),
+)
+def test_flat_coord_rejects_coordinates_that_read_as_center(square, a, b):
+    # The form of CirclePoint: a coordinate is 0 or at least SNAP_EPS from
+    # the center on both sides.  retract_flat used to return NaN or an
+    # infinite scale on the first two.
+    with pytest.raises(DomainError, match="reads as the center"):
+        FlatCoord(square, a, b)
+    assert FlatCoord("AB", SNAP_EPS, 1.0 - 2 * SNAP_EPS).a == SNAP_EPS
 
 
 def test_canonical_flat_normalizes_raw_chart_values():

@@ -172,6 +172,20 @@ def test_plan_vertex_to_vertex():
     validate_plan(p)
 
 
+def test_plan_waypoints_share_the_vertex_configurations():
+    # A waypoint on a spine vertex is the one Configuration built for it.
+    p = plan(configuration("A", 0.3, "B", 0.7), configuration("B", 0.25, "A", 0.6))
+    shared = {id(c) for c in VERTEX_CONFIG.values()}
+    at_vertices = [c for _, c in p.path.waypoints if c in VERTEX_CONFIG.values()]
+    assert len(at_vertices) == 4
+    assert all(id(c) in shared for c in at_vertices)
+    assert p.path.start is p.path.waypoints[0][1]
+    assert configuration("B", 1.0, "B", 0.5) is VERTEX_CONFIG["HB"]
+    q = plan(VERTEX_CONFIG["C1"], VERTEX_CONFIG["C2"])
+    for (_, c), name in zip(q.path.waypoints, ("C1", "HB", "VB", "C2")):
+        assert c is VERTEX_CONFIG[name]
+
+
 def _with_path(path: PhysPath, spine_interval: tuple[float, float]):
     """A real plan whose trajectory is swapped for a hand-built one."""
     base = plan(configuration("A", 0.1, "A", 0.3), configuration("B", 0.2, "B", 0.6))

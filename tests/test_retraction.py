@@ -5,7 +5,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from fig8plan.errors import CollisionError, DomainError
 from fig8plan.geometry import (
+    SNAP_EPS,
     FlatCoord,
     canonical_flat,
     config_dist,
@@ -106,9 +108,10 @@ def test_near_vertex_leg_ends_on_the_vertex():
 def test_points_next_to_removed_corners_retract_with_finite_scale():
     # Next to a removed corner or the diagonal the scale is large (or, by
     # the diagonal, about 1/2) but finite, and the image is on the spine.
+    # SNAP_EPS = 1e-12 is as close to the center as a coordinate may be.
     for f in (
-        FlatCoord("AB", 1e-13, 1e-13),
-        FlatCoord("AA", 1e-13, 1.0 - 1e-13),
+        FlatCoord("AB", 1e-12, 1e-12),
+        FlatCoord("AA", 1e-12, 1.0 - 2e-12),
         FlatCoord("AA", 0.3, 0.3 + 1e-13),
     ):
         a, b, scale = retract_flat(f)
@@ -117,6 +120,26 @@ def test_points_next_to_removed_corners_retract_with_finite_scale():
     # The largest scale a configuration reaches is 1 / (2 SNAP_EPS) = 5e11.
     assert retract(configuration("A", 1e-12, "B", 1e-12)).scale == pytest.approx(5e11)
     assert 1e11 < retract(configuration("A", 1e-12, "A", 1.0 - 2e-12)).scale < 5e11
+
+
+# Coordinates at and around the center, the poles and the quarter points.
+edge_coords = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.sampled_from((0.0, 5e-324, 1e-13, 1e-12, 2e-12, 0.25, 0.5, 0.75, 1.0 - 2e-12, 1.0 - 1e-16)),
+    st.builds(lambda base, k: base + k * 1e-12, st.sampled_from((0.0, 0.5, 1.0)), st.integers(-3, 3)),
+)
+
+
+@given(st.sampled_from(("AA", "BB", "AB", "BA")), edge_coords, edge_coords)
+def test_retract_flat_is_finite_for_every_admissible_flat(square, a, b):
+    try:
+        f = FlatCoord(square, a, b)
+    except (DomainError, CollisionError):
+        return
+    image_a, image_b, scale = retract_flat(f)
+    assert all(math.isfinite(v) for v in (image_a, image_b, scale))
+    assert 0.0 <= image_a <= 1.0 and 0.0 <= image_b <= 1.0
+    assert 0.5 <= scale <= 1.0 / (2.0 * SNAP_EPS)
 
 
 @given(st.sampled_from(("AA", "BB")), coords, coords)
