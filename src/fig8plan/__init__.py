@@ -16,7 +16,6 @@ from .planner import InstructionDomain, Plan, classify_domain, plan, plan_to_jso
 from .render import RenderSpec, render_svg
 from .retraction import retract
 from .spine import ChainPoint, build_chain, chain_point, dist_chain, vertex_point
-from .verify import SuiteReport, continuity_probe, cycle_rank, run_suite, tc_wedge
 
 __version__ = "0.1.0"
 
@@ -32,15 +31,12 @@ __all__ = [
     "Plan",
     "PhysPath",
     "RenderSpec",
-    "SuiteReport",
     "build_chain",
     "chain_point",
     "circle_point",
     "classify_domain",
     "config_dist",
     "configuration",
-    "continuity_probe",
-    "cycle_rank",
     "dist_chain",
     "dist_gamma",
     "parse_position",
@@ -48,8 +44,6 @@ __all__ = [
     "plan_to_json",
     "render_svg",
     "retract",
-    "run_suite",
-    "tc_wedge",
     "validate_plan",
     "vertex_point",
 ]

@@ -4,8 +4,9 @@ Exit codes are part of the contract: 0 success, 1 failing verification suite
 or broken plan contract, 2 usage or parse errors (including unknown suites),
 3 colliding input configurations.  Code 4 is retired: every valid input
 plans, so it is never emitted, and it is not reused.  Emitted JSON is
-byte-stable for fixed inputs: floats carry 12 significant digits and key
-order never changes.
+byte-stable for fixed inputs: floats carry 12 significant digits, except a
+waypoint whose two robots would round to one place, which carries their s
+values exactly; key order never changes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .geometry import Configuration, parse_position
 from .planner import plan, plan_to_json, validate_plan
 from .render import RenderSpec, render_svg
 from .spine import build_chain
-from .verify import SUITE_NAMES, cycle_rank, run_suite, tc_wedge
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plan)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", required=True, help="one of: " + ", ".join(SUITE_NAMES))
+    v.add_argument("--suite", required=True, help="suite name; an unknown one lists all six")
     v.add_argument("--seed", type=int, default=0, help="suite RNG seed (default 0)")
     v.add_argument("--n", type=int, default=None, help="sample count (suite default if omitted)")
     v.set_defaults(func=cmd_verify)
@@ -75,12 +75,16 @@ def cmd_plan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite  # here, so that plan and render start without the suites
+
     report = run_suite(args.suite, seed=args.seed, n=args.n)
     print(json.dumps(report.to_json()))
     return 0 if report.passed else 1
 
 
 def cmd_tc(args) -> int:
+    from .verify import cycle_rank, tc_wedge
+
     b1 = cycle_rank(build_chain())
     print(json.dumps({"b1": b1, "tc": tc_wedge(b1)}))
     return 0

@@ -32,8 +32,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections import namedtuple
 
 from .errors import CollisionError, ContractError, DomainError
 
@@ -50,24 +49,23 @@ def other_circle(circle: str) -> str:
     return "B" if circle == "A" else "A"
 
 
-@dataclass(frozen=True, slots=True)
-class CirclePoint:
+class CirclePoint(namedtuple("CirclePoint", "circle s")):
     """A position on the track: circle label and arc fraction s in [0, 1).
 
     s is 0 (the center) or at least SNAP_EPS from it on both sides, as
     circle_point makes it; this keeps the retraction scale finite.
     """
 
-    circle: str
-    s: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.circle not in CIRCLES:
-            raise DomainError(f"unknown circle {self.circle!r}")
-        if not (0.0 <= self.s < 1.0):
-            raise DomainError(f"arc coordinate {self.s!r} outside [0, 1)")
-        if 0.0 < self.s < SNAP_EPS or 1.0 - self.s < SNAP_EPS:
-            raise DomainError(f"arc coordinate {self.s!r} reads as the center (circle_point)")
+    def __new__(cls, circle: str, s: float):
+        if circle not in CIRCLES:
+            raise DomainError(f"unknown circle {circle!r}")
+        if not (0.0 <= s < 1.0):
+            raise DomainError(f"arc coordinate {s!r} outside [0, 1)")
+        if 0.0 < s < SNAP_EPS or 1.0 - s < SNAP_EPS:
+            raise DomainError(f"arc coordinate {s!r} reads as the center (circle_point)")
+        return tuple.__new__(cls, (circle, s))
 
 
 def reads_as_center(s: float) -> bool:
@@ -100,19 +98,18 @@ def _chart_dist(same_circle: bool, x: float, y: float) -> float:
     return min(x, 1.0 - x) + min(y, 1.0 - y)
 
 
-@dataclass(frozen=True, slots=True)
-class Configuration:
+class Configuration(namedtuple("Configuration", "p1 p2")):
     """An ordered, collision-free pair of canonical positions."""
 
-    p1: CirclePoint
-    p2: CirclePoint
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for p in (self.p1, self.p2):
+    def __new__(cls, p1: CirclePoint, p2: CirclePoint):
+        for p in (p1, p2):
             if p.s == 0.0 and p.circle != "A":
                 raise DomainError(f"non-canonical center position {p!r}")
-        if self.p1 == self.p2:
-            raise CollisionError(f"robots coincide at {self.p1!r}")
+        if p1 == p2:
+            raise CollisionError(f"robots coincide at {p1!r}")
+        return tuple.__new__(cls, (p1, p2))
 
     @property
     def separation(self) -> float:
@@ -146,8 +143,7 @@ def config_dist(x: Configuration, y: Configuration) -> float:
     return max(dist_gamma(x.p1, y.p1), dist_gamma(x.p2, y.p2))
 
 
-@dataclass(frozen=True, slots=True)
-class FlatCoord:
+class FlatCoord(namedtuple("FlatCoord", "square a b")):
     """Canonical square-chart coordinates of a configuration.
 
     Invariants: coordinates lie in [0, 1) and, like a CirclePoint's, are 0 or
@@ -156,29 +152,24 @@ class FlatCoord:
     the diagonal a = b; no square contains the double-center state.
     """
 
-    square: str
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.square not in SQUARES:
-            raise DomainError(f"unknown square {self.square!r}")
-        if not (0.0 <= self.a < 1.0 and 0.0 <= self.b < 1.0):
-            raise DomainError(
-                f"coordinates ({self.a!r}, {self.b!r}) outside canonical range [0, 1)"
-            )
-        for v in (self.a, self.b):
+    def __new__(cls, square: str, a: float, b: float):
+        if square not in SQUARES:
+            raise DomainError(f"unknown square {square!r}")
+        if not (0.0 <= a < 1.0 and 0.0 <= b < 1.0):
+            raise DomainError(f"coordinates ({a!r}, {b!r}) outside canonical range [0, 1)")
+        for v in (a, b):
             if 0.0 < v < SNAP_EPS or 1.0 - v < SNAP_EPS:
                 raise DomainError(f"coordinate {v!r} reads as the center (circle_point)")
-        if self.square in SAME_CIRCLE_SQUARES:
-            if self.a == 0.0 or self.b == 0.0:
-                raise DomainError(
-                    "center states belong to mixed squares, not " + self.square
-                )
-            if self.a == self.b:
-                raise CollisionError(f"diagonal point in square {self.square}")
-        elif self.a == 0.0 and self.b == 0.0:
+        if square in SAME_CIRCLE_SQUARES:
+            if a == 0.0 or b == 0.0:
+                raise DomainError("center states belong to mixed squares, not " + square)
+            if a == b:
+                raise CollisionError(f"diagonal point in square {square}")
+        elif a == 0.0 and b == 0.0:
             raise CollisionError("both robots at the center")
+        return tuple.__new__(cls, (square, a, b))
 
 
 def config_to_flat(c: Configuration) -> FlatCoord:
@@ -227,8 +218,7 @@ def parse_position(text: str) -> CirclePoint:
 # Piecewise-linear trajectories
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class PathSegment:
+class PathSegment(namedtuple("PathSegment", "t0 t1 circle1 a0 a1 circle2 b0 b1")):
     """One affine leg of a trajectory.
 
     Arc values live in [0, 1] chart form; a value of 1 is the center seen from
@@ -237,19 +227,12 @@ class PathSegment:
     waypoint split.  In [0, 1] only the pole can lie strictly inside.
     """
 
-    t0: float
-    t1: float
-    circle1: str
-    a0: float
-    a1: float
-    circle2: str
-    b0: float
-    b1: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.t1 > self.t0:
+    def __new__(cls, t0, t1, circle1, a0, a1, circle2, b0, b1):
+        if not t1 > t0:
             raise ContractError("segment times must strictly increase")
-        for circle, lo, hi in ((self.circle1, self.a0, self.a1), (self.circle2, self.b0, self.b1)):
+        for circle, lo, hi in ((circle1, a0, a1), (circle2, b0, b1)):
             if circle not in CIRCLES:
                 raise DomainError(f"unknown circle {circle!r}")
             for v in (lo, hi):
@@ -257,22 +240,18 @@ class PathSegment:
                     raise DomainError(f"chart value {v!r} outside [0, 1]")
             if min(lo, hi) < 0.5 < max(lo, hi):
                 raise ContractError("segment interior crosses arc value 0.5; split required")
-        self._check_collision_free()
-
-    def _check_collision_free(self) -> None:
-        if self.circle1 != self.circle2:
-            # Cross-circle collisions need both robots at the center, which the
-            # no-interior-crossing rule confines to segment endpoints; endpoint
-            # configurations are validated separately.
-            return
-        d0 = self.a0 - self.b0
-        d1 = self.a1 - self.b1
-        for target in (-1.0, 0.0, 1.0):
-            if d0 == d1:
-                continue
-            u = (target - d0) / (d1 - d0)
-            if SNAP_EPS < u < 1.0 - SNAP_EPS:
-                raise CollisionError("trajectory segment passes through a collision")
+        # Cross-circle collisions need both robots at the center, which the
+        # no-interior-crossing rule confines to segment endpoints; endpoint
+        # configurations are validated separately.
+        if circle1 == circle2:
+            d0 = a0 - b0
+            d1 = a1 - b1
+            if d0 != d1:
+                for target in (-1.0, 0.0, 1.0):
+                    u = (target - d0) / (d1 - d0)
+                    if SNAP_EPS < u < 1.0 - SNAP_EPS:
+                        raise CollisionError("trajectory segment passes through a collision")
+        return tuple.__new__(cls, (t0, t1, circle1, a0, a1, circle2, b0, b1))
 
     @property
     def sweep(self) -> float:
@@ -280,26 +259,22 @@ class PathSegment:
         return max(abs(self.a1 - self.a0), abs(self.b1 - self.b0))
 
 
-@dataclass(frozen=True)
-class PhysPath:
+class PhysPath(namedtuple("PhysPath", "segments waypoints")):
     """A validated piecewise-linear trajectory over t in [0, 1].
 
     waypoints holds (t, configuration) at t = 0 and at each segment's end
-    time; it is built once, after the junctions are checked.
+    time; it is built once, after the junctions are checked, from segments
+    alone, which is also all that repr and pickling carry.
     """
 
-    segments: tuple[PathSegment, ...]
-    waypoints: tuple[tuple[float, Configuration], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        segs = self.segments
-        if not segs:
+    def __new__(cls, segments):
+        if not segments:
             raise DomainError("a trajectory needs at least one segment")
-        if segs[0].t0 != 0.0 or segs[-1].t1 != 1.0:
+        if segments[0].t0 != 0.0 or segments[-1].t1 != 1.0:
             raise ContractError("trajectory must span t in [0, 1]")
-        for prev, seg in zip(segs, segs[1:]):
+        for prev, seg in zip(segments, segments[1:]):
             if seg.t0 != prev.t1:
                 raise ContractError("trajectory segments must be contiguous in t")
             # a junction at one chart point is validated as prev's end below; at
@@ -311,14 +286,16 @@ class PhysPath:
                 if max(_chart_dist(c1 == prev.circle1, a, prev.a1),
                        _chart_dist(c2 == prev.circle2, b, prev.b1)) > EPS:
                     raise ContractError("trajectory waypoints disagree across a junction")
-        first = segs[0]
+        first = segments[0]
         pts = [(0.0, configuration(first.circle1, first.a0, first.circle2, first.b0))]
-        pts += [(seg.t1, configuration(seg.circle1, seg.a1, seg.circle2, seg.b1)) for seg in segs]
-        object.__setattr__(self, "waypoints", tuple(pts))
+        pts += [(seg.t1, configuration(seg.circle1, seg.a1, seg.circle2, seg.b1)) for seg in segments]
+        return tuple.__new__(cls, (segments, tuple(pts)))
 
-    @cached_property
-    def _starts(self) -> tuple[float, ...]:
-        return tuple(seg.t0 for seg in self.segments)
+    def __getnewargs__(self):
+        return (self.segments,)
+
+    def __repr__(self) -> str:
+        return f"PhysPath(segments={self.segments!r})"
 
     @property
     def start(self) -> Configuration:
@@ -328,7 +305,7 @@ class PhysPath:
     def end(self) -> Configuration:
         return self.waypoints[-1][1]
 
-    @cached_property
+    @property
     def sweep(self) -> float:
         """Total arc length of the busier robot, summed over segments."""
         return sum(seg.sweep for seg in self.segments)
@@ -336,7 +313,7 @@ class PhysPath:
     def segment_at(self, t: float) -> PathSegment:
         if not (0.0 <= t <= 1.0):
             raise DomainError(f"time {t!r} outside [0, 1]")
-        return self.segments[bisect.bisect_right(self._starts, t) - 1]
+        return self.segments[bisect.bisect_right(self.segments, t, key=lambda seg: seg.t0) - 1]
 
     def config_at(self, t: float) -> Configuration:
         """Configuration at time t, exact at the segment ends (waypoints)."""
@@ -345,16 +322,10 @@ class PhysPath:
         return configuration(seg.circle1, a, seg.circle2, b)
 
 
-@dataclass(frozen=True, slots=True)
-class ChartLeg:
+class ChartLeg(namedtuple("ChartLeg", "circle1 a0 a1 circle2 b0 b1")):
     """Unsplit straight-line chart motion used to assemble trajectories."""
 
-    circle1: str
-    a0: float
-    a1: float
-    circle2: str
-    b0: float
-    b1: float
+    __slots__ = ()
 
     @property
     def sweep(self) -> float:

@@ -21,14 +21,13 @@ Every walk terminates within seven arc moves.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ContractError
 from .geometry import (
     EPS,
     ChartLeg,
     Configuration,
-    PhysPath,
     config_dist,
     config_to_flat,
     constant_path,
@@ -138,27 +137,25 @@ def plan_steps(start: ChainPoint, goal: ChainPoint) -> tuple[InstructionDomain, 
     return domain, _DISPATCH[domain](start, goal)
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(
+    namedtuple(
+        "Plan",
+        "start goal domain chain_start chain_goal steps hop_count path spine_interval"
+        " trace_in trace_out",
+    )
+):
     """A complete collision-free trajectory between two configurations.
 
-    trace_in is the start's retraction leg and trace_out the goal's, already
-    reversed to run towards the goal.  Each holds one leg, or none when the
-    leg has zero sweep (an endpoint on the spine that does not snap onto a
-    vertex) or the plan is parked (start == goal).
+    start and goal are Configurations, chain_start and chain_goal their spine
+    images, steps the ChainSteps of the walk in hop_count arc moves, and path
+    the PhysPath, on the spine for t in spine_interval.  trace_in is the
+    start's retraction ChartLeg and trace_out the goal's, already reversed to
+    run towards the goal.  Each holds one leg, or none when the leg has zero
+    sweep (an endpoint on the spine that does not snap onto a vertex) or the
+    plan is parked (start == goal).
     """
 
-    start: Configuration
-    goal: Configuration
-    domain: InstructionDomain
-    chain_start: ChainPoint
-    chain_goal: ChainPoint
-    steps: tuple[ChainStep, ...]
-    hop_count: int
-    path: PhysPath
-    spine_interval: tuple[float, float]
-    trace_in: tuple[ChartLeg, ...]
-    trace_out: tuple[ChartLeg, ...]
+    __slots__ = ()
 
     @property
     def instruction(self) -> int:
@@ -239,19 +236,26 @@ def plan_to_json(p: Plan) -> dict:
 
     Values carry 12 significant digits, at which times still strictly
     increase: every segment lasts more than SNAP_EPS = 1e-12 (path_from_legs).
+    Where two robots on one circle would round to the same s, that
+    waypoint's two s values are written exactly (repr precision), so the
+    JSON never shows distinct robots at one place.
     """
 
     def rnd(x: float) -> float:
         return float(f"{x:.12g}")
 
-    waypoints = [
-        {
-            "t": rnd(t),
-            "r1": {"circle": c.p1.circle, "s": rnd(c.p1.s)},
-            "r2": {"circle": c.p2.circle, "s": rnd(c.p2.s)},
-        }
-        for t, c in p.path.waypoints
-    ]
+    waypoints = []
+    for t, c in p.path.waypoints:
+        s1, s2 = rnd(c.p1.s), rnd(c.p2.s)
+        if s1 == s2 and c.p1.circle == c.p2.circle:
+            s1, s2 = c.p1.s, c.p2.s
+        waypoints.append(
+            {
+                "t": rnd(t),
+                "r1": {"circle": c.p1.circle, "s": s1},
+                "r2": {"circle": c.p2.circle, "s": s2},
+            }
+        )
     return {"instruction": p.instruction, "hops": p.hop_count, "waypoints": waypoints}
 
 

@@ -12,7 +12,7 @@ inline styles only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 from .geometry import PhysPath, config_to_flat
@@ -40,17 +40,17 @@ _STYLE = """
 """
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(namedtuple("RenderSpec", "size")):
     """Canvas geometry: the side of the square canvas in px."""
 
-    size: float = 720.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.size) or self.size - 2.0 * _MARGIN - _GAP < 40.0:
+    def __new__(cls, size: float = 720.0):
+        if not math.isfinite(size) or size - 2.0 * _MARGIN - _GAP < 40.0:
             raise DomainError(
-                f"canvas size {self.size!r} px is not finite or too small for the four-square layout"
+                f"canvas size {size!r} px is not finite or too small for the four-square layout"
             )
+        return tuple.__new__(cls, (size,))
 
     @property
     def side(self) -> float:

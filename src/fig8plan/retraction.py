@@ -21,7 +21,7 @@ and the image is a bounded rescaling inside the square.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .geometry import (
     SAME_CIRCLE_SQUARES,
@@ -31,7 +31,7 @@ from .geometry import (
     canonical_flat,
     config_to_flat,
 )
-from .spine import ChainPoint, flat_to_chain
+from .spine import flat_to_chain
 
 
 def region_corner(f: FlatCoord) -> tuple[int, int]:
@@ -74,14 +74,11 @@ def retract_flat(f: FlatCoord) -> tuple[float, float, float]:
     return a_out, b_out, scale
 
 
-@dataclass(frozen=True, slots=True)
-class RetractResult:
-    """Where a configuration lands on the spine and the chart leg that gets it there."""
+class RetractResult(namedtuple("RetractResult", "point flat scale leg")):
+    """Where a configuration lands on the spine (ChainPoint, FlatCoord, ray
+    scale lambda) and the ChartLeg that gets it there."""
 
-    point: ChainPoint
-    flat: FlatCoord
-    scale: float
-    leg: ChartLeg
+    __slots__ = ()
 
 
 def retract(c: Configuration) -> RetractResult:

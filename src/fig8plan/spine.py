@@ -28,7 +28,7 @@ angles it is given, a move of at most SNAP_EPS being none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .errors import ContractError, DomainError
@@ -94,18 +94,17 @@ def vertex_dist(u: str, v: str) -> float:
     return 0.5 * min(k, 6 - k)
 
 
-@dataclass(frozen=True, slots=True)
-class ChainPoint:
+class ChainPoint(namedtuple("ChainPoint", "circle theta")):
     """A point of the spine: circle name plus angle theta in [0, 1)."""
 
-    circle: str
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.circle not in CHAIN_CIRCLES:
-            raise DomainError(f"unknown spine circle {self.circle!r}")
-        if not (0.0 <= self.theta < 1.0):
-            raise DomainError(f"angle {self.theta!r} outside [0, 1)")
+    def __new__(cls, circle: str, theta: float):
+        if circle not in CHAIN_CIRCLES:
+            raise DomainError(f"unknown spine circle {circle!r}")
+        if not (0.0 <= theta < 1.0):
+            raise DomainError(f"angle {theta!r} outside [0, 1)")
+        return tuple.__new__(cls, (circle, theta))
 
     @property
     def vertex(self) -> str | None:
@@ -280,22 +279,16 @@ def is_antipodal(x: ChainPoint, y: ChainPoint) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Arc:
+class Arc(namedtuple("Arc", "circle v_from v_to theta0 theta1")):
     """Half of a spine circle, running between consecutive vertices."""
 
-    circle: str
-    v_from: str
-    v_to: str
-    theta0: float
-    theta1: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ChainGraph:
-    vertex_ids: tuple[str, ...]
-    edge_list: tuple[tuple[str, str], ...]
-    arcs: tuple[Arc, ...]
+class ChainGraph(namedtuple("ChainGraph", "vertex_ids edge_list arcs")):
+    """The spine as a multigraph: vertex names, (from, to) edges and their arcs."""
+
+    __slots__ = ()
 
 
 @cache
@@ -317,8 +310,7 @@ def build_chain() -> ChainGraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ChainStep:
+class ChainStep(namedtuple("ChainStep", "circle t_from t_to direction")):
     """A vertex-free sweep along one circle, in raw chart angles.
 
     Angles stay in [0, 1] and never straddle a multiple of 1/2 strictly, so a
@@ -326,10 +318,7 @@ class ChainStep:
     by two steps meeting at the vertex.
     """
 
-    circle: str
-    t_from: float
-    t_to: float
-    direction: int
+    __slots__ = ()
 
     @property
     def length(self) -> float:

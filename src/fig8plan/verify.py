@@ -10,8 +10,7 @@ chain of circles) into a weighted graph and run Dijkstra on it.
 from __future__ import annotations
 
 import time
-from collections import defaultdict, deque
-from dataclasses import dataclass
+from collections import defaultdict, deque, namedtuple
 from random import Random
 
 from .errors import DomainError
@@ -427,14 +426,10 @@ def chain_oracle(pairs: list[tuple[ChainPoint, ChainPoint]]) -> list[float]:
 # suites
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    seed: int
-    n: int
-    passed: bool
-    witness: str
-    elapsed_ms: float
+class SuiteReport(namedtuple("SuiteReport", "suite seed n passed witness elapsed_ms")):
+    """One suite run: its (seed, n), verdict, worst-case witness and wall time."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -1,6 +1,10 @@
 """CLI behavior: subcommands, exit codes, and byte-stable JSON output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +123,36 @@ def test_near_diagonal_input_plans(capsys):
     )
     assert code == 0, err
     assert json.loads(out)["instruction"] in (1, 2, 3)
+
+
+def test_near_collision_json_keeps_robots_apart(capsys):
+    # At 12 digits both robots would print as A:0.3 at t = 0.
+    code, out, err = run(
+        capsys, "plan", "--from-r1", "A:0.3", "--from-r2", "A:0.3000000000000001",
+        "--to-r1", "B:0.1", "--to-r2", "A:0.6",
+    )
+    assert code == 0, err
+    waypoints = json.loads(out)["waypoints"]
+    assert all(w["r1"] != w["r2"] for w in waypoints)
+    assert waypoints[0]["r1"]["s"] == 0.3
+    assert waypoints[0]["r2"]["s"] == 0.3000000000000001
+
+
+def test_cold_import_leaves_suites_unloaded():
+    # plan, render and their imports need neither the suites nor dataclasses
+    # (whose import pulls in inspect, ast and dis) nor numpy and scipy.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, fig8plan.cli; "
+        "print(' '.join(m for m in ('fig8plan.verify', 'dataclasses', 'numpy', 'scipy')"
+        " if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_verify_passing_suite(capsys):

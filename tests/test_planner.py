@@ -1,7 +1,5 @@
 """Instruction dispatch, spine walks, and assembled plans."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -189,9 +187,7 @@ def test_plan_waypoints_share_the_vertex_configurations():
 def _with_path(path: PhysPath, spine_interval: tuple[float, float]):
     """A real plan whose trajectory is swapped for a hand-built one."""
     base = plan(configuration("A", 0.1, "A", 0.3), configuration("B", 0.2, "B", 0.6))
-    return dataclasses.replace(
-        base, start=path.start, goal=path.end, path=path, spine_interval=spine_interval
-    )
+    return base._replace(start=path.start, goal=path.end, path=path, spine_interval=spine_interval)
 
 
 def test_validate_rejects_crossing_between_samples():
