@@ -111,10 +111,6 @@ class Configuration(namedtuple("Configuration", "p1 p2")):
             raise CollisionError(f"robots coincide at {p1!r}")
         return tuple.__new__(cls, (p1, p2))
 
-    @property
-    def separation(self) -> float:
-        return dist_gamma(self.p1, self.p2)
-
 
 def configuration(c1: str, s1: float, c2: str, s2: float) -> Configuration:
     """Convenience constructor canonicalizing both positions; each of the six
@@ -305,19 +301,11 @@ class PhysPath(namedtuple("PhysPath", "segments waypoints")):
     def end(self) -> Configuration:
         return self.waypoints[-1][1]
 
-    @property
-    def sweep(self) -> float:
-        """Total arc length of the busier robot, summed over segments."""
-        return sum(seg.sweep for seg in self.segments)
-
-    def segment_at(self, t: float) -> PathSegment:
-        if not (0.0 <= t <= 1.0):
-            raise DomainError(f"time {t!r} outside [0, 1]")
-        return self.segments[bisect.bisect_right(self.segments, t, key=lambda seg: seg.t0) - 1]
-
     def config_at(self, t: float) -> Configuration:
         """Configuration at time t, exact at the segment ends (waypoints)."""
-        seg = self.segment_at(t)
+        if not (0.0 <= t <= 1.0):
+            raise DomainError(f"time {t!r} outside [0, 1]")
+        seg = self.segments[bisect.bisect_right(self.segments, t, key=lambda s: s.t0) - 1]
         a, b = _chart_at(seg, t)
         return configuration(seg.circle1, a, seg.circle2, b)
 

@@ -3,19 +3,22 @@
 A plan runs in three phases: retract the start configuration onto the spine,
 walk the spine to the goal's image, then play the goal's retraction leg
 backwards.  The chart legs of all three phases are assembled into one
-trajectory in a single pass.  The middle walk is chosen by one of three
-instructions keyed to how degenerate the endpoint pair is on the spine:
+trajectory in a single pass.  The middle phase is one walk, carrying out one
+of three instructions keyed to how degenerate the endpoint pair is on the
+spine:
 
   1  both images interior and not facing each other across a circle,
   2  one image a vertex, or the images an antipodal interior pair,
   3  both images vertices.
 
-Instruction 1 rides shortest arcs, hopping positively to the next vertex
-until the goal's circle comes up.  Instruction 2 is the same walk with one
-guard: a half-turn tie is always broken in the positive direction, which is
-what keeps the choice stable under perturbation of an antipodal pair.
-Instruction 3 follows the positive successor cycle through the vertices.
-Every walk terminates within seven arc moves.
+The walk hops positively to the next vertex until the goal's circle comes
+up, then rides the shortest arc to the goal.  Instruction 1 leaves a
+half-turn tie to the shortest-arc rule; instructions 2 and 3 break it
+positively, which keeps instruction 2 stable under perturbation of an
+antipodal pair.  Instruction 3 is the walk restricted to vertex pairs: every
+hop, the last included, is a positive half-turn along the current vertex's
+canonical circle, so it follows the positive successor cycle through the
+vertices.  Every walk terminates within seven arc moves.
 """
 
 from __future__ import annotations
@@ -44,12 +47,9 @@ from .spine import (
     is_antipodal,
     make_steps,
     on_spine,
-    positive_successor,
     shortest_arc,
     steps_to_legs,
     theta_on,
-    vertex_point,
-    vertex_theta_on,
 )
 
 
@@ -57,10 +57,6 @@ class InstructionDomain(enum.Enum):
     U1 = 1
     U2 = 2
     U3 = 3
-
-    @property
-    def number(self) -> int:
-        return self.value
 
 
 def classify_domain(x: ChainPoint, y: ChainPoint) -> InstructionDomain:
@@ -72,7 +68,7 @@ def classify_domain(x: ChainPoint, y: ChainPoint) -> InstructionDomain:
 
 
 def _walk(start: ChainPoint, goal: ChainPoint, positive_ties: bool) -> list[list[ChainStep]]:
-    """Shared walk for instructions 1 and 2.
+    """The spine walk of all three instructions.
 
     Each entry of the result is one arc move.  The positive_ties flag forces
     half-turn final arcs to run positively instead of leaving the choice to
@@ -102,39 +98,9 @@ def _walk(start: ChainPoint, goal: ChainPoint, positive_ties: bool) -> list[list
     raise ContractError("spine walk exceeded its hop budget")
 
 
-def instruction1(start: ChainPoint, goal: ChainPoint) -> list[list[ChainStep]]:
-    return _walk(start, goal, positive_ties=False)
-
-
-def instruction2(start: ChainPoint, goal: ChainPoint) -> list[list[ChainStep]]:
-    return _walk(start, goal, positive_ties=True)
-
-
-def instruction3(start: ChainPoint, goal: ChainPoint) -> list[list[ChainStep]]:
-    """Positive successor hops between vertices; empty for a vertex and itself."""
-    cur = start
-    moves: list[list[ChainStep]] = []
-    for _ in range(7):
-        if cur == goal:
-            return moves
-        circle, nxt = positive_successor(cur.vertex)
-        t0 = vertex_theta_on(circle, cur.vertex)
-        t1 = vertex_theta_on(circle, nxt)
-        moves.append(make_steps(circle, t0, t1, 1))
-        cur = vertex_point(nxt)
-    raise ContractError("successor walk exceeded its hop budget")
-
-
-_DISPATCH = {
-    InstructionDomain.U1: instruction1,
-    InstructionDomain.U2: instruction2,
-    InstructionDomain.U3: instruction3,
-}
-
-
 def plan_steps(start: ChainPoint, goal: ChainPoint) -> tuple[InstructionDomain, list[list[ChainStep]]]:
     domain = classify_domain(start, goal)
-    return domain, _DISPATCH[domain](start, goal)
+    return domain, _walk(start, goal, positive_ties=domain is not InstructionDomain.U1)
 
 
 class Plan(
@@ -159,7 +125,7 @@ class Plan(
 
     @property
     def instruction(self) -> int:
-        return self.domain.number
+        return self.domain.value
 
     @property
     def chain_length(self) -> float:

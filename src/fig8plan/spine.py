@@ -18,7 +18,8 @@ Vertices are the configurations where each robot sits at the center or a
 pole: HA/HB put robot 1 at the center with robot 2 at a pole, VA/VB swap the
 roles, C1/C2 put both robots at opposite poles.  Every point gets a single
 canonical representation; a vertex is stored on its designated circle, the
-circle a positive traversal leaves it along.
+circle a positive traversal leaves it along, and ChainPoint refuses it on
+any other.
 
 An angle within EPS of a vertex is that vertex (chain_point), the one place a
 spine position is moved: make_steps starts and ends arc moves on the exact
@@ -40,7 +41,6 @@ from .geometry import (
     FlatCoord,
     MIXED_SQUARES,
     canonical_flat,
-    configuration,
     flat_to_config,
     reads_as_center,
 )
@@ -61,7 +61,11 @@ CIRCLE_VERTICES = {
     "V2": ("VB", "C2"),
 }
 
-# Canonical storage of each vertex: on its designated circle (see SUCCESSOR).
+# Canonical storage of each vertex: on its designated circle, the one a
+# positive traversal leaves it along.  A positive half-turn along that circle
+# reaches the next vertex of the successor cycle
+#     C1 -H1-> HB -Bc-> VB -V2-> C2 -H2-> HA -R-> VA -V1-> C1,
+# which visits every vertex and designates every circle exactly once.
 VERTEX_CANONICAL = {
     "HA": ("R", 0.0),
     "VA": ("V1", 0.0),
@@ -71,22 +75,10 @@ VERTEX_CANONICAL = {
     "C2": ("H2", 0.5),
 }
 
-# Positive traversal: leaving a vertex along its designated circle with theta
-# increasing reaches the named next vertex after half a turn.  Six applications
-# visit every vertex and designate every circle exactly once.
-SUCCESSOR = {
-    "C1": ("H1", "HB"),
-    "HB": ("Bc", "VB"),
-    "VB": ("V2", "C2"),
-    "C2": ("H2", "HA"),
-    "HA": ("R", "VA"),
-    "VA": ("V1", "C1"),
-}
-
 # Collapsing each circle's two arcs to an edge leaves a 6-cycle on the
-# vertices; distances below come from ring positions on that cycle.
-_RING = ("HA", "VA", "C1", "HB", "VB", "C2")
-_RING_INDEX = {v: i for i, v in enumerate(_RING)}
+# vertices, in the order of CHAIN_VERTICES; distances below come from
+# positions on that cycle.
+_RING_INDEX = {v: i for i, v in enumerate(CHAIN_VERTICES)}
 
 
 def vertex_dist(u: str, v: str) -> float:
@@ -95,7 +87,11 @@ def vertex_dist(u: str, v: str) -> float:
 
 
 class ChainPoint(namedtuple("ChainPoint", "circle theta")):
-    """A point of the spine: circle name plus angle theta in [0, 1)."""
+    """A point of the spine: circle name plus angle theta in [0, 1).
+
+    A vertex (theta 0 or 1/2) must be given on its designated circle
+    (VERTEX_CANONICAL), so that equal points are equal tuples.
+    """
 
     __slots__ = ()
 
@@ -104,6 +100,12 @@ class ChainPoint(namedtuple("ChainPoint", "circle theta")):
             raise DomainError(f"unknown spine circle {circle!r}")
         if not (0.0 <= theta < 1.0):
             raise DomainError(f"angle {theta!r} outside [0, 1)")
+        if theta == 0.0 or theta == 0.5:
+            vertex = CIRCLE_VERTICES[circle][theta == 0.5]
+            if VERTEX_CANONICAL[vertex][0] != circle:
+                raise DomainError(
+                    f"vertex {vertex} is stored on {VERTEX_CANONICAL[vertex][0]}, not {circle}"
+                )
         return tuple.__new__(cls, (circle, theta))
 
     @property
@@ -153,11 +155,6 @@ def vertex_theta_on(circle: str, vertex: str) -> float:
     if vertex == pair[1]:
         return 0.5
     raise DomainError(f"vertex {vertex} does not lie on circle {circle}")
-
-
-def positive_successor(vertex: str) -> tuple[str, str]:
-    """(designated circle, next vertex) for a positive half-turn."""
-    return SUCCESSOR[vertex]
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +381,4 @@ def steps_to_legs(steps: list[ChainStep]) -> list[ChartLeg]:
     return [step_to_leg(s) for s in steps]
 
 
-VERTEX_CONFIG = {
-    "HA": configuration("A", 0.0, "A", 0.5),
-    "HB": configuration("A", 0.0, "B", 0.5),
-    "VA": configuration("A", 0.5, "A", 0.0),
-    "VB": configuration("B", 0.5, "A", 0.0),
-    "C1": configuration("A", 0.5, "B", 0.5),
-    "C2": configuration("B", 0.5, "A", 0.5),
-}
+VERTEX_CONFIG = {v: chain_to_config(vertex_point(v)) for v in CHAIN_VERTICES}

@@ -19,10 +19,11 @@ from fig8plan.spine import (
     CHAIN_CIRCLES,
     CHAIN_VERTICES,
     CIRCLE_VERTICES,
+    VERTEX_CANONICAL,
     VERTEX_CONFIG,
     build_chain,
+    chain_point,
     dist_chain,
-    positive_successor,
     vertex_point,
 )
 from fig8plan.verify import (
@@ -88,13 +89,14 @@ def test_chain_structure_and_closure():
     expected = {frozenset((ring[i], ring[(i + 1) % 6])) for i in range(6)}
     assert simple == expected
 
-    # the positive successor walk closes in six steps and uses each circle once
+    # the positive successor walk, a half-turn along each vertex's canonical
+    # circle, closes in six steps and uses each circle once
     walk = ["C1"]
     circles = []
     for _ in range(6):
-        circle, nxt = positive_successor(walk[-1])
+        circle, theta = VERTEX_CANONICAL[walk[-1]]
         circles.append(circle)
-        walk.append(nxt)
+        walk.append(chain_point(circle, theta + 0.5).vertex)
     assert walk[-1] == "C1"
     assert sorted(circles) == sorted(CHAIN_CIRCLES)
     assert sorted(walk[:-1]) == sorted(CHAIN_VERTICES)
@@ -136,13 +138,12 @@ def test_retraction_suite_with_gluing_probe():
 
 def test_instruction_continuity_ladders():
     t0 = perf_counter()
-    deltas = (1e-2, 1e-3, 1e-4)
     for domain in (InstructionDomain.U1, InstructionDomain.U2):
-        rows = continuity_probe(domain, seed=31, deltas=deltas)
+        rows = continuity_probe(domain, seed=31)
         values = [v for _, v in rows]
         assert values[0] > values[1] > values[2], f"{domain}: {rows}"
         assert values[1] < 0.05, f"{domain}: sup {values[1]} at delta 1e-3"
-    rows = continuity_probe(InstructionDomain.U3, seed=31, deltas=deltas)
+    rows = continuity_probe(InstructionDomain.U3, seed=31)
     assert [v for _, v in rows] == [0.0, 0.0, 0.0]
     assert perf_counter() - t0 < 120.0
 

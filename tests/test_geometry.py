@@ -1,6 +1,7 @@
 """Track coordinates, square charts, and piecewise-linear trajectories."""
 
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -346,11 +347,12 @@ def test_sup_distance_sees_maximum_at_a_junction():
 def _continuity_path_pairs():
     for domain in (InstructionDomain.U1, InstructionDomain.U2):
         for seed in (0, 1):
-            for _, p, q in _probe_path_pairs(domain, seed, (1e-2, 1e-3, 1e-4), 4):
+            for _, p, q in _probe_path_pairs(domain, seed, 4):
                 yield p, q
     # The probe compares each vertex pair's path with itself; neighbouring
-    # vertex pairs give paths with different junctions.
-    u3 = [p for _, p, _ in _probe_path_pairs(InstructionDomain.U3, 0, (1e-2,), 0)]
+    # vertex pairs give paths with different junctions.  The first 36 paths
+    # are the 36 pairs once, at the ladder's first delta.
+    u3 = [p for _, p, _ in islice(_probe_path_pairs(InstructionDomain.U3, 0, 0), 36)]
     yield from zip(u3, u3[1:])
 
 
@@ -387,7 +389,7 @@ def test_config_at_stays_collision_free(t):
         ]
     )
     c = path.config_at(t)
-    assert c.separation > 0.0
+    assert dist_gamma(*c) > 0.0
 
 
 def test_config_at_is_exact_at_segment_ends():
@@ -400,6 +402,13 @@ def test_config_at_is_exact_at_segment_ends():
     assert drift.config_at(1.0).p1.s == 1e-12
 
 
+def test_config_at_rejects_times_outside_the_unit_interval():
+    path = path_from_legs([ChartLeg("A", 0.2, 0.8, "B", 0.25, 0.25)])
+    for t in (-1e-12, 1.0 + 1e-12):
+        with pytest.raises(DomainError, match="outside"):
+            path.config_at(t)
+
+
 def test_physpath_requires_unit_interval():
     seg = PathSegment(0.0, 0.5, "A", 0.2, 0.3, "B", 0.25, 0.25)
     with pytest.raises(ContractError):
@@ -408,5 +417,6 @@ def test_physpath_requires_unit_interval():
 
 def test_sweep_totals():
     path = path_from_legs([ChartLeg("A", 0.2, 0.8, "B", 0.25, 0.25)])
-    assert path.sweep == pytest.approx(0.6)
-    assert math.isclose(constant_path(configuration("A", 0.1, "B", 0.2)).sweep, 0.0)
+    assert sum(seg.sweep for seg in path.segments) == pytest.approx(0.6)
+    still = constant_path(configuration("A", 0.1, "B", 0.2))
+    assert math.isclose(sum(seg.sweep for seg in still.segments), 0.0)

@@ -1,4 +1,4 @@
-"""Instruction dispatch, spine walks, and assembled plans."""
+"""Domain classification, the spine walk, and assembled plans."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +18,6 @@ from fig8plan.geometry import (
 from fig8plan.planner import (
     InstructionDomain,
     classify_domain,
-    instruction3,
     plan,
     plan_steps,
     plan_to_json,
@@ -26,9 +25,12 @@ from fig8plan.planner import (
 )
 from fig8plan.spine import (
     CHAIN_VERTICES,
+    VERTEX_CANONICAL,
     VERTEX_CONFIG,
     ChainPoint,
+    chain_point,
     chain_to_config,
+    make_steps,
     vertex_point,
 )
 
@@ -107,16 +109,37 @@ def test_instruction3_successor_ring():
     assert [(m[0].circle) for m in moves] == ["H1", "Bc", "V2"]
     assert sum(s.length for m in moves for s in m) == pytest.approx(1.5)
     # The ring's long way round: five hops, never six.
-    assert len(instruction3(vertex_point("C1"), vertex_point("VA"))) == 5
-    assert instruction3(vertex_point("VB"), vertex_point("VB")) == []
+    _, moves = plan_steps(vertex_point("C1"), vertex_point("VA"))
+    assert [m[0].circle for m in moves] == ["H1", "Bc", "V2", "H2", "R"]
+    assert plan_steps(vertex_point("VB"), vertex_point("VB")) == (U3, [])
 
 
 def test_instruction3_all_pairs_bounded():
     for u in CHAIN_VERTICES:
         for v in CHAIN_VERTICES:
-            moves = instruction3(vertex_point(u), vertex_point(v))
+            domain, moves = plan_steps(vertex_point(u), vertex_point(v))
+            assert domain is U3
             assert len(moves) <= 5
             assert sum(s.length for m in moves for s in m) <= 2.5 + 1e-12
+
+
+def _successor_walk(u: str, v: str):
+    """Oracle: positive half-turns along each vertex's canonical circle."""
+    cur, goal = vertex_point(u), vertex_point(v)
+    moves = []
+    for _ in range(6):
+        if cur == goal:
+            return moves
+        circle, theta = VERTEX_CANONICAL[cur.vertex]
+        moves.append(make_steps(circle, theta, theta + 0.5, 1))
+        cur = chain_point(circle, theta + 0.5)
+    raise AssertionError(f"successor walk from {u} never reached {v}")
+
+
+def test_vertex_pairs_walk_the_successor_cycle():
+    for u in CHAIN_VERTICES:
+        for v in CHAIN_VERTICES:
+            assert plan_steps(vertex_point(u), vertex_point(v)) == (U3, _successor_walk(u, v))
 
 
 def test_plan_end_to_end_u1():

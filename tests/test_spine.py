@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fig8plan.errors import DomainError
-from fig8plan.geometry import FlatCoord, config_to_flat, configuration, path_from_legs
+from fig8plan.geometry import FlatCoord, config_to_flat, configuration, dist_gamma, path_from_legs
 from fig8plan.spine import (
     CHAIN_CIRCLES,
     CHAIN_VERTICES,
     CIRCLE_VERTICES,
+    VERTEX_CANONICAL,
     VERTEX_CONFIG,
     ChainPoint,
     ChainStep,
@@ -21,7 +22,6 @@ from fig8plan.spine import (
     is_antipodal,
     make_steps,
     on_spine,
-    positive_successor,
     shortest_arc,
     steps_to_legs,
     theta_on,
@@ -56,19 +56,43 @@ def test_every_vertex_lies_on_two_circles():
     assert all(len(cs) == 2 for cs in on.values())
 
 
+@pytest.mark.parametrize(
+    "circle, theta",
+    [("H2", 0.0), ("R", 0.5), ("H1", 0.0), ("Bc", 0.5), ("V1", 0.5), ("V2", 0.5)],
+)
+def test_chain_point_rejects_a_vertex_off_its_canonical_circle(circle, theta):
+    # Each vertex lies on two circles; only its designated one may store it.
+    with pytest.raises(DomainError, match="is stored on"):
+        ChainPoint(circle, theta)
+    assert chain_point(circle, theta) == vertex_point(CIRCLE_VERTICES[circle][theta == 0.5])
+
+
 def test_vertex_configs():
-    for name, config in VERTEX_CONFIG.items():
+    expected = {
+        "HA": configuration("A", 0.0, "A", 0.5),
+        "HB": configuration("A", 0.0, "B", 0.5),
+        "VA": configuration("A", 0.5, "A", 0.0),
+        "VB": configuration("B", 0.5, "A", 0.0),
+        "C1": configuration("A", 0.5, "B", 0.5),
+        "C2": configuration("B", 0.5, "A", 0.5),
+    }
+    assert VERTEX_CONFIG == expected
+    for name, config in expected.items():
+        assert VERTEX_CONFIG[name] is config
         assert chain_to_config(vertex_point(name)) == config
         assert flat_to_chain(config_to_flat(config)) == vertex_point(name)
 
 
 def test_successor_walk_closes_in_six():
-    v = "C1"
+    # Six positive half-turns from C1, each along the current vertex's
+    # canonical circle, return to C1 and use every circle once.
+    p = vertex_point("C1")
     seen_circles = []
     for _ in range(6):
-        circle, v = positive_successor(v)
+        circle, theta = VERTEX_CANONICAL[p.vertex]
         seen_circles.append(circle)
-    assert v == "C1"
+        p = chain_point(circle, theta + 0.5)
+    assert p == vertex_point("C1")
     assert sorted(seen_circles) == sorted(CHAIN_CIRCLES)
 
 
@@ -225,5 +249,5 @@ def test_antipodal_slide_legs():
     steps = make_steps("R", 0.2, 0.7, 1)
     legs = steps_to_legs(steps)
     path = path_from_legs(legs)
-    assert path.start.separation == pytest.approx(0.5)
-    assert path.end.separation == pytest.approx(0.5)
+    assert dist_gamma(*path.start) == pytest.approx(0.5)
+    assert dist_gamma(*path.end) == pytest.approx(0.5)

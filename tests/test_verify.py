@@ -124,22 +124,9 @@ def test_report_json_shape():
     }
 
 
-def test_continuity_probe_rejects_bad_ladders():
-    dom = InstructionDomain.U1
-    with pytest.raises(DomainError):
-        continuity_probe(dom, seed=1, deltas=(1e-3, 1e-2))
-    with pytest.raises(DomainError):
-        continuity_probe(dom, seed=1, deltas=(1e-2, 1e-13))
-    with pytest.raises(DomainError):
-        continuity_probe(dom, seed=1, deltas=())
-    with pytest.raises(DomainError):
-        # margin 10*delta would cover more than a quarter circle
-        continuity_probe(dom, seed=1, deltas=(0.1,))
-
-
 def test_continuity_probe_u3_is_exact():
-    rows = continuity_probe(InstructionDomain.U3, seed=2, deltas=(1e-2, 1e-3))
-    assert [v for _, v in rows] == [0.0, 0.0]
+    rows = continuity_probe(InstructionDomain.U3, seed=2)
+    assert rows == [(1e-2, 0.0), (1e-3, 0.0), (1e-4, 0.0)]
 
 
 def test_continuity_probe_u1_ladder_shrinks():
@@ -177,7 +164,7 @@ def test_random_config_reaches_near_coincident_pairs():
     from random import Random
 
     rng = Random(123)
-    separations = [random_config(rng).separation for _ in range(2000)]
+    separations = [dist_gamma(*random_config(rng)) for _ in range(2000)]
     assert min(separations) < 1e-9
     assert all(sep > 0.0 for sep in separations)
 
