@@ -57,6 +57,11 @@ ORACLE_NODES = 1000
 SEPARATION_SAMPLES = 64
 SEPARATION_TOL = 1e-12
 
+# Paths the collision and retraction suites build before one oracle call
+# samples them all: enough to spread numpy's per-call cost thin, few enough
+# that the sample arrays stay a few MB at any n.
+BLOCK = 256
+
 
 # ---------------------------------------------------------------------------
 # graph invariants
@@ -267,9 +272,10 @@ def _probe_path_pairs(domain: InstructionDomain, seed: int, samples: int):
             for u in CHAIN_VERTICES
             for v in CHAIN_VERTICES
         ]
+        paths = [(_instruction_path(x, y), _instruction_path(x, y)) for x, y in pairs]
         for delta in _LADDER:
-            for x, y in pairs:
-                yield delta, _instruction_path(x, y), _instruction_path(x, y)
+            for p, q in paths:
+                yield delta, p, q
         return
 
     for delta in _LADDER:
@@ -302,39 +308,52 @@ def _probe_path_pairs(domain: InstructionDomain, seed: int, samples: int):
 # sampled separation oracle
 
 
-def sampled_min_separation(path: PhysPath, n: int) -> float:
-    """Smallest sampled distance between the robots along a trajectory.
+def sampled_min_separations(paths: list[PhysPath], n: int) -> list[float]:
+    """Smallest sampled distance between the robots along each trajectory.
 
-    Samples n uniformly spaced times per segment, endpoints included.  It
-    shares no code with the exact geometry.path_min_separation; the two agree
-    up to rounding unless the robots meet strictly between two samples.
+    Samples n uniformly spaced times per segment, endpoints included, over
+    every segment of every path in one numpy pass.  It shares no code with
+    the exact geometry.path_min_separation; the two agree up to rounding
+    unless the robots meet strictly between two samples.
     """
     if n < 2:
         raise DomainError("need at least 2 samples per segment")
-    best = float("inf")
-    step = 1.0 / (n - 1)
-    for seg in path.segments:
-        same = seg.circle1 == seg.circle2
-        da, db = seg.a1 - seg.a0, seg.b1 - seg.b0
-        for k in range(n):
-            u = k * step
-            x = seg.a0 + u * da
-            y = seg.b0 + u * db
-            if same:
-                d = abs(x - y)
-                if d > 0.5:
-                    d = 1.0 - d
-            else:
-                d = min(x, 1.0 - x) + min(y, 1.0 - y)
-            if d < best:
-                best = d
-    return best
+    if not paths:
+        return []
+    import numpy as np
+
+    segments = [seg for path in paths for seg in path.segments]
+    _, _, circle1, a0, a1, circle2, b0, b1 = zip(*segments)
+    a0, a1, b0, b1 = (np.array(v)[:, None] for v in (a0, a1, b0, b1))
+    same = (np.array(circle1) == np.array(circle2))[:, None]
+    u = np.arange(n) * (1.0 / (n - 1))
+    x = a0 + u * (a1 - a0)
+    y = b0 + u * (b1 - b0)
+    d = np.abs(x - y)
+    d = np.where(
+        same,
+        np.where(d > 0.5, 1.0 - d, d),
+        np.minimum(x, 1.0 - x) + np.minimum(y, 1.0 - y),
+    )
+    starts = np.cumsum([0] + [len(path.segments) for path in paths[:-1]])
+    return np.minimum.reduceat(d.min(axis=1), starts).tolist()
 
 
-def _separation_gap(path: PhysPath) -> tuple[float, float]:
-    """Exact minimum separation and its distance from the sampled oracle."""
-    sep = path_min_separation(path)
-    return sep, abs(sampled_min_separation(path, SEPARATION_SAMPLES) - sep)
+def _separation_gaps(n: int, make):
+    """Yield (i, made, sep, gap) for i in range(n): made = make() ends in a
+    path, sep is its exact minimum separation and gap is sep's distance from
+    the sampled oracle.
+
+    Items are made BLOCK at a time, in order, and the oracle samples each
+    block in one call, so its arrays stay small at any n; the caller checks
+    the items one by one, so a failure still names the first failing index.
+    """
+    for first in range(0, n, BLOCK):
+        made = [make() for _ in range(min(BLOCK, n - first))]
+        sampled = sampled_min_separations([m[-1] for m in made], SEPARATION_SAMPLES)
+        for i, m, low in zip(range(first, n), made, sampled):
+            sep = path_min_separation(m[-1])
+            yield i, m, sep, abs(low - sep)
 
 
 # ---------------------------------------------------------------------------
@@ -436,16 +455,17 @@ def _suite_collision(rng: Random, n: int) -> tuple[bool, str]:
     worst_end = 0.0
     worst_sep = float("inf")
     worst_gap = 0.0
-    for i in range(n):
+
+    def make():
         start = random_config(rng)
         goal = random_config(rng)
-        p = plan(start, goal)
-        path = p.path
+        return start, goal, plan(start, goal).path
+
+    for i, (start, goal, path), sep, gap in _separation_gaps(n, make):
         err = max(
             config_dist(path.config_at(0.0), start),
             config_dist(path.config_at(1.0), goal),
         )
-        sep, gap = _separation_gap(path)
         worst_end = max(worst_end, err)
         worst_sep = min(worst_sep, sep)
         worst_gap = max(worst_gap, gap)
@@ -510,9 +530,13 @@ def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
     worst_fix = 0.0
     worst_trace = 0.0
     worst_gap = 0.0
-    for i in range(n):
+
+    def make():
         c = random_config(rng)
         r = retract(c)
+        return c, r, path_from_legs([r.leg])
+
+    for i, (c, r, trace), sep, gap in _separation_gaps(n, make):
         if not on_spine(r.flat):
             return False, f"sample {i}: image of {_format_config(c)} is off the spine"
         image_config = chain_to_config(r.point)
@@ -521,7 +545,6 @@ def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
         worst_fix = max(worst_fix, fix_err)
         if fix_err > 1e-9:
             return False, f"sample {i}: idempotence error {fix_err:.3e} at {_format_config(c)}"
-        trace = path_from_legs([r.leg])
         end_err = max(
             config_dist(trace.config_at(0.0), c),
             config_dist(trace.config_at(1.0), chain_to_config(r.point)),
@@ -529,7 +552,6 @@ def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
         worst_trace = max(worst_trace, end_err)
         if end_err > 1e-9:
             return False, f"sample {i}: trace endpoint error {end_err:.3e}"
-        sep, gap = _separation_gap(trace)
         worst_gap = max(worst_gap, gap)
         if sep <= 0.0:
             return False, f"sample {i}: trace of {_format_config(c)} collides"

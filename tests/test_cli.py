@@ -138,21 +138,30 @@ def test_near_collision_json_keeps_robots_apart(capsys):
     assert waypoints[0]["r2"]["s"] == 0.3000000000000001
 
 
-def test_cold_import_leaves_suites_unloaded():
-    # plan, render and their imports need neither the suites nor dataclasses
-    # (whose import pulls in inspect, ast and dis) nor numpy and scipy.
+def _loaded_after_import(module, names):
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
-        "import sys, fig8plan.cli; "
-        "print(' '.join(m for m in ('fig8plan.verify', 'dataclasses', 'numpy', 'scipy')"
-        " if m in sys.modules))"
+        f"import sys, {module}; "
+        f"print(' '.join(m for m in {names!r} if m in sys.modules))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
+
+
+def test_cold_import_leaves_suites_unloaded():
+    # plan, render and their imports need neither the suites nor dataclasses
+    # (whose import pulls in inspect, ast and dis) nor numpy and scipy.
+    names = ("fig8plan.verify", "dataclasses", "numpy", "scipy")
+    assert _loaded_after_import("fig8plan.cli", names) == []
+
+
+def test_suites_import_leaves_numpy_unloaded():
+    # tc imports the suites; their oracles load numpy and scipy only when run
+    assert _loaded_after_import("fig8plan.verify", ("numpy", "scipy")) == []
 
 
 def test_verify_passing_suite(capsys):

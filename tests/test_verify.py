@@ -1,22 +1,28 @@
 """Verification suites, graph invariants, and the Dijkstra distance oracles."""
 
+from random import Random
 from types import SimpleNamespace
 
 import pytest
 
+from fig8plan import verify
 from fig8plan.errors import DomainError
 from fig8plan.geometry import (
     Configuration,
+    PhysPath,
     circle_point,
     config_dist,
     configuration,
+    constant_path,
     dist_gamma,
+    path_from_legs,
     path_min_separation,
 )
 from fig8plan.planner import InstructionDomain, plan
 from fig8plan.retraction import retract
 from fig8plan.spine import VERTEX_CONFIG, build_chain, chain_point, dist_chain, vertex_point
 from fig8plan.verify import (
+    BLOCK,
     SUITE_NAMES,
     SuiteReport,
     chain_oracle,
@@ -26,7 +32,7 @@ from fig8plan.verify import (
     random_chain_point,
     random_config,
     run_suite,
-    sampled_min_separation,
+    sampled_min_separations,
     spanning_tree_cycle_count,
     tc_wedge,
 )
@@ -217,16 +223,105 @@ def _boundary_config(rng):
             return Configuration(p1, p2)
 
 
-def test_exact_separation_matches_sampled_oracle():
-    from random import Random
+def _loop_min_separation(path: PhysPath, n: int) -> float:
+    """Reference for sampled_min_separations: one path, one sample at a time."""
+    best = float("inf")
+    step = 1.0 / (n - 1)
+    for seg in path.segments:
+        same = seg.circle1 == seg.circle2
+        da, db = seg.a1 - seg.a0, seg.b1 - seg.b0
+        for k in range(n):
+            u = k * step
+            x = seg.a0 + u * da
+            y = seg.b0 + u * db
+            if same:
+                d = abs(x - y)
+                if d > 0.5:
+                    d = 1.0 - d
+            else:
+                d = min(x, 1.0 - x) + min(y, 1.0 - y)
+            if d < best:
+                best = d
+    return best
 
+
+def _oracle_paths() -> list[PhysPath]:
+    """Plans of seeded random, vertex and boundary pairs, then retraction traces."""
     rng = Random(29)
     vertices = list(VERTEX_CONFIG.values())
     pairs = [(random_config(rng), random_config(rng)) for _ in range(300)]
     pairs += [(x, y) for x in vertices for y in vertices]
     pairs += [(_boundary_config(rng), _boundary_config(rng)) for _ in range(300)]
-    for start, goal in pairs:
-        path = plan(start, goal).path
+    paths = [plan(start, goal).path for start, goal in pairs]
+    return paths + [path_from_legs([retract(random_config(rng)).leg]) for _ in range(300)]
+
+
+def test_exact_separation_matches_sampled_oracle():
+    paths = _oracle_paths()
+    for path, sampled in zip(paths, sampled_min_separations(paths, 64), strict=True):
         exact = path_min_separation(path)
         assert exact > 0.0
-        assert abs(sampled_min_separation(path, 64) - exact) <= 1e-12
+        assert abs(sampled - exact) <= 1e-12
+
+
+def test_batched_oracle_equals_loop_reference():
+    # the same IEEE operations in the same order, so equal, not approximately
+    paths = _oracle_paths()
+    for n in (2, 64):
+        assert sampled_min_separations(paths, n) == [_loop_min_separation(p, n) for p in paths]
+
+
+def test_batched_oracle_inputs():
+    path = constant_path(configuration("A", 0.1, "B", 0.3))
+    with pytest.raises(DomainError):
+        sampled_min_separations([path], 1)
+    assert sampled_min_separations([], 64) == []
+
+
+# n = 600 crosses the block boundaries at 256 and 512; the witnesses are the
+# ones the per-pair loop reported before the suites sampled in blocks.
+@pytest.mark.parametrize(
+    "suite, witness",
+    [
+        (
+            "collision",
+            "worst endpoint err 1.000e-12, min separation 9.998e-14, worst oracle gap 5.551e-17",
+        ),
+        (
+            "retraction",
+            "worst idempotence 0.000e+00, worst trace endpoint 1.000e-13,"
+            " worst oracle gap 0.000e+00; gluing probe worst ratio 8.88 (bound 50)",
+        ),
+    ],
+)
+def test_blocked_suites_keep_their_witnesses(suite, witness):
+    assert BLOCK == 256
+    report = run_suite(suite, seed=0, n=600)
+    assert report.passed
+    assert report.witness == witness
+
+
+@pytest.mark.parametrize(
+    "suite, witness",
+    [
+        (
+            "collision",
+            "pair 299: start (B:0.25, A:0.75) goal (B:0.75, A:0.911631)"
+            " endpoint err 0.000e+00 min sep 0.000e+00 oracle gap 3.384e-01",
+        ),
+        ("retraction", "sample 299: trace of (B:0.159713, B:0.75) collides"),
+    ],
+)
+def test_blocked_suites_name_the_failing_index(monkeypatch, suite, witness):
+    # a collision forced on the 300th path, in the second block
+    real = verify.path_min_separation
+    calls = []
+
+    def forced(path):
+        calls.append(path)
+        return 0.0 if len(calls) == 300 else real(path)
+
+    monkeypatch.setattr(verify, "path_min_separation", forced)
+    report = run_suite(suite, seed=0, n=600)
+    assert not report.passed
+    assert report.witness == witness
