@@ -3,7 +3,7 @@
 Usage: python scripts/run_all_suites.py [--seed S] [--full]
 
 --full uses the acceptance-sized sample counts instead of the quick defaults,
-which takes about 6-7 s on a shared 2-vCPU machine (5.9-7.1 s over three
+which takes about 6-7 s on a shared 2-vCPU machine (5.7-6.8 s over three
 runs, Python 3.11).
 """
 

@@ -117,8 +117,7 @@ class Plan(
     the PhysPath, on the spine for t in spine_interval.  trace_in is the
     start's retraction ChartLeg and trace_out the goal's, already reversed to
     run towards the goal.  Each holds one leg, or none when the leg has zero
-    sweep (an endpoint on the spine that does not snap onto a vertex) or the
-    plan is parked (start == goal).
+    sweep (an endpoint on the spine that does not snap onto a vertex).
     """
 
     __slots__ = ()
@@ -134,25 +133,6 @@ class Plan(
 
 def plan(start: Configuration, goal: Configuration) -> Plan:
     """Plan a collision-free trajectory from start to goal."""
-    if start == goal:
-        # coincident endpoints short-circuit to the constant path; a collapsed
-        # spine interval marks that the path has no spine portion to check
-        r = retract(start)
-        still = constant_path(start)
-        on = on_spine(config_to_flat(start))
-        return Plan(
-            start=start,
-            goal=goal,
-            domain=classify_domain(r.point, r.point),
-            chain_start=r.point,
-            chain_goal=r.point,
-            steps=(),
-            hop_count=0,
-            path=still,
-            spine_interval=(0.0, 1.0) if on else (0.5, 0.5),
-            trace_in=(),
-            trace_out=(),
-        )
     r_in = retract(start)
     r_out = retract(goal)
     domain, moves = plan_steps(r_in.point, r_out.point)
@@ -259,9 +239,9 @@ def validate_plan(p: Plan) -> None:
             ):
                 if not chart_on_spine(square[0] == square[1], a, b):
                     raise ContractError(f"plan leaves the spine at t={t}: {square} ({a}, {b})")
-    elif p.start != p.goal:
-        # collapsed interval with distinct endpoints: both retraction images
-        # coincide, so the single middle instant must sit on the spine
+    else:
+        # collapsed interval: both retraction images coincide, so the single
+        # middle instant must sit on the spine
         f = config_to_flat(p.path.config_at(t0))
         if not on_spine(f):
             raise ContractError(f"plan middle is off the spine: {f}")

@@ -3,12 +3,15 @@
 Every suite is a pure function of (seed, n): it draws its samples from a
 private ``random.Random(seed)`` and reports a worst-case witness, so a failure
 can be replayed exactly.  The distance oracles deliberately do not share code
-with the analytic metrics they check: they discretize the track (resp. the
-chain of circles) into a weighted graph and run Dijkstra on it.
+with the analytic metrics they check: each query splices its two points into
+the track (center plus the points) or into the twelve arcs of the spine graph
+(build_chain), and runs Dijkstra on that graph of at most eight nodes.  No
+discretisation is involved, so the oracles are exact up to rounding.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from collections import defaultdict, deque, namedtuple
 from random import Random
@@ -32,9 +35,9 @@ from .retraction import retract
 from .spine import (
     CHAIN_CIRCLES,
     CHAIN_VERTICES,
-    CIRCLE_VERTICES,
     VERTEX_CONFIG,
     ChainPoint,
+    build_chain,
     chain_point,
     chain_to_config,
     chain_to_flat,
@@ -48,8 +51,9 @@ from .spine import (
 
 SUITE_NAMES = ("collision", "partition", "retraction", "continuity", "termination", "roundtrip")
 
-# Grid resolution of the Dijkstra oracles, nodes per unit-circumference circle.
-ORACLE_NODES = 1000
+# How far dist_gamma and dist_chain may sit from their Dijkstra oracles: both
+# sum the same arc lengths, possibly in another order, so only rounding differs.
+METRIC_TOL = 1e-12
 
 # Density of the sampled separation oracle, and how far the exact minimum may
 # sit from it: sampling includes both waypoints of every segment, so the two
@@ -357,78 +361,65 @@ def _separation_gaps(n: int, make):
 
 
 # ---------------------------------------------------------------------------
-# Dijkstra oracles on discretized graphs
+# Dijkstra oracles on spliced graphs
 
 
-def _dijkstra_lookup(n_nodes, edges, queries):
-    """Distances for (source, target) node-id pairs via scipy's Dijkstra."""
-    import numpy as np
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import dijkstra
+def _cut_edges(cuts):
+    """Edges between consecutive (position, node) cuts along one arc."""
+    return [(u, v, b - a) for (a, u), (b, v) in zip(cuts, cuts[1:])]
 
-    rows = np.array([e[0] for e in edges])
-    cols = np.array([e[1] for e in edges])
-    data = np.array([e[2] for e in edges])
-    graph = coo_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes))
-    sources = sorted({s for s, _ in queries})
-    dist = dijkstra(graph, directed=False, indices=sources)
-    index = {s: i for i, s in enumerate(sources)}
-    return [float(dist[index[s], t]) for s, t in queries]
+
+def _shortest(edges, source, target) -> float:
+    """Dijkstra on a connected undirected multigraph of (node, node, length) edges."""
+    adj = defaultdict(list)
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    done = set()
+    heap = [(0.0, source)]
+    while True:
+        d, u = heapq.heappop(heap)
+        if u == target:
+            return d
+        if u in done:
+            continue
+        done.add(u)
+        for v, w in adj[u]:
+            if v not in done:
+                heapq.heappush(heap, (d + w, v))
 
 
 def gamma_oracle(pairs: list[tuple[CirclePoint, CirclePoint]]) -> list[float]:
-    """Track distances from a discretized figure eight, ORACLE_NODES per circle."""
-    n = ORACLE_NODES
-    step = 1.0 / n
-
-    def node(p: CirclePoint) -> int:
-        k = int(round(p.s * n)) % n
-        if k == 0:
-            return 0
-        return k if p.circle == "A" else n - 1 + k
-
-    edges = []
-
-    def ring(ids):
-        for i, u in enumerate(ids):
-            edges.append((u, ids[(i + 1) % len(ids)], step))
-
-    ring([0] + list(range(1, n)))
-    ring([0] + list(range(n, 2 * n - 1)))
-    queries = [(node(p), node(q)) for p, q in pairs]
-    return _dijkstra_lookup(2 * n - 1, edges, queries)
+    """Track distances by Dijkstra on each circle cut at the center and both points."""
+    out = []
+    for p, q in pairs:
+        ends = (("p", p), ("q", q))
+        edges = []
+        for circle in CIRCLES:
+            inner = sorted((x.s, name) for name, x in ends if x.circle == circle and x.s > 0.0)
+            edges += _cut_edges([(0.0, "center"), *inner, (1.0, "center")])
+        source, target = (name if x.s > 0.0 else "center" for name, x in ends)
+        out.append(_shortest(edges, source, target))
+    return out
 
 
 def chain_oracle(pairs: list[tuple[ChainPoint, ChainPoint]]) -> list[float]:
-    """Chain-of-circles distances from a discretized chain graph."""
-    n = ORACLE_NODES
-    step = 1.0 / n
-    vid = {v: i for i, v in enumerate(CHAIN_VERTICES)}
-    node_of = {}
-    next_id = len(CHAIN_VERTICES)
-    for circle in CHAIN_CIRCLES:
-        lo, hi = CIRCLE_VERTICES[circle]
-        for k in range(n):
-            if k == 0:
-                node_of[(circle, k)] = vid[lo]
-            elif k == n // 2:
-                node_of[(circle, k)] = vid[hi]
-            else:
-                node_of[(circle, k)] = next_id
-                next_id += 1
-    edges = []
-    for circle in CHAIN_CIRCLES:
-        for k in range(n):
-            edges.append((node_of[(circle, k)], node_of[(circle, (k + 1) % n)], step))
-
-    def node(p: ChainPoint) -> int:
-        if p.is_vertex:
-            return vid[p.vertex]
-        k = int(round(p.theta * n)) % n
-        return node_of[(p.circle, k)]
-
-    queries = [(node(p), node(q)) for p, q in pairs]
-    return _dijkstra_lookup(next_id, edges, queries)
+    """Spine distances by Dijkstra on the twelve arcs of build_chain(), each
+    cut at any query point strictly inside it."""
+    arcs = build_chain().arcs
+    out = []
+    for p, q in pairs:
+        ends = (("p", p), ("q", q))
+        edges = []
+        for arc in arcs:
+            inner = sorted(
+                (x.theta, name)
+                for name, x in ends
+                if x.circle == arc.circle and arc.theta0 < x.theta < arc.theta1
+            )
+            edges += _cut_edges([(arc.theta0, arc.v_from), *inner, (arc.theta1, arc.v_to)])
+        out.append(_shortest(edges, p.vertex or "p", q.vertex or "q"))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +446,16 @@ def _suite_collision(rng: Random, n: int) -> tuple[bool, str]:
     worst_end = 0.0
     worst_sep = float("inf")
     worst_gap = 0.0
+    max_hops = 0
+    max_len = 0.0
 
     def make():
         start = random_config(rng)
         goal = random_config(rng)
-        return start, goal, plan(start, goal).path
+        p = plan(start, goal)
+        return start, goal, p.hop_count, p.chain_length, p.path
 
-    for i, (start, goal, path), sep, gap in _separation_gaps(n, make):
+    for i, (start, goal, hops, length, path), sep, gap in _separation_gaps(n, make):
         err = max(
             config_dist(path.config_at(0.0), start),
             config_dist(path.config_at(1.0), goal),
@@ -474,9 +468,17 @@ def _suite_collision(rng: Random, n: int) -> tuple[bool, str]:
                 f"pair {i}: start {_format_config(start)} goal {_format_config(goal)}"
                 f" endpoint err {err:.3e} min sep {sep:.3e} oracle gap {gap:.3e}"
             )
+        max_hops = max(max_hops, hops)
+        max_len = max(max_len, length)
+        if hops > 7 or length > 4.0:
+            return False, (
+                f"pair {i}: {_format_config(start)} -> {_format_config(goal)}"
+                f" hops {hops} length {length:.3f}"
+            )
     return True, (
         f"worst endpoint err {worst_end:.3e}, min separation {worst_sep:.3e},"
-        f" worst oracle gap {worst_gap:.3e}"
+        f" worst oracle gap {worst_gap:.3e}; max hops {max_hops} (bound 7),"
+        f" max chain length {max_len:.3f} (bound 4)"
     )
 
 
@@ -490,19 +492,21 @@ def _domain_flags(x: ChainPoint, y: ChainPoint) -> tuple[bool, bool, bool]:
     return u1, u2, u3
 
 
+def _random_chain_pair(rng: Random) -> tuple[ChainPoint, ChainPoint]:
+    """Spine pair: 60% interior, 15% vertex-rich, 25% antipodal."""
+    kind = rng.random()
+    if kind < 0.60:
+        return random_chain_point(rng), random_chain_point(rng)
+    if kind < 0.75:
+        return random_chain_point(rng, vertex_prob=0.5), random_chain_point(rng, vertex_prob=0.5)
+    x = random_chain_point(rng)
+    return x, chain_point(x.circle, (x.theta + 0.5) % 1.0)
+
+
 def _suite_partition(rng: Random, n: int) -> tuple[bool, str]:
     counts = {d: 0 for d in InstructionDomain}
     for i in range(n):
-        kind = rng.random()
-        if kind < 0.60:
-            x = random_chain_point(rng)
-            y = random_chain_point(rng)
-        elif kind < 0.75:
-            x = random_chain_point(rng, vertex_prob=0.5)
-            y = random_chain_point(rng, vertex_prob=0.5)
-        else:
-            x = random_chain_point(rng)
-            y = chain_point(x.circle, (x.theta + 0.5) % 1.0)
+        x, y = _random_chain_pair(rng)
         flags = _domain_flags(x, y)
         if sum(flags) != 1:
             return False, f"pair {i}: {_format_chain(x)},{_format_chain(y)} flags {flags}"
@@ -620,17 +624,18 @@ def _suite_continuity(rng: Random, n: int) -> tuple[bool, str]:
 
 
 def _suite_termination(rng: Random, n: int) -> tuple[bool, str]:
+    # Spine pairs, vertex and antipodal images included; the collision suite
+    # checks the same bounds on its random_config plans.
     max_hops = 0
     max_len = 0.0
     for i in range(n):
-        start = random_config(rng)
-        goal = random_config(rng)
-        p = plan(start, goal)
+        x, y = _random_chain_pair(rng)
+        p = plan(chain_to_config(x), chain_to_config(y))
         max_hops = max(max_hops, p.hop_count)
         max_len = max(max_len, p.chain_length)
         if p.hop_count > 7 or p.chain_length > 4.0:
             return False, (
-                f"pair {i}: {_format_config(start)} -> {_format_config(goal)}"
+                f"pair {i}: {_format_chain(x)} -> {_format_chain(y)}"
                 f" hops {p.hop_count} length {p.chain_length:.3f}"
             )
     for u in CHAIN_VERTICES:
@@ -659,41 +664,31 @@ def _suite_roundtrip(rng: Random, n: int) -> tuple[bool, str]:
         worst_round = max(worst_round, err)
         if err > 1e-12:
             return False, f"sample {i}: flat roundtrip drift {err:.3e}"
-    pairs_n = min(n, 1000)
-    gamma_pairs = [
-        (
-            circle_point(rng.choice(CIRCLES), rng.random()),
-            circle_point(rng.choice(CIRCLES), rng.random()),
-        )
-        for _ in range(pairs_n)
-    ]
-    oracle_vals = gamma_oracle(gamma_pairs)
-    tol = 2.0 / ORACLE_NODES
+    gamma_pairs = [(_random_position(rng), _random_position(rng)) for _ in range(n)]
     worst_gamma = 0.0
-    for (p, q), ov in zip(gamma_pairs, oracle_vals):
+    for (p, q), ov in zip(gamma_pairs, gamma_oracle(gamma_pairs)):
         diff = abs(dist_gamma(p, q) - ov)
         worst_gamma = max(worst_gamma, diff)
-        if diff > tol:
+        if diff > METRIC_TOL:
             return False, (
                 f"dist_gamma({p.circle}:{p.s:.6g},{q.circle}:{q.s:.6g})"
                 f" off oracle by {diff:.3e}"
             )
     chain_pairs = [
         (random_chain_point(rng, vertex_prob=0.1), random_chain_point(rng, vertex_prob=0.1))
-        for _ in range(pairs_n)
+        for _ in range(n)
     ]
-    oracle_vals = chain_oracle(chain_pairs)
     worst_chain = 0.0
-    for (p, q), ov in zip(chain_pairs, oracle_vals):
+    for (p, q), ov in zip(chain_pairs, chain_oracle(chain_pairs)):
         diff = abs(dist_chain(p, q) - ov)
         worst_chain = max(worst_chain, diff)
-        if diff > tol:
+        if diff > METRIC_TOL:
             return False, (
                 f"dist_chain({_format_chain(p)},{_format_chain(q)}) off oracle by {diff:.3e}"
             )
     return True, (
         f"roundtrip drift {worst_round:.1e}, gamma oracle gap {worst_gamma:.1e},"
-        f" chain oracle gap {worst_chain:.1e} (tol {tol:.0e})"
+        f" chain oracle gap {worst_chain:.1e} (tol {METRIC_TOL:.0e})"
     )
 
 

@@ -27,6 +27,8 @@ from fig8plan.spine import (
     vertex_point,
 )
 from fig8plan.verify import (
+    METRIC_TOL,
+    _random_position,
     chain_oracle,
     continuity_probe,
     gamma_oracle,
@@ -160,27 +162,18 @@ def test_hop_and_length_bounds(plan_batch):
             assert p.chain_length <= 4.0
 
 
-def test_metrics_match_discretized_oracles():
-    from fig8plan.geometry import circle_point
-
+def test_metrics_match_exact_oracles():
     rng = Random(61)
-    tol = 2e-3  # two grid steps at a thousand nodes per circle
-    gamma_pairs = [
-        (
-            circle_point(rng.choice("AB"), rng.random()),
-            circle_point(rng.choice("AB"), rng.random()),
-        )
-        for _ in range(1000)
-    ]
-    for (p, q), oracle in zip(gamma_pairs, gamma_oracle(gamma_pairs)):
-        assert abs(dist_gamma(p, q) - oracle) <= tol
+    gamma_pairs = [(_random_position(rng), _random_position(rng)) for _ in range(5000)]
+    for (p, q), oracle in zip(gamma_pairs, gamma_oracle(gamma_pairs), strict=True):
+        assert abs(dist_gamma(p, q) - oracle) <= METRIC_TOL
 
     chain_pairs = [
         (random_chain_point(rng, vertex_prob=0.1), random_chain_point(rng, vertex_prob=0.1))
-        for _ in range(1000)
+        for _ in range(5000)
     ]
-    for (p, q), oracle in zip(chain_pairs, chain_oracle(chain_pairs)):
-        assert abs(dist_chain(p, q) - oracle) <= tol
+    for (p, q), oracle in zip(chain_pairs, chain_oracle(chain_pairs), strict=True):
+        assert abs(dist_chain(p, q) - oracle) <= METRIC_TOL
 
 
 def test_scenario_smoke():

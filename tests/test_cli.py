@@ -77,8 +77,10 @@ def test_plan_identical_endpoints(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["hops"] == 0
-    assert len(doc["waypoints"]) == 2
-    assert doc["waypoints"][0]["r1"] == doc["waypoints"][1]["r1"]
+    # off the spine, so out to its image (V1 at theta 0.75) and back
+    first, *middle, last = [(w["r1"], w["r2"]) for w in doc["waypoints"]]
+    assert first == last == ({"circle": "A", "s": 0.2}, {"circle": "B", "s": 0.9})
+    assert ({"circle": "A", "s": 0.5}, {"circle": "B", "s": 0.75}) in middle
 
 
 def test_exit_code_collision(capsys):
@@ -138,10 +140,11 @@ def test_near_collision_json_keeps_robots_apart(capsys):
     assert waypoints[0]["r2"]["s"] == 0.3000000000000001
 
 
-def _loaded_after_import(module, names):
+def _loaded_after(statement, names):
+    """Which of names a fresh interpreter holds in sys.modules after statement."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
-        f"import sys, {module}; "
+        f"import sys; {statement}; "
         f"print(' '.join(m for m in {names!r} if m in sys.modules))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -156,12 +159,21 @@ def test_cold_import_leaves_suites_unloaded():
     # plan, render and their imports need neither the suites nor dataclasses
     # (whose import pulls in inspect, ast and dis) nor numpy and scipy.
     names = ("fig8plan.verify", "dataclasses", "numpy", "scipy")
-    assert _loaded_after_import("fig8plan.cli", names) == []
+    assert _loaded_after("import fig8plan.cli", names) == []
 
 
 def test_suites_import_leaves_numpy_unloaded():
-    # tc imports the suites; their oracles load numpy and scipy only when run
-    assert _loaded_after_import("fig8plan.verify", ("numpy", "scipy")) == []
+    # tc imports the suites; the separation oracle loads numpy only when run
+    assert _loaded_after("import fig8plan.verify", ("numpy", "scipy")) == []
+
+
+def test_roundtrip_suite_runs_on_the_standard_library():
+    # the distance oracles are heapq Dijkstra on spliced graphs
+    statement = (
+        "from fig8plan.verify import run_suite; "
+        "assert run_suite('roundtrip', n=20).passed"
+    )
+    assert _loaded_after(statement, ("numpy", "scipy")) == []
 
 
 def test_verify_passing_suite(capsys):

@@ -1,5 +1,7 @@
 """Domain classification, the spine walk, and assembled plans."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,10 +12,12 @@ from fig8plan.geometry import (
     PathSegment,
     PhysPath,
     config_dist,
+    config_to_flat,
     configuration,
     flat_to_config,
     parse_position,
     path_min_separation,
+    path_sup_distance,
 )
 from fig8plan.planner import (
     InstructionDomain,
@@ -23,6 +27,7 @@ from fig8plan.planner import (
     plan_to_json,
     validate_plan,
 )
+from fig8plan.retraction import retract
 from fig8plan.spine import (
     CHAIN_VERTICES,
     VERTEX_CANONICAL,
@@ -31,6 +36,7 @@ from fig8plan.spine import (
     chain_point,
     chain_to_config,
     make_steps,
+    on_spine,
     vertex_point,
 )
 
@@ -166,14 +172,57 @@ def test_plan_identity_on_spine():
     validate_plan(p)
 
 
-def test_plan_identity_off_spine_is_constant():
+def test_plan_identity_off_spine_round_trips():
+    # x -> r(x) -> x, the limit of plan(x, y) as y -> x in the same domain
     c = configuration("A", 0.1, "A", 0.3)
     p = plan(c, c)
     assert p.hop_count == 0
-    assert len(p.path.waypoints) == 2
-    assert config_dist(p.path.config_at(0.37), c) == 0.0
+    assert p.path.config_at(0.0) == c
+    assert p.path.config_at(1.0) == c
     assert p.spine_interval == (0.5, 0.5)
+    assert p.path.config_at(0.5) == chain_to_config(retract(c).point)
     validate_plan(p)
+
+
+def _diagonal_ladder(x, nudge):
+    """Exact sup distance between plan(x, x) and plan(x, nudge(delta)) for
+    delta = 1e-3, 1e-6, 1e-9, each nearby plan in the diagonal's domain."""
+    base = plan(x, x)
+    rows = []
+    for delta in (1e-3, 1e-6, 1e-9):
+        nearby = plan(x, nudge(delta))
+        assert nearby.domain is base.domain
+        rows.append(path_sup_distance(base.path, nearby.path))
+    return base.domain, rows
+
+
+def test_plan_is_continuous_on_the_off_spine_diagonal():
+    # The diagonal meets U1 (an interior image) and U3 (a vertex image); an
+    # interior point is never antipodal to itself, so it does not meet U2.
+    rng = Random(47)
+    ladders = []
+    while len(ladders) < 100:
+        c1, c2 = rng.choice("AB"), rng.choice("AB")
+        s1, s2 = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)
+        x = configuration(c1, s1, c2, s2)
+        if not on_spine(config_to_flat(x)):
+            ladders.append(_diagonal_ladder(x, lambda d: configuration(c1, s1 + d, c2, s2)))
+    for _ in range(20):
+        # off-spine rays onto the vertices C1 (mixed-square diagonals) and HB
+        s = rng.uniform(0.05, 0.4)
+        for s2, sign in ((s, 1.0), (1.0 - s, -1.0)):
+            ladders.append(
+                _diagonal_ladder(
+                    configuration("A", s, "B", s2),
+                    lambda d: configuration("A", s + d, "B", s2 + sign * d),
+                )
+            )
+        x = configuration("A", 0.0, "B", s)
+        ladders.append(_diagonal_ladder(x, lambda d: configuration("A", 0.0, "B", s + d)))
+    assert {domain for domain, _ in ladders} == {U1, U3}
+    for domain, rows in ladders:
+        assert rows[0] > rows[1] > rows[2], (domain, rows)
+        assert rows[2] <= 1e-6, (domain, rows)
 
 
 def test_plan_same_image_distinct_inputs():

@@ -142,28 +142,44 @@ def test_continuity_probe_u1_ladder_shrinks():
     assert values[1] < 0.05
 
 
-def test_gamma_oracle_on_grid_points():
-    pairs = [
-        (circle_point("A", 0.1), circle_point("A", 0.35)),
-        (circle_point("A", 0.2), circle_point("B", 0.3)),
-        (circle_point("B", 0.9), circle_point("A", 0.9)),
-        (circle_point("A", 0.0), circle_point("B", 0.5)),
+# Dyadic inputs, so every path length is exact and the oracles must hit the
+# expected distance, and the metric, to the bit.
+def test_gamma_oracle_exact_cases():
+    cases = [
+        (("A", 0.0), ("A", 0.0), 0.0),  # center to itself
+        (("A", 0.0), ("A", 0.5), 0.5),  # center to pole A
+        (("A", 0.0), ("B", 0.5), 0.5),  # center to pole B
+        (("A", 0.5), ("B", 0.5), 1.0),  # pole to pole, through the center
+        (("A", 0.25), ("A", 0.75), 0.5),  # antipodal pair on one circle
+        (("A", 0.125), ("A", 0.375), 0.25),
+        (("A", 0.125), ("A", 0.875), 0.25),  # the short way crosses the center
+        (("B", 0.625), ("A", 0.0625), 0.4375),
     ]
-    got = gamma_oracle(pairs)
-    # grid-aligned inputs, so the oracle is exact up to float noise
-    assert got == pytest.approx([0.25, 0.5, 0.2, 0.5], abs=1e-9)
+    pairs = [(circle_point(*p), circle_point(*q)) for p, q, _ in cases]
+    expected = [d for _, _, d in cases]
+    assert gamma_oracle(pairs) == expected
+    assert [dist_gamma(p, q) for p, q in pairs] == expected
 
 
-def test_chain_oracle_on_grid_points():
-    pairs = [
-        (chain_point("R", 0.25), chain_point("Bc", 0.25)),
-        (vertex_point("C1"), vertex_point("C2")),
-        (chain_point("H1", 0.25), chain_point("H1", 0.75)),
+def test_chain_oracle_exact_cases():
+    cases = [
+        ("HA", "HA", 0.0),
+        ("HA", "VA", 0.5),
+        ("C1", "C2", 1.5),  # opposite vertices of the collapsed 6-cycle
+        (("R", 0.25), ("Bc", 0.25), 1.5),
+        (("H1", 0.25), ("H1", 0.75), 0.5),  # antipodal pair
+        (("H1", 0.125), ("H1", 0.375), 0.25),
+        ("C1", ("V1", 0.375), 0.125),  # vertex to a circle it lies on
+        ("HB", ("V2", 0.625), 0.875),  # through VB; through C2 is 1.125
     ]
-    got = chain_oracle(pairs)
-    assert got == pytest.approx([1.5, 1.5, 0.5], abs=1e-9)
-    for (p, q), val in zip(pairs, got):
-        assert dist_chain(p, q) == pytest.approx(val, abs=2e-3)
+
+    def point(x):
+        return vertex_point(x) if isinstance(x, str) else chain_point(*x)
+
+    pairs = [(point(p), point(q)) for p, q, _ in cases]
+    expected = [d for _, _, d in cases]
+    assert chain_oracle(pairs) == expected
+    assert [dist_chain(p, q) for p, q in pairs] == expected
 
 
 def test_random_config_reaches_near_coincident_pairs():
@@ -279,13 +295,15 @@ def test_batched_oracle_inputs():
 
 
 # n = 600 crosses the block boundaries at 256 and 512; the witnesses are the
-# ones the per-pair loop reported before the suites sampled in blocks.
+# ones the per-pair loop reported before the suites sampled in blocks (the
+# collision suite's since extended by the hop and chain-length bounds).
 @pytest.mark.parametrize(
     "suite, witness",
     [
         (
             "collision",
-            "worst endpoint err 1.000e-12, min separation 9.998e-14, worst oracle gap 5.551e-17",
+            "worst endpoint err 1.000e-12, min separation 9.998e-14, worst oracle gap 5.551e-17;"
+            " max hops 7 (bound 7), max chain length 3.446 (bound 4)",
         ),
         (
             "retraction",
