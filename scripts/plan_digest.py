@@ -1,13 +1,21 @@
-"""Check that plan JSON is byte-stable on the benchmark's request streams.
+"""Check that plans are byte- and field-stable on the benchmark's request streams.
 
 Usage: python scripts/plan_digest.py
 
 For the first 20 000 requests of each of perfbench/gen.py's uniform_pairs(7),
-cli_pairs(7) and boundary_pairs(7), the script writes
-json.dumps(plan_to_json(plan(start, goal))), one line per request, into a
-sha256 digest, prints each stream's digest and exits 1 unless every digest
-equals the frozen one below.  A change that must alter plan output on
-purpose updates these values in the same change and says why.
+cli_pairs(7) and boundary_pairs(7), the script feeds two sha256 digests per
+stream:
+
+* json:   json.dumps(plan_to_json(plan(start, goal))), one line per request;
+* fields: the repr of the Plan fields the JSON does not show in full
+  (domain, hop_count, steps, path.segments, spine_interval, trace_in and
+  trace_out), one line per request.  repr writes every float exactly, so
+  this digest also sees a change in the last bit of a value, such as
+  spine_interval, that the 12-digit JSON rounds away.
+
+It prints each digest and exits 1 unless every one equals the frozen value
+below.  A change that must alter plans on purpose updates these values in
+the same change and says why.
 """
 
 import hashlib
@@ -26,28 +34,35 @@ from fig8plan.planner import plan, plan_to_json  # noqa: E402
 SEED = 7
 REQUESTS = 20_000
 DIGESTS = {
-    "uniform": "988cc6656e61d09b935e017c5a4834e8e5b9a4221bcf1b1e0b6fddc90c0a428c",
-    "cli": "bb05002ae58c66bc40abc21cf23c91fbc24d7bd16b016a361eb1c578df3a749e",
-    "boundary": "ee71fb21e1e53dc2a47a3a6ba1766d8a8c038c66823a9071c8a5ad7cdb56170f",
+    ("uniform", "json"): "988cc6656e61d09b935e017c5a4834e8e5b9a4221bcf1b1e0b6fddc90c0a428c",
+    ("cli", "json"): "bb05002ae58c66bc40abc21cf23c91fbc24d7bd16b016a361eb1c578df3a749e",
+    ("boundary", "json"): "ee71fb21e1e53dc2a47a3a6ba1766d8a8c038c66823a9071c8a5ad7cdb56170f",
+    ("uniform", "fields"): "647cbd894cc0a18080656ff303621ebb5e17a555a5fc66e66ba79ecf596e1353",
+    ("cli", "fields"): "faedde5f21e4f1784949c9ed1208ec3c9c4b376dc13ffe4ad45831da032b6f2a",
+    ("boundary", "fields"): "64465c74073f38629864e6bd8f4b385b65940a826df321e66e3d1feb094ffde2",
 }
 STREAMS = {"uniform": gen.uniform_pairs, "cli": gen.cli_pairs, "boundary": gen.boundary_pairs}
 
 
-def stream_digest(pairs) -> str:
-    h = hashlib.sha256()
+def stream_digests(pairs) -> dict[str, str]:
+    text, fields = hashlib.sha256(), hashlib.sha256()
     for _, ((s1, s2), (g1, g2)) in zip(range(REQUESTS), pairs):
         p = plan(configuration(*s1, *s2), configuration(*g1, *g2))
-        h.update(json.dumps(plan_to_json(p)).encode() + b"\n")
-    return h.hexdigest()
+        text.update(json.dumps(plan_to_json(p)).encode() + b"\n")
+        record = (p.domain, p.hop_count, p.steps, p.path.segments, p.spine_interval,
+                  p.trace_in, p.trace_out)
+        fields.update(repr(record).encode() + b"\n")
+    return {"json": text.hexdigest(), "fields": fields.hexdigest()}
 
 
 def main() -> int:
     failures = 0
     for name, stream in STREAMS.items():
-        digest = stream_digest(stream(SEED))
-        ok = digest == DIGESTS[name]
-        print(f"{name:9} {digest} {'ok' if ok else 'CHANGED, expected ' + DIGESTS[name]}")
-        failures += not ok
+        for kind, digest in stream_digests(stream(SEED)).items():
+            expected = DIGESTS[name, kind]
+            ok = digest == expected
+            print(f"{name:9} {kind:6} {digest} {'ok' if ok else 'CHANGED, expected ' + expected}")
+            failures += not ok
     return 1 if failures else 0
 
 

@@ -16,9 +16,10 @@ with coordinate 0 in a mixed square, assigning the center robot the letter
 opposite the other robot's circle.
 
 Trajectories are piecewise linear: between consecutive waypoints each robot
-stays on one circle and its arc coordinate is affine in time.  Builders split
-segments wherever a robot crosses the center or a pole, so every segment lives
-in a single square chart.
+stays on one circle and its arc coordinate is affine in time.  Chart values
+lie in [0, 1], so the center (0 or 1) can only be a segment's end; builders
+split segments only at the pole, where a robot crosses 1/2, and every
+segment lives in a single square chart.
 
 Two constants bound the admissible inputs (README, "Admissible inputs"):
 EPS is the spine snap (spine.chain_point) and the endpoint and junction
@@ -104,9 +105,10 @@ class Configuration(namedtuple("Configuration", "p1 p2")):
     __slots__ = ()
 
     def __new__(cls, p1: CirclePoint, p2: CirclePoint):
-        for p in (p1, p2):
-            if p.s == 0.0 and p.circle != "A":
-                raise DomainError(f"non-canonical center position {p!r}")
+        if p1.s == 0.0 and p1.circle != "A":
+            raise DomainError(f"non-canonical center position {p1!r}")
+        if p2.s == 0.0 and p2.circle != "A":
+            raise DomainError(f"non-canonical center position {p2!r}")
         if p1 == p2:
             raise CollisionError(f"robots coincide at {p1!r}")
         return tuple.__new__(cls, (p1, p2))
@@ -155,9 +157,10 @@ class FlatCoord(namedtuple("FlatCoord", "square a b")):
             raise DomainError(f"unknown square {square!r}")
         if not (0.0 <= a < 1.0 and 0.0 <= b < 1.0):
             raise DomainError(f"coordinates ({a!r}, {b!r}) outside canonical range [0, 1)")
-        for v in (a, b):
-            if 0.0 < v < SNAP_EPS or 1.0 - v < SNAP_EPS:
-                raise DomainError(f"coordinate {v!r} reads as the center (circle_point)")
+        if 0.0 < a < SNAP_EPS or 1.0 - a < SNAP_EPS:
+            raise DomainError(f"coordinate {a!r} reads as the center (circle_point)")
+        if 0.0 < b < SNAP_EPS or 1.0 - b < SNAP_EPS:
+            raise DomainError(f"coordinate {b!r} reads as the center (circle_point)")
         if square in SAME_CIRCLE_SQUARES:
             if a == 0.0 or b == 0.0:
                 raise DomainError("center states belong to mixed squares, not " + square)
@@ -228,21 +231,31 @@ class PathSegment(namedtuple("PathSegment", "t0 t1 circle1 a0 a1 circle2 b0 b1")
     def __new__(cls, t0, t1, circle1, a0, a1, circle2, b0, b1):
         if not t1 > t0:
             raise ContractError("segment times must strictly increase")
-        for circle, lo, hi in ((circle1, a0, a1), (circle2, b0, b1)):
-            if circle not in CIRCLES:
-                raise DomainError(f"unknown circle {circle!r}")
-            for v in (lo, hi):
-                if not (0.0 <= v <= 1.0):
-                    raise DomainError(f"chart value {v!r} outside [0, 1]")
-            if min(lo, hi) < 0.5 < max(lo, hi):
-                raise ContractError("segment interior crosses arc value 0.5; split required")
+        if circle1 not in CIRCLES:
+            raise DomainError(f"unknown circle {circle1!r}")
+        if not 0.0 <= a0 <= 1.0:
+            raise DomainError(f"chart value {a0!r} outside [0, 1]")
+        if not 0.0 <= a1 <= 1.0:
+            raise DomainError(f"chart value {a1!r} outside [0, 1]")
+        if a0 < 0.5 < a1 or a1 < 0.5 < a0:
+            raise ContractError("segment interior crosses arc value 0.5; split required")
+        if circle2 not in CIRCLES:
+            raise DomainError(f"unknown circle {circle2!r}")
+        if not 0.0 <= b0 <= 1.0:
+            raise DomainError(f"chart value {b0!r} outside [0, 1]")
+        if not 0.0 <= b1 <= 1.0:
+            raise DomainError(f"chart value {b1!r} outside [0, 1]")
+        if b0 < 0.5 < b1 or b1 < 0.5 < b0:
+            raise ContractError("segment interior crosses arc value 0.5; split required")
         # Cross-circle collisions need both robots at the center, which the
         # no-interior-crossing rule confines to segment endpoints; endpoint
-        # configurations are validated separately.
+        # configurations are validated separately.  On one circle the robots
+        # meet where d = a - b passes -1, 0 or 1; while d stays strictly
+        # inside (-1, 0) or (0, 1) at both ends, no such u lies in (0, 1).
         if circle1 == circle2:
             d0 = a0 - b0
             d1 = a1 - b1
-            if d0 != d1:
+            if d0 != d1 and not (0.0 < d0 < 1.0 and 0.0 < d1 < 1.0 or -1.0 < d0 < 0.0 and -1.0 < d1 < 0.0):
                 for target in (-1.0, 0.0, 1.0):
                     u = (target - d0) / (d1 - d0)
                     if SNAP_EPS < u < 1.0 - SNAP_EPS:
@@ -268,23 +281,24 @@ class PhysPath(namedtuple("PhysPath", "segments waypoints")):
     def __new__(cls, segments):
         if not segments:
             raise DomainError("a trajectory needs at least one segment")
-        if segments[0].t0 != 0.0 or segments[-1].t1 != 1.0:
+        first = segments[0]
+        if first.t0 != 0.0 or segments[-1].t1 != 1.0:
             raise ContractError("trajectory must span t in [0, 1]")
-        for prev, seg in zip(segments, segments[1:]):
-            if seg.t0 != prev.t1:
+        # the previous segment's end: time, then circle and chart value per robot
+        _, pt, pc1, _, pa, pc2, _, pb = first
+        for t, t1, c1, a, a1, c2, b, b1 in segments[1:]:
+            if t != pt:
                 raise ContractError("trajectory segments must be contiguous in t")
             # a junction at one chart point is validated as prev's end below; at
             # any other, the start side is checked on chart values (config_dist's metric)
-            c1, a, c2, b = seg.circle1, seg.a0, seg.circle2, seg.b0
-            if (c1, a, c2, b) != (prev.circle1, prev.a1, prev.circle2, prev.b1):
+            if a != pa or b != pb or c1 != pc1 or c2 != pc2:
                 if (c1 == c2 and a == b) or (reads_as_center(a) and reads_as_center(b)):
-                    raise CollisionError(f"robots coincide at t={seg.t0}")
-                if max(_chart_dist(c1 == prev.circle1, a, prev.a1),
-                       _chart_dist(c2 == prev.circle2, b, prev.b1)) > EPS:
+                    raise CollisionError(f"robots coincide at t={t}")
+                if max(_chart_dist(c1 == pc1, a, pa), _chart_dist(c2 == pc2, b, pb)) > EPS:
                     raise ContractError("trajectory waypoints disagree across a junction")
-        first = segments[0]
+            pt, pc1, pa, pc2, pb = t1, c1, a1, c2, b1
         pts = [(0.0, configuration(first.circle1, first.a0, first.circle2, first.b0))]
-        pts += [(seg.t1, configuration(seg.circle1, seg.a1, seg.circle2, seg.b1)) for seg in segments]
+        pts += [(t1, configuration(c1, a1, c2, b1)) for _, t1, c1, _, a1, c2, _, b1 in segments]
         return tuple.__new__(cls, (segments, tuple(pts)))
 
     def __getnewargs__(self):
@@ -333,33 +347,48 @@ def path_from_legs(legs: list[ChartLeg]) -> PhysPath:
     increase strictly, and the dropped motion stays far below EPS.  A
     stationary input yields a constant trajectory.
     """
-    pieces = []  # (circle1, a0, a1, circle2, b0, b1, sweep)
+    pieces, sweeps = [], []  # (circle1, a0, a1, circle2, b0, b1) and its sweep
     for leg in legs:
-        c1, a0, a1, c2, b0, b1 = leg.circle1, leg.a0, leg.a1, leg.circle2, leg.b0, leg.b1
-        ua = (0.5 - a0) / (a1 - a0) if min(a0, a1) < 0.5 < max(a0, a1) else None
-        ub = (0.5 - b0) / (b1 - b0) if min(b0, b1) < 0.5 < max(b0, b1) else None
-        points = [(a0, b0)]
-        for u in sorted({ua, ub} - {None}):
-            points.append((0.5 if u == ua else a0 + u * (a1 - a0), 0.5 if u == ub else b0 + u * (b1 - b0)))
-        points.append((a1, b1))
-        for (x0, y0), (x1, y1) in zip(points, points[1:]):
-            pieces.append((c1, x0, x1, c2, y0, y1, max(abs(x1 - x0), abs(y1 - y0))))
-    floor = SNAP_EPS * sum(piece[6] for piece in pieces)
-    kept = [piece for piece in pieces if piece[6] > floor]
-    if not kept:
-        if not legs:
-            raise DomainError("cannot build a trajectory from no legs")
-        first = legs[0]
-        return constant_path(configuration(first.circle1, first.a0, first.circle2, first.b0))
-    total = sum(piece[6] for piece in kept)
+        c1, a0, a1, c2, b0, b1 = leg
+        if a0 < 0.5 < a1 or a1 < 0.5 < a0 or b0 < 0.5 < b1 or b1 < 0.5 < b0:
+            _cut_at_pole(pieces, sweeps, c1, a0, a1, c2, b0, b1)
+        else:
+            pieces.append(leg)
+            sweeps.append(max(abs(a1 - a0), abs(b1 - b0)))
+    total = sum(sweeps)
+    floor = SNAP_EPS * total
+    if not (sweeps and min(sweeps) > floor):  # some piece drops, or NaN made floor NaN
+        kept = [k for k, sweep in enumerate(sweeps) if sweep > floor]
+        if not kept:
+            if not legs:
+                raise DomainError("cannot build a trajectory from no legs")
+            first = legs[0]
+            return constant_path(configuration(first.circle1, first.a0, first.circle2, first.b0))
+        pieces = [pieces[k] for k in kept]
+        sweeps = [sweeps[k] for k in kept]
+        total = sum(sweeps)
     segments = []
-    acc = 0.0
-    for i, (c1, a0, a1, c2, b0, b1, sweep) in enumerate(kept):
-        t0 = acc / total
-        acc += sweep
-        t1 = 1.0 if i == len(kept) - 1 else acc / total
+    acc = t1 = 0.0
+    last = len(pieces) - 1
+    for k, (c1, a0, a1, c2, b0, b1) in enumerate(pieces):
+        t0 = t1
+        acc += sweeps[k]
+        t1 = 1.0 if k == last else acc / total
         segments.append(PathSegment(t0, t1, c1, a0, a1, c2, b0, b1))
     return PhysPath(tuple(segments))
+
+
+def _cut_at_pole(pieces: list, sweeps: list, c1, a0, a1, c2, b0, b1) -> None:
+    """Append the pieces and sweeps of a leg cut where a coordinate crosses the pole."""
+    ua = (0.5 - a0) / (a1 - a0) if min(a0, a1) < 0.5 < max(a0, a1) else None
+    ub = (0.5 - b0) / (b1 - b0) if min(b0, b1) < 0.5 < max(b0, b1) else None
+    points = [(a0, b0)]
+    for u in sorted({ua, ub} - {None}):
+        points.append((0.5 if u == ua else a0 + u * (a1 - a0), 0.5 if u == ub else b0 + u * (b1 - b0)))
+    points.append((a1, b1))
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        pieces.append((c1, x0, x1, c2, y0, y1))
+        sweeps.append(max(abs(x1 - x0), abs(y1 - y0)))
 
 
 def constant_path(c: Configuration) -> PhysPath:

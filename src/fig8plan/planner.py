@@ -11,24 +11,33 @@ spine:
   2  one image a vertex, or the images an antipodal interior pair,
   3  both images vertices.
 
-The walk hops positively to the next vertex until the goal's circle comes
-up, then rides the shortest arc to the goal.  Instruction 1 leaves a
-half-turn tie to the shortest-arc rule; instructions 2 and 3 break it
-positively, which keeps instruction 2 stable under perturbation of an
-antipodal pair.  Instruction 3 is the walk restricted to vertex pairs: every
-hop, the last included, is a positive half-turn along the current vertex's
-canonical circle, so it follows the positive successor cycle through the
-vertices.  Every walk terminates within seven arc moves.
+Every vertex-to-vertex hop of the walk is the positive half-turn along the
+current vertex's designated circle, so it follows the successor ring
+
+    C1 -H1-> HB -Bc-> VB -V2-> C2 -H2-> HA -R-> VA -V1-> C1
+
+and a walk has at most three parts.  When the goal lies on the start's
+circle, it is the final arc alone.  Otherwise it is a positive partial hop
+to the next vertex (none from a vertex), then a slice of the ring that stops
+one vertex before a goal vertex, or at the vertex whose designated circle
+holds an interior goal, then the final arc along that circle.  The final
+arc is the shortest arc to the goal; instruction 1 leaves a half-turn tie to
+the shortest-arc rule, and instructions 2 and 3 break it positively, which
+keeps instruction 2 stable under perturbation of an antipodal pair.  A walk
+makes at most seven arc moves: a partial hop, five ring hops and a final
+arc.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import namedtuple
 
 from .errors import ContractError
 from .geometry import (
     EPS,
+    SNAP_EPS,
     ChartLeg,
     Configuration,
     config_dist,
@@ -39,10 +48,11 @@ from .geometry import (
 )
 from .retraction import retract
 from .spine import (
+    CIRCLE_VERTICES,
+    VERTEX_CANONICAL,
     ChainPoint,
     ChainStep,
     arc_dist,
-    chain_point,
     chart_on_spine,
     is_antipodal,
     make_steps,
@@ -67,40 +77,63 @@ def classify_domain(x: ChainPoint, y: ChainPoint) -> InstructionDomain:
     return InstructionDomain.U1
 
 
-def _walk(start: ChainPoint, goal: ChainPoint, positive_ties: bool) -> list[list[ChainStep]]:
-    """The spine walk of all three instructions.
+def _successor_ring() -> tuple[ChainStep, ...]:
+    """The designated half-turn of each vertex in successor order, from C1."""
+    ring, vertex = [], "C1"
+    for _ in VERTEX_CANONICAL:
+        circle, theta = VERTEX_CANONICAL[vertex]
+        ring.append(ChainStep(circle, theta, theta + 0.5, 1))
+        vertex = CIRCLE_VERTICES[circle][theta == 0.0]
+    return tuple(ring)
 
-    Each entry of the result is one arc move.  The positive_ties flag forces
-    half-turn final arcs to run positively instead of leaving the choice to
-    the shortest-arc tie break.
-    """
-    cur = start
-    moves: list[list[ChainStep]] = []
-    for _ in range(8):
-        if cur == goal:
-            return moves
-        circle = cur.circle
-        goal_theta = theta_on(circle, goal)
-        if goal_theta is not None:
-            if positive_ties and abs(arc_dist(cur.theta, goal_theta) - 0.5) <= EPS:
-                direction = 1
-            else:
-                direction, _ = shortest_arc(cur.theta, goal_theta)
-            steps = make_steps(circle, cur.theta, goal_theta, direction)
-            if steps:
-                moves.append(steps)
-            return moves
-        target = 0.5 if cur.theta < 0.5 else 0.0
-        steps = make_steps(circle, cur.theta, target, 1)
-        if steps:
-            moves.append(steps)
-        cur = chain_point(circle, target)
-    raise ContractError("spine walk exceeded its hop budget")
+
+_RING = _successor_ring()
+# Ring index of the vertex each circle is designated to; a vertex is stored
+# on its designated circle, so this is also the ring index of a vertex point.
+_RING_AT = {step.circle: i for i, step in enumerate(_RING)}
+
+
+def _final_arc(circle: str, theta: float, goal_theta: float, positive_ties: bool) -> list[list[ChainStep]]:
+    """The arc move from theta to goal_theta on one circle; none for a move
+    of at most SNAP_EPS."""
+    if positive_ties and abs(arc_dist(theta, goal_theta) - 0.5) <= EPS:
+        direction = 1
+    else:
+        direction, _ = shortest_arc(theta, goal_theta)
+    steps = make_steps(circle, theta, goal_theta, direction)
+    return [steps] if steps else []
 
 
 def plan_steps(start: ChainPoint, goal: ChainPoint) -> tuple[InstructionDomain, list[list[ChainStep]]]:
+    """Classify a pair of spine points and walk from start to goal.
+
+    Each entry of the walk is one arc move, a list of ChainSteps.
+    """
     domain = classify_domain(start, goal)
-    return domain, _walk(start, goal, positive_ties=domain is not InstructionDomain.U1)
+    if start == goal:
+        return domain, []
+    positive_ties = domain is not InstructionDomain.U1
+    circle, theta = start
+    i = _RING_AT[circle]
+    moves: list[list[ChainStep]] = []
+    if theta != _RING[i].t_from:  # an interior start
+        goal_theta = theta_on(circle, goal)
+        if goal_theta is not None:
+            return domain, _final_arc(circle, theta, goal_theta, positive_ties)
+        # the hop ends at the designated vertex unless theta lies on the
+        # designated half arc, which leads on to the next vertex
+        target = 0.5 if theta < 0.5 else 0.0
+        if arc_dist(theta, target) > SNAP_EPS:
+            moves.append([ChainStep(circle, theta, target or 1.0, 1)])
+        if target != _RING[i].t_from:
+            i += 1
+    goal_circle, goal_theta = goal
+    j = _RING_AT[goal_circle]
+    n = len(_RING)
+    moves += [[_RING[k % n]] for k in range(i, i + (j - i) % n)]
+    if goal_theta != _RING[j].t_from:  # an interior goal
+        moves += _final_arc(goal_circle, _RING[j].t_from, goal_theta, positive_ties)
+    return domain, moves
 
 
 class Plan(
@@ -136,19 +169,15 @@ def plan(start: Configuration, goal: Configuration) -> Plan:
     r_in = retract(start)
     r_out = retract(goal)
     domain, moves = plan_steps(r_in.point, r_out.point)
-    steps = tuple(s for move in moves for s in move)
+    steps = tuple(itertools.chain.from_iterable(moves))
 
     # A retraction leg of zero sweep (an endpoint already on the spine, not
     # snapped onto a vertex) adds no motion; the goal's leg is played backwards.
     sw_in, sw_out = r_in.leg.sweep, r_out.leg.sweep
     legs_in = (r_in.leg,) if sw_in > 0.0 else ()
-    legs_spine = steps_to_legs(list(steps))
-    back = r_out.leg
-    legs_out = (
-        (ChartLeg(back.circle1, back.a1, back.a0, back.circle2, back.b1, back.b0),)
-        if sw_out > 0.0
-        else ()
-    )
+    legs_spine = steps_to_legs(steps)
+    c1, a0, a1, c2, b0, b1 = r_out.leg
+    legs_out = (ChartLeg(c1, a1, a0, c2, b1, b0),) if sw_out > 0.0 else ()
     legs = [*legs_in, *legs_spine, *legs_out]
     if legs:
         path = path_from_legs(legs)
@@ -187,19 +216,16 @@ def plan_to_json(p: Plan) -> dict:
     JSON never shows distinct robots at one place.
     """
 
-    def rnd(x: float) -> float:
-        return float(f"{x:.12g}")
-
     waypoints = []
-    for t, c in p.path.waypoints:
-        s1, s2 = rnd(c.p1.s), rnd(c.p2.s)
-        if s1 == s2 and c.p1.circle == c.p2.circle:
-            s1, s2 = c.p1.s, c.p2.s
+    for t, ((c1, s1), (c2, s2)) in p.path.waypoints:
+        w1, w2 = float(f"{s1:.12g}"), float(f"{s2:.12g}")
+        if w1 == w2 and c1 == c2:
+            w1, w2 = s1, s2
         waypoints.append(
             {
-                "t": rnd(t),
-                "r1": {"circle": c.p1.circle, "s": s1},
-                "r2": {"circle": c.p2.circle, "s": s2},
+                "t": float(f"{t:.12g}"),
+                "r1": {"circle": c1, "s": w1},
+                "r2": {"circle": c2, "s": w2},
             }
         )
     return {"instruction": p.instruction, "hops": p.hop_count, "waypoints": waypoints}
@@ -227,18 +253,13 @@ def validate_plan(p: Plan) -> None:
         raise ContractError(f"plan separation dropped to {sep}")
     t0, t1 = p.spine_interval
     if t1 > t0:
-        for seg in p.path.segments:
-            tm = 0.5 * (seg.t0 + seg.t1)
+        for s0, s1, c1, a0, a1, c2, b0, b1 in p.path.segments:
+            tm = 0.5 * (s0 + s1)
             if not t0 <= tm <= t1:
                 continue
-            square = seg.circle1 + seg.circle2
-            for t, a, b in (
-                (seg.t0, seg.a0, seg.b0),
-                (tm, 0.5 * (seg.a0 + seg.a1), 0.5 * (seg.b0 + seg.b1)),
-                (seg.t1, seg.a1, seg.b1),
-            ):
-                if not chart_on_spine(square[0] == square[1], a, b):
-                    raise ContractError(f"plan leaves the spine at t={t}: {square} ({a}, {b})")
+            for t, a, b in ((s0, a0, b0), (tm, 0.5 * (a0 + a1), 0.5 * (b0 + b1)), (s1, a1, b1)):
+                if not chart_on_spine(c1 == c2, a, b):
+                    raise ContractError(f"plan leaves the spine at t={t}: {c1 + c2} ({a}, {b})")
     else:
         # collapsed interval: both retraction images coincide, so the single
         # middle instant must sit on the spine

@@ -17,7 +17,7 @@ from collections import namedtuple
 from .errors import DomainError
 from .geometry import PhysPath, config_to_flat
 from .planner import Plan
-from .spine import CHAIN_CIRCLES, CHAIN_VERTICES, ChainStep, chain_to_flat, step_to_leg, vertex_point
+from .spine import CHAIN_VERTICES, HALF_ARC_LEGS, chain_to_flat, vertex_point
 
 _SQUARE_CELL = {"AA": (0, 0), "AB": (1, 0), "BA": (0, 1), "BB": (1, 1)}
 
@@ -146,9 +146,7 @@ def _diagonal_layer(spec: RenderSpec) -> list[str]:
 
 def _spine_layer(spec: RenderSpec) -> list[str]:
     parts = ['<g id="spine">']
-    for circle in CHAIN_CIRCLES:
-        for t0, t1 in ((0.0, 0.5), (0.5, 1.0)):
-            parts.append(_leg_line(spec, step_to_leg(ChainStep(circle, t0, t1, 1)), "spine-arc"))
+    parts.extend(_leg_line(spec, leg, "spine-arc") for leg in HALF_ARC_LEGS.values())
     parts.append("</g>")
     return parts
 

@@ -377,8 +377,17 @@ def step_to_leg(step: ChainStep) -> ChartLeg:
     return ChartLeg(sq0[0], a0, a1, sq0[1], b0, b1)
 
 
-def steps_to_legs(steps: list[ChainStep]) -> list[ChartLeg]:
-    return [step_to_leg(s) for s in steps]
+# The chart leg of each of the twelve half arcs, keyed by its positive step,
+# in the order of CHAIN_CIRCLES and then of build_chain's arcs.
+HALF_ARC_LEGS = {
+    step: step_to_leg(step)
+    for step in (ChainStep(c, t, t + 0.5, 1) for c in CHAIN_CIRCLES for t in (0.0, 0.5))
+}
+
+
+def steps_to_legs(steps) -> list[ChartLeg]:
+    """The chart leg of each step; a whole half arc is read off HALF_ARC_LEGS."""
+    return [HALF_ARC_LEGS.get(s) or step_to_leg(s) for s in steps]
 
 
 VERTEX_CONFIG = {v: chain_to_config(vertex_point(v)) for v in CHAIN_VERTICES}

@@ -1,5 +1,6 @@
 """Domain classification, the spine walk, and assembled plans."""
 
+import math
 from random import Random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fig8plan.errors import ContractError
 from fig8plan.geometry import (
+    EPS,
     Configuration,
     FlatCoord,
     PathSegment,
@@ -29,14 +31,19 @@ from fig8plan.planner import (
 )
 from fig8plan.retraction import retract
 from fig8plan.spine import (
+    CHAIN_CIRCLES,
     CHAIN_VERTICES,
+    HALF_ARC_LEGS,
     VERTEX_CANONICAL,
     VERTEX_CONFIG,
     ChainPoint,
+    arc_dist,
     chain_point,
     chain_to_config,
     make_steps,
     on_spine,
+    shortest_arc,
+    theta_on,
     vertex_point,
 )
 
@@ -146,6 +153,86 @@ def test_vertex_pairs_walk_the_successor_cycle():
     for u in CHAIN_VERTICES:
         for v in CHAIN_VERTICES:
             assert plan_steps(vertex_point(u), vertex_point(v)) == (U3, _successor_walk(u, v))
+
+
+def _walk(start: ChainPoint, goal: ChainPoint, positive_ties: bool) -> list[list]:
+    """Oracle: the spine walk as a hop loop.
+
+    From the current point, ride the final arc when the goal lies on the
+    current circle, else hop positively to the next vertex and repeat.  The
+    positive_ties flag forces half-turn final arcs to run positively instead
+    of leaving the choice to the shortest-arc tie break.
+    """
+    cur = start
+    moves = []
+    for _ in range(8):
+        if cur == goal:
+            return moves
+        circle = cur.circle
+        goal_theta = theta_on(circle, goal)
+        if goal_theta is not None:
+            if positive_ties and abs(arc_dist(cur.theta, goal_theta) - 0.5) <= EPS:
+                direction = 1
+            else:
+                direction, _ = shortest_arc(cur.theta, goal_theta)
+            steps = make_steps(circle, cur.theta, goal_theta, direction)
+            if steps:
+                moves.append(steps)
+            return moves
+        target = 0.5 if cur.theta < 0.5 else 0.0
+        steps = make_steps(circle, cur.theta, target, 1)
+        if steps:
+            moves.append(steps)
+        cur = chain_point(circle, target)
+    raise AssertionError("spine walk exceeded its hop budget")
+
+
+# Angles at and around the knife edges of the walk: the EPS snap of
+# chain_point (strict) against the EPS half-turn tie (inclusive), both sides
+# of every vertex, and two plain interior angles.
+_KNIFE_EDGE_ANGLES = sorted(
+    {
+        x
+        for base in (EPS, 0.5 - EPS, 0.5 + EPS, 1.0 - EPS, 0.5 - 2e-9, 0.5 + 2e-9, 2e-9,
+                     1.0 - 2e-9, 0.25, 0.75)
+        for x in (math.nextafter(base, 0.0), base, math.nextafter(base, 1.0))
+    }
+)
+_KNIFE_EDGE_POINTS = [vertex_point(v) for v in CHAIN_VERTICES] + [
+    ChainPoint(circle, theta) for circle in CHAIN_CIRCLES for theta in _KNIFE_EDGE_ANGLES
+]
+
+
+def test_ring_walk_matches_the_hop_loop_on_knife_edge_pairs():
+    assert len(_KNIFE_EDGE_POINTS) == 186
+    for x in _KNIFE_EDGE_POINTS:
+        for y in _KNIFE_EDGE_POINTS:
+            domain, moves = plan_steps(x, y)
+            assert domain is classify_domain(x, y)
+            assert moves == _walk(x, y, positive_ties=domain is not U1), (x, y)
+            assert len(moves) <= 7, (x, y)
+
+
+def test_ring_walk_matches_the_hop_loop_on_random_pairs():
+    rng = Random(12)
+    for _ in range(3000):
+        x = chain_point(rng.choice(CHAIN_CIRCLES), rng.random())
+        y = chain_point(rng.choice(CHAIN_CIRCLES), rng.random())
+        domain, moves = plan_steps(x, y)
+        assert moves == _walk(x, y, positive_ties=domain is not U1), (x, y)
+
+
+def test_ring_legs_stay_inside_one_half_chart():
+    # A ring hop's leg never crosses the pole in its chart, so path_from_legs
+    # never cuts it.
+    ring_steps = {s for u in CHAIN_VERTICES for v in CHAIN_VERTICES
+                  for m in plan_steps(vertex_point(u), vertex_point(v))[1] for s in m}
+    assert len(ring_steps) == 6
+    for step in ring_steps:
+        leg = HALF_ARC_LEGS[step]
+        for lo, hi in ((leg.a0, leg.a1), (leg.b0, leg.b1)):
+            assert 0.0 <= min(lo, hi) and max(lo, hi) <= 1.0
+            assert max(lo, hi) <= 0.5 or min(lo, hi) >= 0.5, (step, leg)
 
 
 def test_plan_end_to_end_u1():

@@ -1,5 +1,6 @@
 """SVG output: layer structure, element counts, and path-on-spine geometry."""
 
+import hashlib
 import math
 import re
 
@@ -40,6 +41,13 @@ def test_spine_only_render_counts():
     # no plan, so no path or trace layers
     assert '<g id="path">' not in svg
     assert '<g id="traces">' not in svg
+
+
+def test_spine_only_render_is_frozen():
+    # The spine layer draws HALF_ARC_LEGS; the picture is byte-identical to
+    # the one drawn from twelve step_to_leg calls before that table existed.
+    digest = hashlib.sha256(render_svg().encode()).hexdigest()
+    assert digest == "ad282500df05a18e96212257bc8c228961a22a479144ff2ceafdc4ca134884b0"
 
 
 def test_svg_is_self_contained():

@@ -9,6 +9,7 @@ from fig8plan.spine import (
     CHAIN_CIRCLES,
     CHAIN_VERTICES,
     CIRCLE_VERTICES,
+    HALF_ARC_LEGS,
     VERTEX_CANONICAL,
     VERTEX_CONFIG,
     ChainPoint,
@@ -23,6 +24,7 @@ from fig8plan.spine import (
     make_steps,
     on_spine,
     shortest_arc,
+    step_to_leg,
     steps_to_legs,
     theta_on,
     vertex_dist,
@@ -229,6 +231,22 @@ def test_steps_cross_center_wrap():
     assert path.end == chain_to_config(ChainPoint("H1", 0.1))
     mid = path.config_at(0.5)
     assert mid == VERTEX_CONFIG["HB"]
+
+
+def test_half_arc_leg_table():
+    # One leg per half arc of build_chain, in its order, each the chart leg of
+    # the positive step along that arc; steps_to_legs reads whole half arcs
+    # off the table and charts every other step.
+    arcs = build_chain().arcs
+    assert [(s.circle, s.t_from, s.t_to) for s in HALF_ARC_LEGS] == [
+        (a.circle, a.theta0, a.theta1) for a in arcs
+    ]
+    for step, leg in HALF_ARC_LEGS.items():
+        assert step.direction == 1
+        assert leg == step_to_leg(step)
+    steps = make_steps("R", 0.2, 0.1, -1) + make_steps("V2", 0.0, 0.7, 1)
+    assert [s in HALF_ARC_LEGS for s in steps] == [False, True, False]
+    assert steps_to_legs(steps) == [step_to_leg(s) for s in steps]
 
 
 def test_vertex_theta_on():
