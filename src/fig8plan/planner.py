@@ -41,7 +41,6 @@ from .geometry import (
     ChartLeg,
     Configuration,
     config_dist,
-    config_to_flat,
     constant_path,
     path_from_legs,
     path_min_separation,
@@ -56,7 +55,6 @@ from .spine import (
     chart_on_spine,
     is_antipodal,
     make_steps,
-    on_spine,
     shortest_arc,
     steps_to_legs,
     theta_on,
@@ -263,9 +261,9 @@ def validate_plan(p: Plan) -> None:
     else:
         # collapsed interval: both retraction images coincide, so the single
         # middle instant must sit on the spine
-        f = config_to_flat(p.path.config_at(t0))
-        if not on_spine(f):
-            raise ContractError(f"plan middle is off the spine: {f}")
+        (c1, a), (c2, b) = middle = p.path.config_at(t0)
+        if not chart_on_spine(c1 == c2, a, b):
+            raise ContractError(f"plan middle is off the spine: {middle}")
     if p.hop_count > 7:
         raise ContractError(f"plan used {p.hop_count} hops")
     if p.chain_length > 4.0:

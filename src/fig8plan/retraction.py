@@ -17,21 +17,22 @@ sigma = |b - a| > 0 (the diagonal is removed) and 1 - sigma >= 2 SNAP_EPS
 square the offset m from the nearest corner is at least SNAP_EPS
 (the double-center state is removed).  So lambda <= 1 / (2 SNAP_EPS) = 5e11,
 and the image is a bounded rescaling inside the square.
+
+The ray's branch names the spine line it meets (the sub-diagonal, the cross
+line b = 1/2 when the image's b is exactly 1/2, else a = 1/2), so the image
+angle goes straight to chain_point, whose vertex snap is the only one.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .geometry import (
-    SAME_CIRCLE_SQUARES,
-    ChartLeg,
-    Configuration,
-    FlatCoord,
-    canonical_flat,
-    config_to_flat,
-)
-from .spine import flat_to_chain
+from .geometry import SAME_CIRCLE_SQUARES, ChartLeg, Configuration, FlatCoord, config_to_flat
+from .spine import chain_point
+
+# Per square, the spine circle charted by a (sub-diagonal or b = 1/2) and by b (a = 1/2).
+_LINE_BY_A = {"AA": "R", "BB": "Bc", "AB": "H1", "BA": "H2"}
+_LINE_BY_B = {"AB": "V1", "BA": "V2"}
 
 
 def region_corner(f: FlatCoord) -> tuple[int, int]:
@@ -74,9 +75,9 @@ def retract_flat(f: FlatCoord) -> tuple[float, float, float]:
     return a_out, b_out, scale
 
 
-class RetractResult(namedtuple("RetractResult", "point flat scale leg")):
-    """Where a configuration lands on the spine (ChainPoint, FlatCoord, ray
-    scale lambda) and the ChartLeg that gets it there."""
+class RetractResult(namedtuple("RetractResult", "point scale leg")):
+    """Where a configuration lands on the spine (ChainPoint, ray scale
+    lambda) and the ChartLeg that gets it there."""
 
     __slots__ = ()
 
@@ -92,13 +93,11 @@ def retract(c: Configuration) -> RetractResult:
     """
     f = config_to_flat(c)
     a, b, scale = retract_flat(f)
-    image = f if scale == 1.0 else canonical_flat(f.square, a, b)
-    point = flat_to_chain(image)
+    if b == 0.5 or f.square in SAME_CIRCLE_SQUARES:
+        point = chain_point(_LINE_BY_A[f.square], a)
+    else:
+        point = chain_point(_LINE_BY_B[f.square], b)
     if point.is_vertex:
         a, b = round(2.0 * a) / 2.0, round(2.0 * b) / 2.0
-    return RetractResult(
-        point=point,
-        flat=image,
-        scale=scale,
-        leg=ChartLeg(f.square[0], f.a, a, f.square[1], f.b, b),
-    )
+    leg = ChartLeg(f.square[0], f.a, a, f.square[1], f.b, b)
+    return RetractResult(point=point, scale=scale, leg=leg)

@@ -369,12 +369,12 @@ def theta_on(circle: str, p: ChainPoint) -> float | None:
 
 
 def step_to_leg(step: ChainStep) -> ChartLeg:
+    if min(step.t_from, step.t_to) < 0.5 < max(step.t_from, step.t_to):
+        raise ContractError(f"chain step {step} straddles the vertex at theta = 1/2")
     hint = 0.5 * (step.t_from + step.t_to)
-    sq0, a0, b0 = chart_coords(step.circle, step.t_from, hint)
-    sq1, a1, b1 = chart_coords(step.circle, step.t_to, hint)
-    if sq0 != sq1:
-        raise ContractError("chain step straddles a chart branch")
-    return ChartLeg(sq0[0], a0, a1, sq0[1], b0, b1)
+    square, a0, b0 = chart_coords(step.circle, step.t_from, hint)
+    _, a1, b1 = chart_coords(step.circle, step.t_to, hint)
+    return ChartLeg(square[0], a0, a1, square[1], b0, b1)
 
 
 # The chart leg of each of the twelve half arcs, keyed by its positive step,

@@ -41,10 +41,10 @@ from .spine import (
     chain_point,
     chain_to_config,
     chain_to_flat,
+    chart_on_spine,
     dist_chain,
     flat_to_chain,
     is_antipodal,
-    on_spine,
     steps_to_legs,
     vertex_point,
 )
@@ -541,8 +541,8 @@ def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
         return c, r, path_from_legs([r.leg])
 
     for i, (c, r, trace), sep, gap in _separation_gaps(n, make):
-        if not on_spine(r.flat):
-            return False, f"sample {i}: image of {_format_config(c)} is off the spine"
+        if not chart_on_spine(r.leg.circle1 == r.leg.circle2, r.leg.a1, r.leg.b1):
+            return False, f"sample {i}: leg of {_format_config(c)} ends off the spine"
         image_config = chain_to_config(r.point)
         again = retract(image_config)
         fix_err = config_dist(chain_to_config(again.point), image_config)

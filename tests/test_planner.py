@@ -364,6 +364,17 @@ def test_validate_rejects_chord_between_spine_points():
         validate_plan(_with_path(path, (0.0, 1.0)))
 
 
+def test_validate_rejects_collapsed_interval_off_the_spine():
+    # A collapsed spine interval is one instant, which must lie on the spine:
+    # (A:0.3, B:0.7) is on neither cross line of AB.
+    path = PhysPath((PathSegment(0.0, 1.0, "A", 0.3, 0.3, "B", 0.7, 0.7),))
+    with pytest.raises(ContractError, match="plan middle is off the spine"):
+        validate_plan(_with_path(path, (0.5, 0.5)))
+    # The same instant on the cross line a = 1/2 passes.
+    path = PhysPath((PathSegment(0.0, 1.0, "A", 0.5, 0.5, "B", 0.7, 0.7),))
+    validate_plan(_with_path(path, (0.5, 0.5)))
+
+
 def test_plan_json_shape():
     p = plan(configuration("A", 0.1, "A", 0.3), configuration("B", 0.2, "B", 0.6))
     doc = plan_to_json(p)

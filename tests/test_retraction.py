@@ -1,5 +1,6 @@
 """Retraction onto the spine: images, scales, traces, seam continuity."""
 
+import itertools
 import math
 
 import pytest
@@ -19,9 +20,28 @@ from fig8plan.geometry import (
 )
 from fig8plan.planner import plan, validate_plan
 from fig8plan.retraction import region_corner, retract, retract_flat
-from fig8plan.spine import ChainPoint, chain_to_config, dist_chain, on_spine, vertex_point
+from fig8plan.spine import (
+    ChainPoint,
+    chain_to_config,
+    chain_to_flat,
+    chart_on_spine,
+    dist_chain,
+    flat_to_chain,
+    vertex_point,
+)
 
 coords = st.floats(min_value=0.001, max_value=0.999, allow_nan=False)
+
+
+def _leg_end(r):
+    """The configuration a retraction leg stops at."""
+    leg = r.leg
+    return configuration(leg.circle1, leg.a1, leg.circle2, leg.b1)
+
+
+def _leg_end_on_spine(r):
+    leg = r.leg
+    return chart_on_spine(leg.circle1 == leg.circle2, leg.a1, leg.b1)
 
 
 def test_region_corner():
@@ -77,18 +97,21 @@ def test_seeded_spine_configurations_retract_to_themselves():
     for c in spine:
         r = retract(c)
         assert r.scale == 1.0
-        assert r.flat == config_to_flat(c)
+        assert _leg_end(r) == c
         assert r.leg.sweep == 0.0
+        assert config_dist(chain_to_config(r.point), c) <= 1e-15
 
 
 def test_center_state_rule():
     # A robot parked at the center stays; the free robot goes to its pole.
     r = retract(configuration("A", 0.0, "B", 0.3))
     assert r.point == vertex_point("HB")
-    assert r.flat == FlatCoord("AB", 0.0, 0.5)
+    assert chain_to_flat(r.point) == FlatCoord("AB", 0.0, 0.5)
+    assert _leg_end(r) == configuration("A", 0.0, "B", 0.5)
     r = retract(configuration("A", 0.3, "A", 0.0))
     assert r.point == vertex_point("VA")
-    assert r.flat == FlatCoord("AB", 0.5, 0.0)
+    assert chain_to_flat(r.point) == FlatCoord("AB", 0.5, 0.0)
+    assert _leg_end(r) == configuration("A", 0.5, "A", 0.0)
 
 
 def test_near_vertex_leg_ends_on_the_vertex():
@@ -114,12 +137,43 @@ def test_points_next_to_removed_corners_retract_with_finite_scale():
         FlatCoord("AA", 1e-12, 1.0 - 2e-12),
         FlatCoord("AA", 0.3, 0.3 + 1e-13),
     ):
-        a, b, scale = retract_flat(f)
-        assert math.isfinite(scale) and scale > 0.5
-        assert on_spine(canonical_flat(f.square, a, b))
+        r = retract(flat_to_config(f))
+        assert math.isfinite(r.scale) and r.scale > 0.5
+        assert _leg_end_on_spine(r)
     # The largest scale a configuration reaches is 1 / (2 SNAP_EPS) = 5e11.
     assert retract(configuration("A", 1e-12, "B", 1e-12)).scale == pytest.approx(5e11)
     assert 1e11 < retract(configuration("A", 1e-12, "A", 1.0 - 2e-12)).scale < 5e11
+
+
+def _knife_edge_coords():
+    """The center, poles and quarter points, offset by up to 1e-6 either way
+    and moved one ulp either way, plus k/37."""
+    values = {k / 37 for k in range(37)}
+    for base in (0.0, 0.25, 0.5, 0.75, 1.0):
+        for offset in (0.0, 1e-12, 2e-12, 1e-9, 2e-9, 1e-6):
+            for v in (base - offset, base + offset):
+                values |= {math.nextafter(v, -1.0), v, math.nextafter(v, 2.0)}
+    return sorted(v for v in values if 0.0 <= v < 1.0)
+
+
+def test_retract_point_matches_reidentified_image():
+    # The ray's branch names the spine line and its angle is snapped once.
+    # Reference: rebuild the unrounded image as a canonical FlatCoord, which
+    # snaps center values and may switch squares, and find its line again
+    # with EPS tests (flat_to_chain).  The two must agree at every knife edge.
+    coords = _knife_edge_coords()
+    n = 0
+    for c1, c2 in itertools.product("AB", repeat=2):
+        for x, y in itertools.product(coords, repeat=2):
+            try:
+                c = configuration(c1, x, c2, y)
+            except (DomainError, CollisionError):
+                continue
+            f = config_to_flat(c)
+            a, b, _ = retract_flat(f)
+            assert retract(c).point == flat_to_chain(canonical_flat(f.square, a, b)), c
+            n += 1
+    assert n > 100_000
 
 
 # Coordinates at and around the center, the poles and the quarter points.
@@ -146,26 +200,22 @@ def test_retract_flat_is_finite_for_every_admissible_flat(square, a, b):
 def test_same_circle_image_on_spine(square, a, b):
     if abs(a - b) < 1e-6 or abs(a - b) > 1.0 - 1e-6:
         return
-    f = FlatCoord(square, a, b)
-    image_a, image_b, scale = retract_flat(f)
-    image = canonical_flat(square, image_a, image_b)
-    assert on_spine(image)
-    assert 0.5 < scale
-    again_a, again_b, rescale = retract_flat(image)
-    assert rescale == 1.0
-    assert abs(again_a - image.a) < 1e-12 and abs(again_b - image.b) < 1e-12
+    r = retract(flat_to_config(FlatCoord(square, a, b)))
+    assert _leg_end_on_spine(r)
+    assert 0.5 < r.scale
+    again = retract(chain_to_config(r.point))
+    assert again.scale == 1.0
+    assert again.point == r.point
 
 
 @given(st.sampled_from(("AB", "BA")), coords, coords)
 def test_mixed_image_on_spine(square, a, b):
-    f = FlatCoord(square, a, b)
-    image_a, image_b, scale = retract_flat(f)
-    image = canonical_flat(square, image_a, image_b)
-    assert on_spine(image)
-    assert scale >= 1.0
-    again_a, again_b, rescale = retract_flat(image)
-    assert rescale == 1.0
-    assert abs(again_a - image.a) < 1e-12 and abs(again_b - image.b) < 1e-12
+    r = retract(flat_to_config(FlatCoord(square, a, b)))
+    assert _leg_end_on_spine(r)
+    assert r.scale >= 1.0
+    again = retract(chain_to_config(r.point))
+    assert again.scale == 1.0
+    assert again.point == r.point
 
 
 @given(st.sampled_from(("AA", "BB", "AB", "BA")), coords, coords)
@@ -176,7 +226,7 @@ def test_trace_runs_input_to_image_collision_free(square, a, b):
     r = retract(c)
     trace = path_from_legs([r.leg])
     assert config_dist(trace.start, c) < 1e-9
-    assert config_dist(trace.end, flat_to_config(r.flat)) < 1e-9
+    assert config_dist(trace.end, chain_to_config(r.point)) < 1e-9
     assert path_min_separation(trace) > 0.0
 
 
@@ -218,4 +268,4 @@ def test_gluing_continuity_across_diagonal_band():
 
 def test_spine_config_matches_point():
     r = retract(configuration("A", 0.1, "A", 0.3))
-    assert flat_to_config(r.flat) == chain_to_config(r.point)
+    assert _leg_end(r) == chain_to_config(r.point)

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fig8plan.errors import DomainError
-from fig8plan.geometry import FlatCoord, config_to_flat, configuration, dist_gamma, path_from_legs
+from fig8plan.errors import ContractError, DomainError
+from fig8plan.geometry import ChartLeg, FlatCoord, config_to_flat, configuration, dist_gamma, path_from_legs
 from fig8plan.spine import (
     CHAIN_CIRCLES,
     CHAIN_VERTICES,
@@ -247,6 +247,17 @@ def test_half_arc_leg_table():
     steps = make_steps("R", 0.2, 0.1, -1) + make_steps("V2", 0.0, 0.7, 1)
     assert [s in HALF_ARC_LEGS for s in steps] == [False, True, False]
     assert steps_to_legs(steps) == [step_to_leg(s) for s in steps]
+
+
+def test_step_straddling_a_vertex_is_refused():
+    # A step across theta = 1/2 would need two chart legs (R switches branch
+    # there); it used to come back as one leg with b running 0.9 -> 1.1.
+    for step in (ChainStep("R", 0.4, 0.6, 1), ChainStep("H1", 0.6, 0.4, -1)):
+        with pytest.raises(ContractError, match="straddles"):
+            step_to_leg(step)
+    # Ending on the vertex is no straddle.
+    assert step_to_leg(ChainStep("R", 0.4, 0.5, 1)) == ChartLeg("A", 0.4, 0.5, "A", 0.9, 1.0)
+    assert step_to_leg(ChainStep("R", 1.0, 0.5, -1)) == ChartLeg("A", 1.0, 0.5, "A", 0.5, 0.0)
 
 
 def test_vertex_theta_on():

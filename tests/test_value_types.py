@@ -49,11 +49,8 @@ CASES = [
         f"ChainGraph(vertex_ids=('HA', 'VA'), edge_list=(('HA', 'VA'),), arcs=({ARC},))",
     ),
     (
-        lambda: RetractResult(
-            ChainPoint("V1", 0.7), FlatCoord("AB", 0.3, 0.7), 0.5,
-            ChartLeg("A", 0.3, 0.5, "B", 0.7, 0.7),
-        ),
-        f"RetractResult(point={CHAIN_POINT}, flat={FLAT}, scale=0.5, leg={LEG})",
+        lambda: RetractResult(ChainPoint("V1", 0.7), 0.5, ChartLeg("A", 0.3, 0.5, "B", 0.7, 0.7)),
+        f"RetractResult(point={CHAIN_POINT}, scale=0.5, leg={LEG})",
     ),
     (
         lambda: Plan(
