@@ -4,7 +4,6 @@ from .errors import CollisionError, ContractError, DomainError
 from .geometry import (
     CirclePoint,
     Configuration,
-    FlatCoord,
     PhysPath,
     circle_point,
     config_dist,
@@ -26,7 +25,6 @@ __all__ = [
     "Configuration",
     "ContractError",
     "DomainError",
-    "FlatCoord",
     "InstructionDomain",
     "Plan",
     "PhysPath",

@@ -11,9 +11,9 @@ chart onto four unit squares keyed by the circles the robots occupy: AA, BB,
 AB, BA, first letter for robot 1, second for robot 2.  Square edges are glued
 wherever a robot sits at the center, the same-circle squares AA and BB lose
 their diagonal (collisions), and all four corners of every square (both robots
-at the center) are removed.  The canonical chart form stores a center robot
-with coordinate 0 in a mixed square, assigning the center robot the letter
-opposite the other robot's circle.
+at the center) are removed.  chart(c) is the one place a configuration's
+square is decided: a center robot reads 0 in a mixed square, taking the
+letter opposite the other robot's circle.
 
 Trajectories are piecewise linear: between consecutive waypoints each robot
 stays on one circle and its arc coordinate is affine in time.  Chart values
@@ -41,9 +41,7 @@ EPS = 1e-9
 SNAP_EPS = 1e-12
 
 CIRCLES = ("A", "B")
-SQUARES = ("AA", "BB", "AB", "BA")
 SAME_CIRCLE_SQUARES = ("AA", "BB")
-MIXED_SQUARES = ("AB", "BA")
 
 
 def other_circle(circle: str) -> str:
@@ -141,62 +139,19 @@ def config_dist(x: Configuration, y: Configuration) -> float:
     return max(dist_gamma(x.p1, y.p1), dist_gamma(x.p2, y.p2))
 
 
-class FlatCoord(namedtuple("FlatCoord", "square a b")):
-    """Canonical square-chart coordinates of a configuration.
+def chart(c: Configuration) -> tuple[str, float, float]:
+    """The square of a configuration and its chart values (a, b) there.
 
-    Invariants: coordinates lie in [0, 1) and, like a CirclePoint's, are 0 or
-    at least SNAP_EPS from the center on both sides; a zero coordinate (robot
-    at the center) only appears in a mixed square; same-circle squares exclude
-    the diagonal a = b; no square contains the double-center state.
+    A robot at the center reads 0 and takes the letter of the circle opposite
+    the other robot's, so a center state lies in a mixed square;
+    configuration(square[0], a, square[1], b) gives c back.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, square: str, a: float, b: float):
-        if square not in SQUARES:
-            raise DomainError(f"unknown square {square!r}")
-        if not (0.0 <= a < 1.0 and 0.0 <= b < 1.0):
-            raise DomainError(f"coordinates ({a!r}, {b!r}) outside canonical range [0, 1)")
-        if 0.0 < a < SNAP_EPS or 1.0 - a < SNAP_EPS:
-            raise DomainError(f"coordinate {a!r} reads as the center (circle_point)")
-        if 0.0 < b < SNAP_EPS or 1.0 - b < SNAP_EPS:
-            raise DomainError(f"coordinate {b!r} reads as the center (circle_point)")
-        if square in SAME_CIRCLE_SQUARES:
-            if a == 0.0 or b == 0.0:
-                raise DomainError("center states belong to mixed squares, not " + square)
-            if a == b:
-                raise CollisionError(f"diagonal point in square {square}")
-        elif a == 0.0 and b == 0.0:
-            raise CollisionError("both robots at the center")
-        return tuple.__new__(cls, (square, a, b))
-
-
-def config_to_flat(c: Configuration) -> FlatCoord:
-    """Chart a configuration onto its canonical square."""
-    return canonical_flat(c.p1.circle + c.p2.circle, c.p1.s, c.p2.s)
-
-
-def flat_to_config(f: FlatCoord) -> Configuration:
-    """Invert the chart; exact inverse of config_to_flat on canonical input."""
-    return configuration(f.square[0], f.a, f.square[1], f.b)
-
-
-def canonical_flat(square: str, a: float, b: float) -> FlatCoord:
-    """Build a canonical FlatCoord from raw chart values.
-
-    Accepts coordinate values in [0, 1] (1 wraps to the center) and square
-    assignments that put a center robot in a same-circle square; both are
-    normalized as circle_point and config_to_flat would.  Raises
-    CollisionError for diagonal or double-center input.
-    """
-    if square not in SQUARES:
-        raise DomainError(f"unknown square {square!r}")
-    if reads_as_center(a):
-        b = 0.0 if reads_as_center(b) else b
-        return FlatCoord(other_circle(square[1]) + square[1], 0.0, b)
-    if reads_as_center(b):
-        return FlatCoord(square[0] + other_circle(square[0]), a, 0.0)
-    return FlatCoord(square, a, b)
+    (c1, a), (c2, b) = c
+    if a == 0.0:
+        return other_circle(c2) + c2, 0.0, b
+    if b == 0.0:
+        return c1 + other_circle(c1), a, 0.0
+    return c1 + c2, a, b
 
 
 def parse_position(text: str) -> CirclePoint:

@@ -15,9 +15,9 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError
-from .geometry import PhysPath, config_to_flat
+from .geometry import PhysPath, chart
 from .planner import Plan
-from .spine import CHAIN_VERTICES, HALF_ARC_LEGS, chain_to_flat, vertex_point
+from .spine import CHAIN_VERTICES, HALF_ARC_LEGS, VERTEX_CONFIG
 
 _SQUARE_CELL = {"AA": (0, 0), "AB": (1, 0), "BA": (0, 1), "BB": (1, 1)}
 
@@ -154,8 +154,7 @@ def _spine_layer(spec: RenderSpec) -> list[str]:
 def _vertices_layer(spec: RenderSpec) -> list[str]:
     parts = ['<g id="vertices">']
     for name in CHAIN_VERTICES:
-        flat = chain_to_flat(vertex_point(name))
-        x, y = spec.to_xy(flat.square, flat.a, flat.b)
+        x, y = spec.to_xy(*chart(VERTEX_CONFIG[name]))
         parts.append(f'<circle class="vertex" cx="{_f(x)}" cy="{_f(y)}" r="4.5"/>')
         parts.append(
             f'<text class="vertex-label" x="{_f(x + 7)}" y="{_f(y - 6)}">{name}</text>'
@@ -181,8 +180,8 @@ def _traces_layer(spec: RenderSpec, plan: Plan) -> list[str]:
 
 
 def _marker_pair(spec: RenderSpec, plan: Plan) -> list[str]:
-    sx, sy = spec.to_xy(*_flat_triplet(plan.path.config_at(0.0)))
-    ex, ey = spec.to_xy(*_flat_triplet(plan.path.config_at(1.0)))
+    sx, sy = spec.to_xy(*chart(plan.path.config_at(0.0)))
+    ex, ey = spec.to_xy(*chart(plan.path.config_at(1.0)))
     r = 6.0
     triangle = (
         f'<path class="start-marker" d="M {_f(sx)} {_f(sy - r)}'
@@ -193,11 +192,6 @@ def _marker_pair(spec: RenderSpec, plan: Plan) -> list[str]:
         f' width="{_f(2 * r - 2)}" height="{_f(2 * r - 2)}"/>'
     )
     return [triangle, square]
-
-
-def _flat_triplet(config):
-    flat = config_to_flat(config)
-    return flat.square, flat.a, flat.b
 
 
 def _path_layer(spec: RenderSpec, plan: Plan) -> list[str]:

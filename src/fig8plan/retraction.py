@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .geometry import SAME_CIRCLE_SQUARES, ChartLeg, Configuration, FlatCoord, config_to_flat
+from .geometry import SAME_CIRCLE_SQUARES, ChartLeg, Configuration, chart
 from .spine import chain_point
 
 # Per square, the spine circle charted by a (sub-diagonal or b = 1/2) and by b (a = 1/2).
@@ -35,35 +35,35 @@ _LINE_BY_A = {"AA": "R", "BB": "Bc", "AB": "H1", "BA": "H2"}
 _LINE_BY_B = {"AB": "V1", "BA": "V2"}
 
 
-def region_corner(f: FlatCoord) -> tuple[int, int]:
-    """Reference corner a flat point retracts away from."""
-    if f.square in SAME_CIRCLE_SQUARES:
-        return (0, 1) if f.b > f.a else (1, 0)
-    return (0 if f.a <= 0.5 else 1, 0 if f.b <= 0.5 else 1)
+def region_corner(square: str, a: float, b: float) -> tuple[int, int]:
+    """Reference corner a chart point retracts away from."""
+    if square in SAME_CIRCLE_SQUARES:
+        return (0, 1) if b > a else (1, 0)
+    return (0 if a <= 0.5 else 1, 0 if b <= 0.5 else 1)
 
 
-def retract_flat(f: FlatCoord) -> tuple[float, float, float]:
-    """Project a flat point onto the spine along its corner ray.
+def retract_flat(square: str, a: float, b: float) -> tuple[float, float, float]:
+    """Project a chart point onto the spine along its corner ray.
 
     Returns the image's chart values (a, b) in the input's own square, which
     may read 0 or 1 at the center, and the ray scale lambda; lambda == 1
     exactly when the input already lies on the spine, and then it is its own
     image (rebuilding it from the corner would move it by rounding).
     """
-    ca, cb = region_corner(f)
-    ua, ub = f.a - ca, f.b - cb
-    if f.square in SAME_CIRCLE_SQUARES:
-        sigma = abs(f.b - f.a)
+    ca, cb = region_corner(square, a, b)
+    ua, ub = a - ca, b - cb
+    if square in SAME_CIRCLE_SQUARES:
+        sigma = abs(b - a)
         scale = 1.0 / (2.0 * (1.0 - sigma))
         if scale == 1.0:
-            return f.a, f.b, scale
+            return a, b, scale
         a_out = ca + scale * ua
         b_out = a_out + 0.5 if (ca, cb) == (0, 1) else a_out - 0.5
     else:
         m = max(abs(ua), abs(ub))
         scale = 0.5 / m
         if scale == 1.0:
-            return f.a, f.b, scale
+            return a, b, scale
         if abs(ua) >= abs(ub):
             a_out = 0.5
             b_out = cb + scale * ub
@@ -86,18 +86,19 @@ def retract(c: Configuration) -> RetractResult:
     """Retract a configuration onto the spine along its straight chart leg.
 
     The leg runs from the input to the chart values of the returned spine
-    point inside the input's own square; it is collision free because the
-    corner ray never meets the diagonal.  An image within EPS of a vertex
-    snaps onto it (chain_point), and the leg then ends on the vertex itself,
-    so the spine walk starts exactly where the leg stops.
+    point inside the input's own square, read once from chart(c); it is
+    collision free because the corner ray never meets the diagonal.  An
+    image within EPS of a vertex snaps onto it (chain_point), and the leg
+    then ends on the vertex itself, so the spine walk starts exactly where
+    the leg stops.
     """
-    f = config_to_flat(c)
-    a, b, scale = retract_flat(f)
-    if b == 0.5 or f.square in SAME_CIRCLE_SQUARES:
-        point = chain_point(_LINE_BY_A[f.square], a)
+    square, a0, b0 = chart(c)
+    a, b, scale = retract_flat(square, a0, b0)
+    if b == 0.5 or square in SAME_CIRCLE_SQUARES:
+        point = chain_point(_LINE_BY_A[square], a)
     else:
-        point = chain_point(_LINE_BY_B[f.square], b)
+        point = chain_point(_LINE_BY_B[square], b)
     if point.is_vertex:
         a, b = round(2.0 * a) / 2.0, round(2.0 * b) / 2.0
-    leg = ChartLeg(f.square[0], f.a, a, f.square[1], f.b, b)
+    leg = ChartLeg(square[0], a0, a, square[1], b0, b)
     return RetractResult(point=point, scale=scale, leg=leg)

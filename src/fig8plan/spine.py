@@ -33,17 +33,7 @@ from collections import namedtuple
 from functools import cache
 
 from .errors import ContractError, DomainError
-from .geometry import (
-    EPS,
-    SNAP_EPS,
-    ChartLeg,
-    Configuration,
-    FlatCoord,
-    MIXED_SQUARES,
-    canonical_flat,
-    flat_to_config,
-    reads_as_center,
-)
+from .geometry import EPS, SNAP_EPS, ChartLeg, Configuration, configuration, reads_as_center
 
 CHAIN_VERTICES = ("HA", "VA", "C1", "HB", "VB", "C2")
 CHAIN_CIRCLES = ("R", "Bc", "H1", "V1", "H2", "V2")
@@ -187,48 +177,17 @@ def chart_coords(circle: str, theta: float, branch_hint: float | None = None) ->
     raise DomainError(f"unknown spine circle {circle!r}")
 
 
-def chain_to_flat(p: ChainPoint) -> FlatCoord:
-    return canonical_flat(*chart_coords(p.circle, p.theta))
-
-
 def chain_to_config(p: ChainPoint) -> Configuration:
-    return flat_to_config(chain_to_flat(p))
-
-
-def _spine_circle(f: FlatCoord) -> str | None:
-    """The spine circle whose line holds a flat point, None off the spine.
-
-    A mixed-square point on both cross lines is the C vertex, read on its H
-    circle at theta = 1/2.
-    """
-    if f.square in MIXED_SQUARES:
-        first = f.square == "AB"
-        if abs(f.b - 0.5) <= EPS:
-            return "H1" if first else "H2"
-        if abs(f.a - 0.5) <= EPS:
-            return "V1" if first else "V2"
-        return None
-    if abs(abs(f.b - f.a) - 0.5) <= EPS:
-        return "R" if f.square == "AA" else "Bc"
-    return None
-
-
-def flat_to_chain(f: FlatCoord) -> ChainPoint:
-    """Identify a flat point lying on the spine; DomainError otherwise."""
-    circle = _spine_circle(f)
-    if circle is None:
-        raise DomainError(f"{f} is not on the spine")
-    return chain_point(circle, f.b if circle in ("V1", "V2") else f.a)
-
-
-def on_spine(f: FlatCoord) -> bool:
-    return _spine_circle(f) is not None
+    square, a, b = chart_coords(p.circle, p.theta)
+    return configuration(square[0], a, square[1], b)
 
 
 def chart_on_spine(same_circle: bool, a: float, b: float) -> bool:
-    """on_spine(config_to_flat(configuration(...))) of raw chart values a, b
-    in [0, 1], without building them: the spine lines agree across the square
-    gluings, so a center robot (0 or 1) is tested as its mixed square would."""
+    """Whether raw chart values a, b in [0, 1] lie within EPS of a spine line,
+    without building a configuration: same_circle picks the sub-diagonals
+    |b - a| = 1/2, else the cross lines a = 1/2 and b = 1/2.  The lines agree
+    across the square gluings, so a center robot (0 or 1) is tested as in the
+    mixed square chart() puts it in."""
     if same_circle and not (reads_as_center(a) or reads_as_center(b)):
         return abs(abs(b - a) - 0.5) <= EPS
     return abs(a - 0.5) <= EPS or abs(b - 0.5) <= EPS

@@ -1,7 +1,7 @@
 """Checks that run on raw chart floats, against the configuration-built oracles.
 
 Path assembly, junction checks and plan certification read a segment's chart
-values directly instead of building a Configuration and a FlatCoord for every
+values directly instead of building and charting a Configuration for every
 point.  Each test here draws seeded chart values, with a heavy share of the
 places where the two can part (raw 0 and 1 at the center, values within
 SNAP_EPS of it, points within EPS of a spine line, legs ending exactly on 0,
@@ -19,12 +19,14 @@ from fig8plan.geometry import (
     ChartLeg,
     PathSegment,
     PhysPath,
+    chart,
     config_dist,
-    config_to_flat,
     configuration,
     path_from_legs,
 )
-from fig8plan.spine import chart_on_spine, on_spine
+from fig8plan.spine import chart_on_spine
+
+from spine_reference import on_spine
 
 # Raw chart values at the center, around it, and at the pole.
 _SPECIAL = (0.0, 1.0, 0.5, 1e-13, 1.0 - 1e-13, SNAP_EPS, 1.0 - 2 * SNAP_EPS)
@@ -42,7 +44,7 @@ def _value(rng: Random) -> float:
 
 def _oracle_on_spine(c1, a, c2, b):
     """The old certificate: build the configuration, chart it, test it."""
-    return on_spine(config_to_flat(configuration(c1, a, c2, b)))
+    return on_spine(*chart(configuration(c1, a, c2, b)))
 
 
 def test_chart_on_spine_matches_configuration_oracle():

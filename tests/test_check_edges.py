@@ -1,10 +1,10 @@
 """The constructor checks at their edges: the error type, or the value built.
 
-configuration, FlatCoord, PathSegment and PhysPath make their checks one
-at a time with no per-call loop, and PathSegment skips the collision solve
-when a - b cannot reach -1, 0 or 1, so each table below probes both sides of
-every boundary those checks draw.  A row names the exception its input must
-raise, or None when the input is valid.
+configuration, PathSegment and PhysPath make their checks one at a time
+with no per-call loop, and PathSegment skips the collision solve when a - b
+cannot reach -1, 0 or 1, so each table below probes both sides of every
+boundary those checks draw.  A row names the exception its input must raise,
+or None (or the chart) when the input is valid.
 """
 
 import math
@@ -16,10 +16,9 @@ from fig8plan.geometry import (
     EPS,
     SNAP_EPS,
     CirclePoint,
-    FlatCoord,
     PathSegment,
     PhysPath,
-    canonical_flat,
+    chart,
     configuration,
 )
 from fig8plan.spine import VERTEX_CONFIG
@@ -84,32 +83,10 @@ def test_vertex_configurations_stay_shared_objects():
     assert configuration("B", 0.0, "B", 0.5) is VERTEX_CONFIG["HB"]
 
 
-FLAT_EDGES = [
-    (("AB", LO, 0.3), None),
-    (("AB", BELOW_LO, 0.3), DomainError),
-    (("AB", 0.3, BELOW_HI), None),
-    (("AB", 0.3, HI), DomainError),
-    (("AB", 0.0, 0.3), None),
-    (("AB", 0.0, 0.0), CollisionError),
-    (("AA", 0.0, 0.3), DomainError),
-    (("AA", 0.3, 0.3), CollisionError),
-    (("BB", LO, ABOVE_LO), None),
-    (("BA", 1.0, 0.3), DomainError),
-    (("XY", 0.3, 0.4), DomainError),
-    (("AB", NAN, 0.3), DomainError),
-]
-
-
-@pytest.mark.parametrize("args, error", FLAT_EDGES)
-def test_flat_coord_edges(args, error):
-    if error is None:
-        assert tuple(FlatCoord(*args)) == args
-    else:
-        with pytest.raises(error):
-            FlatCoord(*args)
-
-
-CANONICAL_FLAT_EDGES = [
+# Raw chart values (square, a, b) as configuration() reads them: a value at or
+# within SNAP_EPS of the center (0 or 1) reads 0, and chart() moves it to a
+# mixed square.
+CHART_EDGES = [
     (("AA", 0.3, 0.4), ("AA", 0.3, 0.4)),
     (("AA", BELOW_LO, 0.3), ("BA", 0.0, 0.3)),
     (("AA", 0.3, ABOVE_HI), ("AB", 0.3, 0.0)),
@@ -123,13 +100,14 @@ CANONICAL_FLAT_EDGES = [
 ]
 
 
-@pytest.mark.parametrize("args, expected", CANONICAL_FLAT_EDGES)
-def test_canonical_flat_edges(args, expected):
+@pytest.mark.parametrize("args, expected", CHART_EDGES)
+def test_chart_edges(args, expected):
+    square, a, b = args
     if isinstance(expected, tuple):
-        assert tuple(canonical_flat(*args)) == expected
+        assert chart(configuration(square[0], a, square[1], b)) == expected
     else:
         with pytest.raises(expected):
-            canonical_flat(*args)
+            configuration(square[0], a, square[1], b)
 
 
 def _meeting_at(u: float) -> tuple:

@@ -117,6 +117,27 @@ def test_exit_code_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+def test_exit_code_unwritable_plan_output(tmp_path, capsys):
+    # A file that cannot be written is an error of the run, exit 1.
+    target = tmp_path / "missing" / "plan.json"
+    code, out, err = run(
+        capsys, "plan", "--from-r1", "A:0.3", "--from-r2", "B:0.7",
+        "--to-r1", "B:0.25", "--to-r2", "A:0.6", "--out", str(target),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: [Errno 2]") and "Traceback" not in err
+    assert not target.parent.exists()
+
+
+def test_exit_code_unwritable_render_output(tmp_path, capsys):
+    target = tmp_path / "missing" / "spine.svg"
+    code, out, err = run(capsys, "render", "--svg", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: [Errno 2]") and "Traceback" not in err
+
+
 def test_near_diagonal_input_plans(capsys):
     # Two robots 1e-16 apart on one circle plan like any other valid input.
     code, out, err = run(

@@ -8,21 +8,17 @@ from hypothesis import given, strategies as st
 
 from fig8plan.errors import CollisionError, ContractError, DomainError
 from fig8plan.geometry import (
-    SNAP_EPS,
     ChartLeg,
     CirclePoint,
     Configuration,
-    FlatCoord,
     PathSegment,
     PhysPath,
-    canonical_flat,
+    chart,
     circle_point,
     config_dist,
-    config_to_flat,
     configuration,
     constant_path,
     dist_gamma,
-    flat_to_config,
     parse_position,
     path_from_legs,
     path_min_separation,
@@ -94,51 +90,12 @@ def test_configuration_rejects_collision_and_noncanonical():
 
 def test_config_to_flat_center_goes_to_mixed_square():
     # Center robot takes the letter opposite the other robot's circle.
-    f = config_to_flat(configuration("B", 0.0, "B", 0.4))
-    assert f == FlatCoord("AB", 0.0, 0.4)
-    f = config_to_flat(configuration("A", 0.3, "A", 0.0))
-    assert f == FlatCoord("AB", 0.3, 0.0)
-    f = config_to_flat(configuration("A", 0.0, "A", 0.4))
-    assert f == FlatCoord("BA", 0.0, 0.4)
-
-
-def test_flat_coord_invariants():
-    with pytest.raises(DomainError):
-        FlatCoord("AA", 0.0, 0.4)
-    with pytest.raises(CollisionError):
-        FlatCoord("BB", 0.3, 0.3)
-    with pytest.raises(CollisionError):
-        FlatCoord("AB", 0.0, 0.0)
-    with pytest.raises(DomainError):
-        FlatCoord("XY", 0.1, 0.2)
-
-
-@pytest.mark.parametrize(
-    "square, a, b",
-    (
-        ("AB", 5e-324, 0.0),
-        ("AB", 5e-324, 1e-323),
-        ("BA", 0.3, 1e-13),
-        ("AA", 0.3, 1.0 - 1e-13),
-        ("BB", math.nextafter(SNAP_EPS, 0.0), 0.7),
-    ),
-)
-def test_flat_coord_rejects_coordinates_that_read_as_center(square, a, b):
-    # The form of CirclePoint: a coordinate is 0 or at least SNAP_EPS from
-    # the center on both sides.  retract_flat used to return NaN or an
-    # infinite scale on the first two.
-    with pytest.raises(DomainError, match="reads as the center"):
-        FlatCoord(square, a, b)
-    assert FlatCoord("AB", SNAP_EPS, 1.0 - 2 * SNAP_EPS).a == SNAP_EPS
-
-
-def test_canonical_flat_normalizes_raw_chart_values():
-    # A raw coordinate of 1 is the center seen from the far side.
-    assert canonical_flat("AA", 0.3, 1.0) == FlatCoord("AB", 0.3, 0.0)
-    assert canonical_flat("BA", 1.0, 0.25) == FlatCoord("BA", 0.0, 0.25)
-    assert canonical_flat("AB", 0.25, 0.5) == FlatCoord("AB", 0.25, 0.5)
-    with pytest.raises(CollisionError):
-        canonical_flat("AA", 0.4, 0.4)
+    assert chart(configuration("B", 0.0, "B", 0.4)) == ("AB", 0.0, 0.4)
+    assert chart(configuration("A", 0.3, "A", 0.0)) == ("AB", 0.3, 0.0)
+    assert chart(configuration("A", 0.0, "A", 0.4)) == ("BA", 0.0, 0.4)
+    # a raw 1 or a value within SNAP_EPS of the center reads 0
+    assert chart(configuration("A", 0.3, "A", 1.0)) == ("AB", 0.3, 0.0)
+    assert chart(configuration("B", 1e-13, "A", 0.25)) == ("BA", 0.0, 0.25)
 
 
 @given(circles, arcs, circles, arcs)
@@ -147,8 +104,8 @@ def test_flat_roundtrip(c1, s1, c2, s2):
         c = configuration(c1, s1, c2, s2)
     except CollisionError:
         return
-    f = config_to_flat(c)
-    assert flat_to_config(f) == c
+    square, a, b = chart(c)
+    assert configuration(square[0], a, square[1], b) == c
 
 
 @given(points, points, points)

@@ -10,13 +10,11 @@ from fig8plan.errors import ContractError
 from fig8plan.geometry import (
     EPS,
     Configuration,
-    FlatCoord,
     PathSegment,
     PhysPath,
+    chart,
     config_dist,
-    config_to_flat,
     configuration,
-    flat_to_config,
     parse_position,
     path_min_separation,
     path_sup_distance,
@@ -41,11 +39,12 @@ from fig8plan.spine import (
     chain_point,
     chain_to_config,
     make_steps,
-    on_spine,
     shortest_arc,
     theta_on,
     vertex_point,
 )
+
+from spine_reference import on_spine
 
 U1, U2, U3 = InstructionDomain.U1, InstructionDomain.U2, InstructionDomain.U3
 
@@ -292,7 +291,7 @@ def test_plan_is_continuous_on_the_off_spine_diagonal():
         c1, c2 = rng.choice("AB"), rng.choice("AB")
         s1, s2 = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)
         x = configuration(c1, s1, c2, s2)
-        if not on_spine(config_to_flat(x)):
+        if not on_spine(*chart(x)):
             ladders.append(_diagonal_ladder(x, lambda d: configuration(c1, s1 + d, c2, s2)))
     for _ in range(20):
         # off-spine rays onto the vertices C1 (mixed-square diagonals) and HB
@@ -314,8 +313,8 @@ def test_plan_is_continuous_on_the_off_spine_diagonal():
 
 def test_plan_same_image_distinct_inputs():
     # Both inputs sit on one retraction ray, so the spine walk is empty.
-    start = flat_to_config(FlatCoord("AB", 0.2, 0.3))
-    goal = flat_to_config(FlatCoord("AB", 0.25, 0.375))
+    start = configuration("A", 0.2, "B", 0.3)
+    goal = configuration("A", 0.25, "B", 0.375)
     p = plan(start, goal)
     assert p.hop_count == 0
     validate_plan(p)
@@ -466,7 +465,7 @@ coords = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
 def _config(square, a, b):
     if square in ("AA", "BB") and (abs(a - b) < 1e-3 or abs(a - b) > 1.0 - 1e-3):
         return None
-    return flat_to_config(FlatCoord(square, a, b))
+    return configuration(square[0], a, square[1], b)
 
 
 @settings(deadline=None, max_examples=60)

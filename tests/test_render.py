@@ -50,6 +50,39 @@ def test_spine_only_render_is_frozen():
     assert digest == "ad282500df05a18e96212257bc8c228961a22a479144ff2ceafdc4ca134884b0"
 
 
+# sha256 of render_svg(plan(start, goal)): the README pair (also the
+# mixed_circles demo), the other two demo scenarios, and a pair with a robot
+# at the center at each end, which puts the markers in mixed squares.
+PLAN_RENDERS = {
+    "readme": (
+        configuration("A", 0.3, "B", 0.7),
+        configuration("B", 0.25, "A", 0.6),
+        "ccc04233d4f6916f43e9efd6e91e720345e107120a485c9000ffeb7b41e99086",
+    ),
+    "same_circle": (
+        configuration("A", 0.12, "A", 0.62),
+        configuration("A", 0.8, "A", 0.3),
+        "6611d4f23a0f70616c9002af2eae765e2a733d6a82fb6894f75af8b6c3542ddf",
+    ),
+    "vertex_to_vertex": (
+        VERTEX_CONFIG["C1"],
+        VERTEX_CONFIG["C2"],
+        "41f857a76ab9b2254adfd11da63135d11242a2e3bf6ef6735e02cb274c3b573d",
+    ),
+    "center": (
+        configuration("A", 0.0, "B", 0.3),
+        configuration("A", 0.7, "B", 0.0),
+        "b09314c7aa28405683a520409cb3888e1f690d4b3f5a414f550d405182de9595",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PLAN_RENDERS)
+def test_plan_render_is_frozen(name):
+    start, goal, expected = PLAN_RENDERS[name]
+    assert hashlib.sha256(render_svg(plan(start, goal)).encode()).hexdigest() == expected
+
+
 def test_svg_is_self_contained():
     svg = render_svg()
     assert svg.startswith("<svg")

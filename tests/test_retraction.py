@@ -9,26 +9,25 @@ from hypothesis import given, strategies as st
 from fig8plan.errors import CollisionError, DomainError
 from fig8plan.geometry import (
     SNAP_EPS,
-    FlatCoord,
-    canonical_flat,
+    chart,
     config_dist,
-    config_to_flat,
     configuration,
-    flat_to_config,
     path_from_legs,
     path_min_separation,
 )
 from fig8plan.planner import plan, validate_plan
 from fig8plan.retraction import region_corner, retract, retract_flat
 from fig8plan.spine import (
+    CHAIN_CIRCLES,
     ChainPoint,
+    chain_point,
     chain_to_config,
-    chain_to_flat,
     chart_on_spine,
     dist_chain,
-    flat_to_chain,
     vertex_point,
 )
+
+from spine_reference import spine_image
 
 coords = st.floats(min_value=0.001, max_value=0.999, allow_nan=False)
 
@@ -45,22 +44,22 @@ def _leg_end_on_spine(r):
 
 
 def test_region_corner():
-    assert region_corner(FlatCoord("AA", 0.1, 0.3)) == (0, 1)
-    assert region_corner(FlatCoord("AA", 0.3, 0.1)) == (1, 0)
-    assert region_corner(FlatCoord("BB", 0.7, 0.9)) == (0, 1)
-    assert region_corner(FlatCoord("AB", 0.2, 0.3)) == (0, 0)
-    assert region_corner(FlatCoord("AB", 0.7, 0.2)) == (1, 0)
-    assert region_corner(FlatCoord("BA", 0.6, 0.8)) == (1, 1)
+    assert region_corner("AA", 0.1, 0.3) == (0, 1)
+    assert region_corner("AA", 0.3, 0.1) == (1, 0)
+    assert region_corner("BB", 0.7, 0.9) == (0, 1)
+    assert region_corner("AB", 0.2, 0.3) == (0, 0)
+    assert region_corner("AB", 0.7, 0.2) == (1, 0)
+    assert region_corner("BA", 0.6, 0.8) == (1, 1)
 
 
 def test_retract_flat_frozen_same_circle():
-    a, b, scale = retract_flat(FlatCoord("AA", 0.1, 0.3))
+    a, b, scale = retract_flat("AA", 0.1, 0.3)
     assert (a, b) == (0.0625, 0.5625)
     assert scale == pytest.approx(0.625)
 
 
 def test_retract_flat_frozen_mixed():
-    a, b, scale = retract_flat(FlatCoord("AB", 0.2, 0.3))
+    a, b, scale = retract_flat("AB", 0.2, 0.3)
     assert a == pytest.approx(1.0 / 3.0)
     assert b == 0.5
     assert scale == pytest.approx(5.0 / 3.0)
@@ -69,20 +68,20 @@ def test_retract_flat_frozen_mixed():
 def test_retract_far_corner_pulls_inward():
     # Beyond the sub-diagonal the scale drops below 1: the image sits between
     # the input and the reference corner.
-    a, b, scale = retract_flat(FlatCoord("AA", 0.7, 0.9))
+    a, b, scale = retract_flat("AA", 0.7, 0.9)
     assert scale == pytest.approx(0.625)
     assert a == pytest.approx(0.4375)
     assert b == pytest.approx(0.9375)
 
 
 def test_spine_points_are_fixed():
-    for f in (
-        FlatCoord("AB", 0.3, 0.5),
-        FlatCoord("AB", 0.5, 0.8),
-        FlatCoord("AA", 0.2, 0.7),
-        FlatCoord("BB", 0.9, 0.4),
+    for square, a, b in (
+        ("AB", 0.3, 0.5),
+        ("AB", 0.5, 0.8),
+        ("AA", 0.2, 0.7),
+        ("BB", 0.9, 0.4),
     ):
-        assert retract_flat(f) == (f.a, f.b, 1.0)
+        assert retract_flat(square, a, b) == (a, b, 1.0)
 
 
 def test_seeded_spine_configurations_retract_to_themselves():
@@ -106,11 +105,11 @@ def test_center_state_rule():
     # A robot parked at the center stays; the free robot goes to its pole.
     r = retract(configuration("A", 0.0, "B", 0.3))
     assert r.point == vertex_point("HB")
-    assert chain_to_flat(r.point) == FlatCoord("AB", 0.0, 0.5)
+    assert chart(chain_to_config(r.point)) == ("AB", 0.0, 0.5)
     assert _leg_end(r) == configuration("A", 0.0, "B", 0.5)
     r = retract(configuration("A", 0.3, "A", 0.0))
     assert r.point == vertex_point("VA")
-    assert chain_to_flat(r.point) == FlatCoord("AB", 0.5, 0.0)
+    assert chart(chain_to_config(r.point)) == ("AB", 0.5, 0.0)
     assert _leg_end(r) == configuration("A", 0.5, "A", 0.0)
 
 
@@ -123,7 +122,7 @@ def test_near_vertex_leg_ends_on_the_vertex():
         r = retract(c)
         assert r.point == vertex_point("VA")
         leg = r.leg
-        assert leg.circle1 + leg.circle2 == config_to_flat(c).square
+        assert leg.circle1 + leg.circle2 == chart(c)[0]
         assert configuration(leg.circle1, leg.a1, leg.circle2, leg.b1) == chain_to_config(r.point)
     validate_plan(plan(start, goal))
 
@@ -132,12 +131,12 @@ def test_points_next_to_removed_corners_retract_with_finite_scale():
     # Next to a removed corner or the diagonal the scale is large (or, by
     # the diagonal, about 1/2) but finite, and the image is on the spine.
     # SNAP_EPS = 1e-12 is as close to the center as a coordinate may be.
-    for f in (
-        FlatCoord("AB", 1e-12, 1e-12),
-        FlatCoord("AA", 1e-12, 1.0 - 2e-12),
-        FlatCoord("AA", 0.3, 0.3 + 1e-13),
+    for c in (
+        configuration("A", 1e-12, "B", 1e-12),
+        configuration("A", 1e-12, "A", 1.0 - 2e-12),
+        configuration("A", 0.3, "A", 0.3 + 1e-13),
     ):
-        r = retract(flat_to_config(f))
+        r = retract(c)
         assert math.isfinite(r.scale) and r.scale > 0.5
         assert _leg_end_on_spine(r)
     # The largest scale a configuration reaches is 1 / (2 SNAP_EPS) = 5e11.
@@ -158,9 +157,10 @@ def _knife_edge_coords():
 
 def test_retract_point_matches_reidentified_image():
     # The ray's branch names the spine line and its angle is snapped once.
-    # Reference: rebuild the unrounded image as a canonical FlatCoord, which
-    # snaps center values and may switch squares, and find its line again
-    # with EPS tests (flat_to_chain).  The two must agree at every knife edge.
+    # Reference: rebuild the unrounded image as a configuration, which snaps
+    # center values, chart it, which may switch squares, and find its line
+    # again with EPS tests (spine_image).  The two must agree at every knife
+    # edge.
     coords = _knife_edge_coords()
     n = 0
     for c1, c2 in itertools.product("AB", repeat=2):
@@ -169,11 +169,39 @@ def test_retract_point_matches_reidentified_image():
                 c = configuration(c1, x, c2, y)
             except (DomainError, CollisionError):
                 continue
-            f = config_to_flat(c)
-            a, b, _ = retract_flat(f)
-            assert retract(c).point == flat_to_chain(canonical_flat(f.square, a, b)), c
+            square, a0, b0 = chart(c)
+            a, b, _ = retract_flat(square, a0, b0)
+            image = configuration(square[0], a, square[1], b)
+            assert retract(c).point == spine_image(*chart(image)), c
             n += 1
     assert n > 100_000
+
+
+def test_retraction_fixes_every_spine_point():
+    # The retraction fixes the spine exactly: every spine point, charted as a
+    # configuration, retracts to itself, also at angles a hair off a vertex,
+    # where chain_point's EPS snap and the configuration's SNAP_EPS snap meet.
+    from random import Random
+
+    thetas = set()
+    for base in (0.0, 0.25, 0.5, 0.75, 1.0):
+        for offset in (0.0, 1e-13, 1e-12, 2e-12, 5e-10, 1e-9, 2e-9, 1e-6, 1e-3):
+            for v in (base - offset, base + offset):
+                down = up = v
+                thetas.add(v)
+                for _ in range(2):  # and 1 or 2 ulps either way
+                    down, up = math.nextafter(down, -1.0), math.nextafter(up, 2.0)
+                    thetas |= {down, up}
+    thetas = sorted(t for t in thetas if 0.0 <= t < 1.0)
+    rng = Random(20261019)
+    thetas += [rng.random() for _ in range(20_000)]
+    n = 0
+    for circle in CHAIN_CIRCLES:
+        for theta in thetas:
+            p = chain_point(circle, theta)
+            assert retract(chain_to_config(p)).point == p, (circle, theta)
+            n += 1
+    assert n > 120_000
 
 
 # Coordinates at and around the center, the poles and the quarter points.
@@ -187,10 +215,10 @@ edge_coords = st.one_of(
 @given(st.sampled_from(("AA", "BB", "AB", "BA")), edge_coords, edge_coords)
 def test_retract_flat_is_finite_for_every_admissible_flat(square, a, b):
     try:
-        f = FlatCoord(square, a, b)
+        c = configuration(square[0], a, square[1], b)
     except (DomainError, CollisionError):
         return
-    image_a, image_b, scale = retract_flat(f)
+    image_a, image_b, scale = retract_flat(*chart(c))
     assert all(math.isfinite(v) for v in (image_a, image_b, scale))
     assert 0.0 <= image_a <= 1.0 and 0.0 <= image_b <= 1.0
     assert 0.5 <= scale <= 1.0 / (2.0 * SNAP_EPS)
@@ -200,7 +228,7 @@ def test_retract_flat_is_finite_for_every_admissible_flat(square, a, b):
 def test_same_circle_image_on_spine(square, a, b):
     if abs(a - b) < 1e-6 or abs(a - b) > 1.0 - 1e-6:
         return
-    r = retract(flat_to_config(FlatCoord(square, a, b)))
+    r = retract(configuration(square[0], a, square[1], b))
     assert _leg_end_on_spine(r)
     assert 0.5 < r.scale
     again = retract(chain_to_config(r.point))
@@ -210,7 +238,7 @@ def test_same_circle_image_on_spine(square, a, b):
 
 @given(st.sampled_from(("AB", "BA")), coords, coords)
 def test_mixed_image_on_spine(square, a, b):
-    r = retract(flat_to_config(FlatCoord(square, a, b)))
+    r = retract(configuration(square[0], a, square[1], b))
     assert _leg_end_on_spine(r)
     assert r.scale >= 1.0
     again = retract(chain_to_config(r.point))
@@ -222,7 +250,7 @@ def test_mixed_image_on_spine(square, a, b):
 def test_trace_runs_input_to_image_collision_free(square, a, b):
     if square in ("AA", "BB") and (abs(a - b) < 1e-6 or abs(a - b) > 1.0 - 1e-6):
         return
-    c = flat_to_config(FlatCoord(square, a, b))
+    c = configuration(square[0], a, square[1], b)
     r = retract(c)
     trace = path_from_legs([r.leg])
     assert config_dist(trace.start, c) < 1e-9

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fig8plan.errors import ContractError, DomainError
-from fig8plan.geometry import ChartLeg, FlatCoord, config_to_flat, configuration, dist_gamma, path_from_legs
+from fig8plan.geometry import ChartLeg, chart, configuration, dist_gamma, path_from_legs
 from fig8plan.spine import (
     CHAIN_CIRCLES,
     CHAIN_VERTICES,
@@ -17,12 +17,9 @@ from fig8plan.spine import (
     build_chain,
     chain_point,
     chain_to_config,
-    chain_to_flat,
     dist_chain,
-    flat_to_chain,
     is_antipodal,
     make_steps,
-    on_spine,
     shortest_arc,
     step_to_leg,
     steps_to_legs,
@@ -31,6 +28,8 @@ from fig8plan.spine import (
     vertex_point,
     vertex_theta_on,
 )
+
+from spine_reference import on_spine, spine_image
 
 chain_circles = st.sampled_from(CHAIN_CIRCLES)
 angles = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -82,7 +81,7 @@ def test_vertex_configs():
     for name, config in expected.items():
         assert VERTEX_CONFIG[name] is config
         assert chain_to_config(vertex_point(name)) == config
-        assert flat_to_chain(config_to_flat(config)) == vertex_point(name)
+        assert spine_image(*chart(config)) == vertex_point(name)
 
 
 def test_successor_walk_closes_in_six():
@@ -115,16 +114,16 @@ def test_chain_graph_counts():
 @given(chain_circles, angles)
 def test_chart_roundtrip(circle, theta):
     p = chain_point(circle, theta)
-    f = chain_to_flat(p)
-    assert on_spine(f)
-    assert flat_to_chain(f) == p
+    f = chart(chain_to_config(p))
+    assert on_spine(*f)
+    assert spine_image(*f) == p
 
 
 def test_flat_to_chain_rejects_off_spine():
     with pytest.raises(DomainError):
-        flat_to_chain(FlatCoord("AA", 0.3, 0.4))
+        spine_image("AA", 0.3, 0.4)
     with pytest.raises(DomainError):
-        flat_to_chain(FlatCoord("AB", 0.3, 0.4))
+        spine_image("AB", 0.3, 0.4)
 
 
 def test_dist_chain_frozen_values():
@@ -220,7 +219,7 @@ def test_steps_to_path_stays_on_spine():
     assert path.end == chain_to_config(ChainPoint("R", 0.9))
     for k in range(33):
         c = path.config_at(k / 32)
-        assert on_spine(config_to_flat(c))
+        assert on_spine(*chart(c))
 
 
 def test_steps_cross_center_wrap():

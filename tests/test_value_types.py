@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from fig8plan.errors import CollisionError, ContractError, DomainError
-from fig8plan.geometry import ChartLeg, CirclePoint, Configuration, FlatCoord, PathSegment, PhysPath
+from fig8plan.geometry import ChartLeg, CirclePoint, Configuration, PathSegment, PhysPath
 from fig8plan.planner import InstructionDomain, Plan
 from fig8plan.render import RenderSpec
 from fig8plan.retraction import RetractResult
@@ -16,7 +16,6 @@ from fig8plan.verify import SuiteReport
 
 POINT = "CirclePoint(circle='A', s=0.3)"
 CONFIG = f"Configuration(p1={POINT}, p2=CirclePoint(circle='B', s=0.7))"
-FLAT = "FlatCoord(square='AB', a=0.3, b=0.7)"
 SEGMENT = "PathSegment(t0=0.0, t1=1.0, circle1='A', a0=0.3, a1=0.3, circle2='B', b0=0.7, b1=0.7)"
 PATH = f"PhysPath(segments=({SEGMENT},))"
 LEG = "ChartLeg(circle1='A', a0=0.3, a1=0.5, circle2='B', b0=0.7, b1=0.7)"
@@ -37,7 +36,6 @@ def _path():
 CASES = [
     (lambda: CirclePoint("A", 0.3), POINT),
     (_config, CONFIG),
-    (lambda: FlatCoord("AB", 0.3, 0.7), FLAT),
     (lambda: PathSegment(0.0, 1.0, "A", 0.3, 0.3, "B", 0.7, 0.7), SEGMENT),
     (_path, PATH),
     (lambda: ChartLeg("A", 0.3, 0.5, "B", 0.7, 0.7), LEG),
@@ -108,7 +106,6 @@ def test_pickle_round_trip(make, golden):
         (lambda: CirclePoint(circle="C", s=0.3), DomainError),
         (lambda: CirclePoint(circle="A", s=1e-13), DomainError),
         (lambda: Configuration(p1=CirclePoint("A", 0.3), p2=CirclePoint("A", 0.3)), CollisionError),
-        (lambda: FlatCoord(square="AA", a=0.3, b=0.3), CollisionError),
         (
             lambda: PathSegment(
                 t0=0.5, t1=0.5, circle1="A", a0=0.1, a1=0.1, circle2="B", b0=0.2, b1=0.2
