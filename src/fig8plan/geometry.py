@@ -34,6 +34,8 @@ import bisect
 import itertools
 import math
 from collections import namedtuple
+from functools import reduce
+from operator import add
 
 from .errors import CollisionError, ContractError, DomainError
 
@@ -297,7 +299,9 @@ def path_from_legs(legs: list[ChartLeg]) -> PhysPath:
     leg's end, and the pole is the only interior cut.  A piece starts and
     ends on its leg's own endpoint values, and at a cut the crossing
     coordinate is exactly 1/2.  Pieces are timed proportionally to arc sweep
-    and normalized to t in [0, 1].  A piece that sweeps at most SNAP_EPS
+    and normalized to t in [0, 1].  Sweeps are added left to right: builtin
+    sum() compensates float sums from Python 3.12 on, so the times would
+    differ between Python versions.  A piece that sweeps at most SNAP_EPS
     times the total is dropped: below that resolution its times could not
     increase strictly, and the dropped motion stays far below EPS.  A
     stationary input yields a constant trajectory.
@@ -310,7 +314,7 @@ def path_from_legs(legs: list[ChartLeg]) -> PhysPath:
         else:
             pieces.append(leg)
             sweeps.append(max(abs(a1 - a0), abs(b1 - b0)))
-    total = sum(sweeps)
+    total = reduce(add, sweeps, 0.0)
     floor = SNAP_EPS * total
     if not (sweeps and min(sweeps) > floor):  # some piece drops, or NaN made floor NaN
         kept = [k for k, sweep in enumerate(sweeps) if sweep > floor]
@@ -321,7 +325,7 @@ def path_from_legs(legs: list[ChartLeg]) -> PhysPath:
             return constant_path(configuration(first.circle1, first.a0, first.circle2, first.b0))
         pieces = [pieces[k] for k in kept]
         sweeps = [sweeps[k] for k in kept]
-        total = sum(sweeps)
+        total = reduce(add, sweeps, 0.0)
     segments = []
     acc = t1 = 0.0
     last = len(pieces) - 1

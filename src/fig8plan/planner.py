@@ -24,8 +24,8 @@ holds an interior goal, then the final arc along that circle.  The final
 arc is the shortest arc to the goal; instruction 1 leaves a half-turn tie to
 the shortest-arc rule, and instructions 2 and 3 break it positively, which
 keeps instruction 2 stable under perturbation of an antipodal pair.  A walk
-makes at most seven arc moves: a partial hop, five ring hops and a final
-arc.
+makes at most seven arc moves (MAX_HOPS): a partial hop, five ring hops and
+a final arc.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import namedtuple
+from functools import reduce
+from operator import add
 
 from .errors import ContractError
 from .geometry import (
@@ -59,6 +61,11 @@ from .spine import (
     steps_to_legs,
     theta_on,
 )
+
+
+# The plan contract's bounds on the walk: arc moves, and length along the spine.
+MAX_HOPS = 7
+MAX_CHAIN_LENGTH = 4.0
 
 
 class InstructionDomain(enum.Enum):
@@ -159,7 +166,8 @@ class Plan(
 
     @property
     def chain_length(self) -> float:
-        return sum(s.length for s in self.steps)
+        # added left to right, the same on every Python (see path_from_legs)
+        return reduce(add, (s.length for s in self.steps), 0.0)
 
 
 def plan(start: Configuration, goal: Configuration) -> Plan:
@@ -182,7 +190,7 @@ def plan(start: Configuration, goal: Configuration) -> Plan:
     else:
         path = constant_path(start)
 
-    sw_spine = sum(leg.sweep for leg in legs_spine)
+    sw_spine = reduce(add, (leg.sweep for leg in legs_spine), 0.0)
     total = sw_in + sw_spine + sw_out
     if total > 0.0:
         interval = (sw_in / total, (sw_in + sw_spine) / total)
@@ -240,8 +248,7 @@ def validate_plan(p: Plan) -> None:
     The three points are tested on the segment's own chart values
     (chart_on_spine), without building a configuration for any of them.
     """
-    waypoints = p.path.waypoints
-    start, end = waypoints[0][1], waypoints[-1][1]
+    start, end = p.path.start, p.path.end
     if config_dist(start, p.start) > EPS:
         raise ContractError(f"plan does not start at its start: {start} vs {p.start}")
     if config_dist(end, p.goal) > EPS:
@@ -264,7 +271,7 @@ def validate_plan(p: Plan) -> None:
         (c1, a), (c2, b) = middle = p.path.config_at(t0)
         if not chart_on_spine(c1 == c2, a, b):
             raise ContractError(f"plan middle is off the spine: {middle}")
-    if p.hop_count > 7:
+    if p.hop_count > MAX_HOPS:
         raise ContractError(f"plan used {p.hop_count} hops")
-    if p.chain_length > 4.0:
+    if p.chain_length > MAX_CHAIN_LENGTH:
         raise ContractError(f"plan walked {p.chain_length} along the spine")

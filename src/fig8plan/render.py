@@ -180,8 +180,8 @@ def _traces_layer(spec: RenderSpec, plan: Plan) -> list[str]:
 
 
 def _marker_pair(spec: RenderSpec, plan: Plan) -> list[str]:
-    sx, sy = spec.to_xy(*chart(plan.path.config_at(0.0)))
-    ex, ey = spec.to_xy(*chart(plan.path.config_at(1.0)))
+    sx, sy = spec.to_xy(*chart(plan.path.start))
+    ex, ey = spec.to_xy(*chart(plan.path.end))
     r = 6.0
     triangle = (
         f'<path class="start-marker" d="M {_f(sx)} {_f(sy - r)}'

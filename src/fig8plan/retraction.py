@@ -48,7 +48,9 @@ def retract_flat(square: str, a: float, b: float) -> tuple[float, float, float]:
     Returns the image's chart values (a, b) in the input's own square, which
     may read 0 or 1 at the center, and the ray scale lambda; lambda == 1
     exactly when the input already lies on the spine, and then it is its own
-    image (rebuilding it from the corner would move it by rounding).
+    image.  A same-circle input is returned as it is, since rebuilding it
+    from the corner would move it by rounding; in a mixed square the corner
+    is 0 or 1, and the rebuilt image is exact.
     """
     ca, cb = region_corner(square, a, b)
     ua, ub = a - ca, b - cb
@@ -62,8 +64,6 @@ def retract_flat(square: str, a: float, b: float) -> tuple[float, float, float]:
     else:
         m = max(abs(ua), abs(ub))
         scale = 0.5 / m
-        if scale == 1.0:
-            return a, b, scale
         if abs(ua) >= abs(ub):
             a_out = 0.5
             b_out = cb + scale * ub

@@ -12,8 +12,10 @@ discretisation is involved, so the oracles are exact up to rounding.
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 import time
-from collections import defaultdict, deque, namedtuple
+from collections import defaultdict, namedtuple
 from random import Random
 
 from .errors import DomainError
@@ -24,18 +26,16 @@ from .geometry import (
     PhysPath,
     circle_point,
     config_dist,
-    constant_path,
     dist_gamma,
     path_from_legs,
     path_min_separation,
     path_sup_distance,
 )
-from .planner import InstructionDomain, classify_domain, plan, plan_steps
+from .planner import MAX_CHAIN_LENGTH, MAX_HOPS, InstructionDomain, classify_domain, plan
 from .retraction import retract
 from .spine import (
     CHAIN_CIRCLES,
     CHAIN_VERTICES,
-    VERTEX_CONFIG,
     ChainPoint,
     build_chain,
     chain_point,
@@ -43,7 +43,6 @@ from .spine import (
     chart_on_spine,
     dist_chain,
     is_antipodal,
-    steps_to_legs,
     vertex_point,
 )
 
@@ -98,31 +97,6 @@ def cycle_rank(g) -> int:
     return len(edges) - len(verts) + 1
 
 
-def spanning_tree_cycle_count(g) -> int:
-    """Independent cross-check for cycle_rank: edges left over by a BFS tree."""
-    verts = list(g.vertex_ids)
-    edges = list(g.edge_list)
-    if not verts:
-        raise DomainError("empty graph")
-    adj = defaultdict(list)
-    for idx, (u, v) in enumerate(edges):
-        adj[u].append((v, idx))
-        adj[v].append((u, idx))
-    seen = {verts[0]}
-    tree = set()
-    queue = deque([verts[0]])
-    while queue:
-        u = queue.popleft()
-        for w, idx in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                tree.add(idx)
-                queue.append(w)
-    if len(seen) != len(verts):
-        raise DomainError("graph is disconnected")
-    return len(edges) - len(tree)
-
-
 def tc_wedge(n: int) -> int:
     """Topological complexity of a wedge of n circles: 2 for one circle, 3 for more."""
     if not isinstance(n, int) or n < 1:
@@ -172,6 +146,24 @@ def random_chain_point(rng: Random, vertex_prob: float = 0.0) -> ChainPoint:
             return chain_point(rng.choice(CHAIN_CIRCLES), theta)
 
 
+# Offsets from a vertex or a quarter point at which chain_point's EPS snap
+# and a configuration's SNAP_EPS reading of the center are decided.
+_KNIFE_OFFSETS = (0.0, 1e-13, 1e-12, 2e-12, 5e-10, 1e-9, 2e-9, 1e-6, 1e-3)
+
+
+def _knife_edge_chain_point(rng: Random) -> ChainPoint:
+    """A spine point on a vertex or a quarter point, or a knife-edge offset
+    off one, then moved 0 to 2 ulps either way."""
+    theta = rng.choice((0.0, 0.25, 0.5, 0.75)) + rng.choice((1.0, -1.0)) * rng.choice(_KNIFE_OFFSETS)
+    ulps = rng.randint(-2, 2)
+    for _ in range(abs(ulps)):
+        theta = math.nextafter(theta, math.copysign(math.inf, ulps))
+    return chain_point(rng.choice(CHAIN_CIRCLES), theta)
+
+
+_VERTEX_PAIRS = [(vertex_point(u), vertex_point(v)) for u in CHAIN_VERTICES for v in CHAIN_VERTICES]
+
+
 def _format_config(c: Configuration) -> str:
     return f"({c.p1.circle}:{c.p1.s:.6g}, {c.p2.circle}:{c.p2.s:.6g})"
 
@@ -188,20 +180,6 @@ def _format_chain(p: ChainPoint) -> str:
 # Perturbation sizes, strictly decreasing; the largest keeps a boundary
 # margin of 10 * 1e-2, well inside a quarter circle.
 _LADDER = (1e-2, 1e-3, 1e-4)
-
-
-def _steps_path(start: ChainPoint, moves):
-    legs = []
-    for group in moves:
-        legs.extend(steps_to_legs(group))
-    if not legs:
-        return constant_path(chain_to_config(start))
-    return path_from_legs(legs)
-
-
-def _instruction_path(x: ChainPoint, y: ChainPoint):
-    _, moves = plan_steps(x, y)
-    return _steps_path(x, moves)
 
 
 def _interior_theta(rng: Random, margin: float) -> float:
@@ -256,8 +234,9 @@ def continuity_probe(domain: InstructionDomain, seed: int, samples: int = 16) ->
     stay strictly inside the instruction's domain: base pairs keep a margin
     of 10*delta from the domain boundary, and for U2 the perturbation moves
     along the antipodal stratum (both points slide together) or holds the
-    vertex fixed.  U3 has a finite domain, so the probe degenerates to
-    running each vertex pair twice and comparing.
+    vertex fixed.  Each path is the one plan() returns for the two spine
+    points.  U3 is refused: its domain is the 36 isolated vertex pairs, on
+    which every rule is continuous, so there is nothing to perturb.
     """
     worst = dict.fromkeys(_LADDER, 0.0)
     for delta, p, q in _probe_path_pairs(domain, seed, samples):
@@ -267,43 +246,29 @@ def continuity_probe(domain: InstructionDomain, seed: int, samples: int = 16) ->
 
 def _probe_path_pairs(domain: InstructionDomain, seed: int, samples: int):
     """Yield (delta, path, nearby path) for every comparison the probe makes."""
-    rng = Random(seed)
     if domain is InstructionDomain.U3:
-        pairs = [
-            (vertex_point(u), vertex_point(v))
-            for u in CHAIN_VERTICES
-            for v in CHAIN_VERTICES
-        ]
-        paths = [(_instruction_path(x, y), _instruction_path(x, y)) for x, y in pairs]
-        for delta in _LADDER:
-            for p, q in paths:
-                yield delta, p, q
-        return
-
+        raise DomainError("U3 is 36 isolated vertex pairs: every rule is continuous there")
+    rng = Random(seed)
     for delta in _LADDER:
         margin = 10.0 * delta
         for _ in range(samples):
             if domain is InstructionDomain.U1:
                 x, y = _sample_u1_pair(rng, margin)
-                perturbed = []
-                for sx in (+1.0, -1.0):
-                    for sy in (+1.0, -1.0):
-                        perturbed.append(
-                            (
-                                chain_point(x.circle, (x.theta + sx * delta) % 1.0),
-                                chain_point(y.circle, (y.theta + sy * delta) % 1.0),
-                            )
-                        )
+                perturbed = [
+                    (chain_point(x.circle, x.theta + dx), chain_point(y.circle, y.theta + dy))
+                    for dx in (delta, -delta)
+                    for dy in (delta, -delta)
+                ]
             else:
                 x, y, slide = _sample_u2_pair(rng, margin)
                 perturbed = _u2_perturbations(x, y, slide, delta)
-            base = _instruction_path(x, y)
+            base = plan(chain_to_config(x), chain_to_config(y)).path
             for x2, y2 in perturbed:
                 if classify_domain(x2, y2) is not domain:
                     raise DomainError(
                         f"perturbation left {domain}: {_format_chain(x2)}, {_format_chain(y2)}"
                     )
-                yield delta, base, _instruction_path(x2, y2)
+                yield delta, base, plan(chain_to_config(x2), chain_to_config(y2)).path
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +419,7 @@ def _suite_collision(rng: Random, n: int) -> tuple[bool, str]:
         return start, goal, p.hop_count, p.chain_length, p.path
 
     for i, (start, goal, hops, length, path), sep, gap in _separation_gaps(n, make):
-        err = max(
-            config_dist(path.config_at(0.0), start),
-            config_dist(path.config_at(1.0), goal),
-        )
+        err = max(config_dist(path.start, start), config_dist(path.end, goal))
         worst_end = max(worst_end, err)
         worst_sep = min(worst_sep, sep)
         worst_gap = max(worst_gap, gap)
@@ -468,15 +430,21 @@ def _suite_collision(rng: Random, n: int) -> tuple[bool, str]:
             )
         max_hops = max(max_hops, hops)
         max_len = max(max_len, length)
-        if hops > 7 or length > 4.0:
+        if hops > MAX_HOPS or length > MAX_CHAIN_LENGTH:
             return False, (
                 f"pair {i}: {_format_config(start)} -> {_format_config(goal)}"
                 f" hops {hops} length {length:.3f}"
             )
     return True, (
         f"worst endpoint err {worst_end:.3e}, min separation {worst_sep:.3e},"
-        f" worst oracle gap {worst_gap:.3e}; max hops {max_hops} (bound 7),"
-        f" max chain length {max_len:.3f} (bound 4)"
+        f" worst oracle gap {worst_gap:.3e}; {_bounds_witness(max_hops, max_len)}"
+    )
+
+
+def _bounds_witness(max_hops: int, max_len: float) -> str:
+    return (
+        f"max hops {max_hops} (bound {MAX_HOPS}),"
+        f" max chain length {max_len:.3f} (bound {MAX_CHAIN_LENGTH:g})"
     )
 
 
@@ -518,10 +486,9 @@ def _suite_partition(rng: Random, n: int) -> tuple[bool, str]:
                 f" classified {tag.name}, predicates say {expected.name}"
             )
         counts[tag] += 1
-    for u in CHAIN_VERTICES:
-        for v in CHAIN_VERTICES:
-            if classify_domain(vertex_point(u), vertex_point(v)) is not InstructionDomain.U3:
-                return False, f"vertex pair ({u},{v}) not U3"
+    for x, y in _VERTEX_PAIRS:
+        if classify_domain(x, y) is not InstructionDomain.U3:
+            return False, f"vertex pair ({x.vertex},{y.vertex}) not U3"
     return True, (
         f"counts U1={counts[InstructionDomain.U1]} U2={counts[InstructionDomain.U2]}"
         f" U3={counts[InstructionDomain.U3]}, 36 vertex pairs all U3"
@@ -529,7 +496,6 @@ def _suite_partition(rng: Random, n: int) -> tuple[bool, str]:
 
 
 def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
-    worst_fix = 0.0
     worst_trace = 0.0
     worst_gap = 0.0
 
@@ -542,15 +508,9 @@ def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
         if not chart_on_spine(r.leg.circle1 == r.leg.circle2, r.leg.a1, r.leg.b1):
             return False, f"sample {i}: leg of {_format_config(c)} ends off the spine"
         image_config = chain_to_config(r.point)
-        again = retract(image_config)
-        fix_err = config_dist(chain_to_config(again.point), image_config)
-        worst_fix = max(worst_fix, fix_err)
-        if fix_err > 1e-9:
-            return False, f"sample {i}: idempotence error {fix_err:.3e} at {_format_config(c)}"
-        end_err = max(
-            config_dist(trace.config_at(0.0), c),
-            config_dist(trace.config_at(1.0), image_config),
-        )
+        if retract(image_config).point != r.point:
+            return False, f"sample {i}: image {_format_chain(r.point)} of {_format_config(c)} is not fixed"
+        end_err = max(config_dist(trace.start, c), config_dist(trace.end, image_config))
         worst_trace = max(worst_trace, end_err)
         if end_err > 1e-9:
             return False, f"sample {i}: trace endpoint error {end_err:.3e}"
@@ -563,7 +523,7 @@ def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
     if not ok:
         return False, witness
     return True, (
-        f"worst idempotence {worst_fix:.3e}, worst trace endpoint {worst_trace:.3e},"
+        f"idempotence exact, worst trace endpoint {worst_trace:.3e},"
         f" worst oracle gap {worst_gap:.3e}; {witness}"
     )
 
@@ -605,51 +565,45 @@ def _gluing_probe(rng: Random, n: int) -> tuple[bool, str]:
 
 def _suite_continuity(rng: Random, n: int) -> tuple[bool, str]:
     summary = []
-    for domain in InstructionDomain:
+    for domain in (InstructionDomain.U1, InstructionDomain.U2):
         rows = continuity_probe(domain, seed=rng.randrange(2**32), samples=n)
         values = [v for _, v in rows]
-        if domain is InstructionDomain.U3:
-            if any(v != 0.0 for v in values):
-                return False, f"U3 determinism broken: {rows}"
-        else:
-            if any(b >= a for a, b in zip(values, values[1:])):
-                return False, f"{domain.name} ladder not strictly decreasing: {rows}"
-            at_1e3 = dict(rows)[1e-3]
-            if at_1e3 >= 0.05:
-                return False, f"{domain.name} sup distance {at_1e3:.3f} at delta 1e-3"
+        if any(b >= a for a, b in zip(values, values[1:])):
+            return False, f"{domain.name} ladder not strictly decreasing: {rows}"
+        at_1e3 = dict(rows)[1e-3]
+        if at_1e3 >= 0.05:
+            return False, f"{domain.name} sup distance {at_1e3:.3f} at delta 1e-3"
         summary.append(f"{domain.name}:" + "/".join(f"{v:.2e}" for v in values))
+    summary.append(f"U3: {len(_VERTEX_PAIRS)} isolated vertex pairs")
     return True, " ".join(summary)
 
 
 def _suite_termination(rng: Random, n: int) -> tuple[bool, str]:
-    # Spine pairs, vertex and antipodal images included; the collision suite
-    # checks the same bounds on its random_config plans.
+    # Spine pairs, vertex and antipodal images included, then all 36 vertex
+    # pairs; the collision suite checks the same bounds on its random_config plans.
+    pairs = itertools.chain((_random_chain_pair(rng) for _ in range(n)), _VERTEX_PAIRS)
     max_hops = 0
     max_len = 0.0
-    for i in range(n):
-        x, y = _random_chain_pair(rng)
+    for i, (x, y) in enumerate(pairs):
         p = plan(chain_to_config(x), chain_to_config(y))
         max_hops = max(max_hops, p.hop_count)
         max_len = max(max_len, p.chain_length)
-        if p.hop_count > 7 or p.chain_length > 4.0:
+        if p.hop_count > MAX_HOPS or p.chain_length > MAX_CHAIN_LENGTH:
             return False, (
                 f"pair {i}: {_format_chain(x)} -> {_format_chain(y)}"
                 f" hops {p.hop_count} length {p.chain_length:.3f}"
             )
-    for u in CHAIN_VERTICES:
-        for v in CHAIN_VERTICES:
-            p = plan(VERTEX_CONFIG[u], VERTEX_CONFIG[v])
-            max_hops = max(max_hops, p.hop_count)
-            max_len = max(max_len, p.chain_length)
-            if p.hop_count > 7 or p.chain_length > 4.0:
-                return False, f"vertex pair ({u},{v}) hops {p.hop_count}"
-    return True, f"max hops {max_hops} (bound 7), max chain length {max_len:.3f} (bound 4)"
+    return True, _bounds_witness(max_hops, max_len)
 
 
 def _suite_roundtrip(rng: Random, n: int) -> tuple[bool, str]:
-    # The retraction fixes the spine exactly, so a pass has drift 0.
+    # The retraction fixes the spine exactly, so a pass has drift 0.  Half
+    # the spine points sit on knife edges, where the snaps are decided.
     for i in range(n):
-        p = random_chain_point(rng, vertex_prob=0.1)
+        if rng.random() < 0.5:
+            p = _knife_edge_chain_point(rng)
+        else:
+            p = random_chain_point(rng, vertex_prob=0.1)
         p2 = retract(chain_to_config(p)).point
         if p2 != p:
             return False, f"sample {i}: {_format_chain(p)} came back as {_format_chain(p2)}"

@@ -145,8 +145,6 @@ def test_instruction_continuity_ladders():
         values = [v for _, v in rows]
         assert values[0] > values[1] > values[2], f"{domain}: {rows}"
         assert values[1] < 0.05, f"{domain}: sup {values[1]} at delta 1e-3"
-    rows = continuity_probe(InstructionDomain.U3, seed=31)
-    assert [v for _, v in rows] == [0.0, 0.0, 0.0]
     assert perf_counter() - t0 < 120.0
 
 

@@ -1,7 +1,6 @@
 """Track coordinates, square charts, and piecewise-linear trajectories."""
 
 import math
-from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +23,8 @@ from fig8plan.geometry import (
     path_min_separation,
     path_sup_distance,
 )
-from fig8plan.planner import InstructionDomain
+from fig8plan.planner import InstructionDomain, plan
+from fig8plan.spine import CHAIN_VERTICES, VERTEX_CONFIG
 from fig8plan.verify import _probe_path_pairs, sampled_min_separations
 
 circles = st.sampled_from(("A", "B"))
@@ -306,10 +306,9 @@ def _continuity_path_pairs():
         for seed in (0, 1):
             for _, p, q in _probe_path_pairs(domain, seed, 4):
                 yield p, q
-    # The probe compares each vertex pair's path with itself; neighbouring
-    # vertex pairs give paths with different junctions.  The first 36 paths
-    # are the 36 pairs once, at the ladder's first delta.
-    u3 = [p for _, p, _ in islice(_probe_path_pairs(InstructionDomain.U3, 0, 0), 36)]
+    # U3 has no nearby inputs; neighbouring vertex pairs give paths with
+    # different junctions.
+    u3 = [plan(VERTEX_CONFIG[u], VERTEX_CONFIG[v]).path for u in CHAIN_VERTICES for v in CHAIN_VERTICES]
     yield from zip(u3, u3[1:])
 
 
@@ -323,6 +322,20 @@ def test_sup_distance_matches_sampled_reference():
         count += 1
     # 2 seeds x 3 deltas x 4 samples x (4 U1 or 2 U2 perturbations), 35 U3
     assert count == 96 + 48 + 35
+
+
+def test_segment_times_are_left_to_right_partial_sums():
+    # Ten legs of sweep 0.1: added left to right they total 0.9999999999999999,
+    # while a compensated sum (builtin sum() from Python 3.12 on) gives 1.0.
+    legs = [ChartLeg("A", 0.1, 0.2, "B", 0.25, 0.25), ChartLeg("A", 0.2, 0.1, "B", 0.25, 0.25)] * 5
+    assert all(leg.sweep == 0.1 for leg in legs)
+    partial = [0.0]
+    for leg in legs:
+        partial.append(partial[-1] + leg.sweep)
+    total = partial[-1]
+    assert total != math.fsum(leg.sweep for leg in legs)
+    path = path_from_legs(legs)
+    assert [seg.t1 for seg in path.segments] == [acc / total for acc in partial[1:-1]] + [1.0]
 
 
 def test_waypoints_are_time_ordered():

@@ -1,11 +1,12 @@
 """Verification suites, graph invariants, and the Dijkstra distance oracles."""
 
+from collections import defaultdict, deque
 from random import Random
 from types import SimpleNamespace
 
 import pytest
 
-from fig8plan import verify
+from fig8plan import spine, verify
 from fig8plan.errors import DomainError
 from fig8plan.geometry import (
     Configuration,
@@ -33,13 +34,37 @@ from fig8plan.verify import (
     random_config,
     run_suite,
     sampled_min_separations,
-    spanning_tree_cycle_count,
     tc_wedge,
 )
 
 
 def graph(vertices, edges):
     return SimpleNamespace(vertex_ids=tuple(vertices), edge_list=tuple(edges))
+
+
+def spanning_tree_cycle_count(g) -> int:
+    """Reference for cycle_rank: edges left over by a BFS tree."""
+    verts = list(g.vertex_ids)
+    edges = list(g.edge_list)
+    if not verts:
+        raise DomainError("empty graph")
+    adj = defaultdict(list)
+    for idx, (u, v) in enumerate(edges):
+        adj[u].append((v, idx))
+        adj[v].append((u, idx))
+    seen = {verts[0]}
+    tree = set()
+    queue = deque([verts[0]])
+    while queue:
+        u = queue.popleft()
+        for w, idx in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                tree.add(idx)
+                queue.append(w)
+    if len(seen) != len(verts):
+        raise DomainError("graph is disconnected")
+    return len(edges) - len(tree)
 
 
 def test_cycle_rank_of_chain_is_seven():
@@ -130,9 +155,13 @@ def test_report_json_shape():
     }
 
 
-def test_continuity_probe_u3_is_exact():
-    rows = continuity_probe(InstructionDomain.U3, seed=2)
-    assert rows == [(1e-2, 0.0), (1e-3, 0.0), (1e-4, 0.0)]
+def test_continuity_probe_refuses_u3():
+    # U3 is 36 isolated vertex pairs, with no nearby input to compare against
+    with pytest.raises(DomainError, match="isolated vertex pairs"):
+        continuity_probe(InstructionDomain.U3, seed=2)
+    report = run_suite("continuity", seed=2, n=2)
+    assert report.passed
+    assert report.witness.endswith(" U3: 36 isolated vertex pairs")
 
 
 def test_continuity_probe_u1_ladder_shrinks():
@@ -307,7 +336,7 @@ def test_batched_oracle_inputs():
         ),
         (
             "retraction",
-            "worst idempotence 0.000e+00, worst trace endpoint 1.000e-13,"
+            "idempotence exact, worst trace endpoint 1.000e-13,"
             " worst oracle gap 0.000e+00; gluing probe worst ratio 8.88 (bound 50)",
         ),
     ],
@@ -343,3 +372,14 @@ def test_blocked_suites_name_the_failing_index(monkeypatch, suite, witness):
     report = run_suite(suite, seed=0, n=600)
     assert not report.passed
     assert report.witness == witness
+
+
+def test_roundtrip_suite_catches_a_narrowed_vertex_snap(monkeypatch):
+    # chain_point snaps angles within EPS of a vertex; at 1e-13 a spine point
+    # 1e-12 off a vertex charts onto the center and comes back as the vertex.
+    # Only the knife-edge draws reach such points.
+    assert run_suite("roundtrip", seed=0, n=500).passed
+    monkeypatch.setattr(spine, "EPS", 1e-13)
+    report = run_suite("roundtrip", seed=0, n=500)
+    assert not report.passed
+    assert "came back as" in report.witness
