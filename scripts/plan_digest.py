@@ -1,4 +1,5 @@
-"""Check that plans are byte- and field-stable on the benchmark's request streams.
+"""Check that plans are byte- and field-stable on the benchmark's request streams,
+and that the verification suites report exactly as before.
 
 Usage: python scripts/plan_digest.py
 
@@ -13,9 +14,14 @@ stream:
   this digest also sees a change in the last bit of a value, such as
   spine_interval, that the 12-digit JSON rounds away.
 
+It also hashes the reports of the six verification suites at their quick
+sizes (run_suite's default n) for seeds 0 and 1, each report's JSON without
+its elapsed_ms on one line.  So a change to the hot path shows that the
+suites draw the same samples and reach the same verdicts and witnesses.
+
 It prints each digest and exits 1 unless every one equals the frozen value
-below.  A change that must alter plans on purpose updates these values in
-the same change and says why.
+below.  A change that must alter plans or suite reports on purpose updates
+these values in the same change and says why.
 """
 
 import hashlib
@@ -30,6 +36,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402
 from fig8plan.geometry import configuration  # noqa: E402
 from fig8plan.planner import plan, plan_to_json  # noqa: E402
+from fig8plan.verify import SUITE_NAMES, run_suite  # noqa: E402
 
 SEED = 7
 REQUESTS = 20_000
@@ -42,6 +49,8 @@ DIGESTS = {
     ("boundary", "fields"): "64465c74073f38629864e6bd8f4b385b65940a826df321e66e3d1feb094ffde2",
 }
 STREAMS = {"uniform": gen.uniform_pairs, "cli": gen.cli_pairs, "boundary": gen.boundary_pairs}
+SUITE_SEEDS = (0, 1)
+SUITE_DIGEST = "54341c3ddded9bcbb81a0c9d43b6f3c2007262c18cd92235ed52740eeb082a23"
 
 
 def stream_digests(pairs) -> dict[str, str]:
@@ -55,6 +64,16 @@ def stream_digests(pairs) -> dict[str, str]:
     return {"json": text.hexdigest(), "fields": fields.hexdigest()}
 
 
+def suite_digest() -> str:
+    reports = hashlib.sha256()
+    for seed in SUITE_SEEDS:
+        for name in SUITE_NAMES:
+            record = run_suite(name, seed=seed).to_json()
+            del record["elapsed_ms"]
+            reports.update(json.dumps(record).encode() + b"\n")
+    return reports.hexdigest()
+
+
 def main() -> int:
     failures = 0
     for name, stream in STREAMS.items():
@@ -63,6 +82,11 @@ def main() -> int:
             ok = digest == expected
             print(f"{name:9} {kind:6} {digest} {'ok' if ok else 'CHANGED, expected ' + expected}")
             failures += not ok
+    digest = suite_digest()
+    ok = digest == SUITE_DIGEST
+    verdict = "ok" if ok else "CHANGED, expected " + SUITE_DIGEST
+    print(f"{'suites':9} {'report':6} {digest} {verdict}")
+    failures += not ok
     return 1 if failures else 0
 
 

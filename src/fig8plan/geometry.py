@@ -19,7 +19,9 @@ Trajectories are piecewise linear: between consecutive waypoints each robot
 stays on one circle and its arc coordinate is affine in time.  Chart values
 lie in [0, 1], so the center (0 or 1) can only be a segment's end; builders
 split segments only at the pole, where a robot crosses 1/2, and every
-segment lives in a single square chart.
+segment lives in a single square chart.  A trajectory stores only its
+segments; its waypoints are configurations read off the segment ends when
+asked for, so assembling and certifying one builds no configuration.
 
 Two constants bound the admissible inputs (README, "Admissible inputs"):
 EPS is the spine snap (spine.chain_point) and the endpoint and junction
@@ -71,13 +73,17 @@ class CirclePoint(namedtuple("CirclePoint", "circle s")):
 
 def reads_as_center(s: float) -> bool:
     """True for an arc value within SNAP_EPS of the center, 0 or 1."""
-    return abs(s) < SNAP_EPS or abs(s - 1.0) < SNAP_EPS
+    return -SNAP_EPS < s < SNAP_EPS or -SNAP_EPS < s - 1.0 < SNAP_EPS
+
+
+_CENTER = CirclePoint("A", 0.0)
 
 
 def circle_point(circle: str, s: float) -> CirclePoint:
-    """Construct a canonical position, wrapping s = 1 back to the center."""
+    """Construct a canonical position, wrapping s = 1 back to the center;
+    the center is one shared object."""
     if reads_as_center(s):
-        return CirclePoint("A", 0.0)
+        return _CENTER
     return CirclePoint(circle, s)
 
 
@@ -117,9 +123,10 @@ class Configuration(namedtuple("Configuration", "p1 p2")):
 def configuration(c1: str, s1: float, c2: str, s2: float) -> Configuration:
     """Convenience constructor canonicalizing both positions; each of the six
     spine vertices (each robot at the center or a pole) is one shared object."""
-    shared = _VERTEX_CONFIGS.get((c1, s1, c2, s2))
-    if shared is not None:
-        return shared
+    if s1 == 0.5 or s2 == 0.5:
+        shared = _VERTEX_CONFIGS.get((c1, s1, c2, s2))
+        if shared is not None:
+            return shared
     return Configuration(circle_point(c1, s1), circle_point(c2, s2))
 
 
@@ -186,24 +193,17 @@ class PathSegment(namedtuple("PathSegment", "t0 t1 circle1 a0 a1 circle2 b0 b1")
     __slots__ = ()
 
     def __new__(cls, t0, t1, circle1, a0, a1, circle2, b0, b1):
-        if not t1 > t0:
-            raise ContractError("segment times must strictly increase")
-        if circle1 not in CIRCLES:
-            raise DomainError(f"unknown circle {circle1!r}")
-        if not 0.0 <= a0 <= 1.0:
-            raise DomainError(f"chart value {a0!r} outside [0, 1]")
-        if not 0.0 <= a1 <= 1.0:
-            raise DomainError(f"chart value {a1!r} outside [0, 1]")
-        if a0 < 0.5 < a1 or a1 < 0.5 < a0:
-            raise ContractError("segment interior crosses arc value 0.5; split required")
-        if circle2 not in CIRCLES:
-            raise DomainError(f"unknown circle {circle2!r}")
-        if not 0.0 <= b0 <= 1.0:
-            raise DomainError(f"chart value {b0!r} outside [0, 1]")
-        if not 0.0 <= b1 <= 1.0:
-            raise DomainError(f"chart value {b1!r} outside [0, 1]")
-        if b0 < 0.5 < b1 or b1 < 0.5 < b0:
-            raise ContractError("segment interior crosses arc value 0.5; split required")
+        if not (
+            t1 > t0
+            and circle1 in CIRCLES
+            and circle2 in CIRCLES
+            and 0.0 <= a0 <= 1.0
+            and 0.0 <= a1 <= 1.0
+            and 0.0 <= b0 <= 1.0
+            and 0.0 <= b1 <= 1.0
+            and not (a0 < 0.5 < a1 or a1 < 0.5 < a0 or b0 < 0.5 < b1 or b1 < 0.5 < b0)
+        ):
+            raise _segment_error(t0, t1, circle1, a0, a1, circle2, b0, b1)
         # Cross-circle collisions need both robots at the center, which the
         # no-interior-crossing rule confines to segment endpoints; endpoint
         # configurations are validated separately.  On one circle the robots
@@ -225,12 +225,28 @@ class PathSegment(namedtuple("PathSegment", "t0 t1 circle1 a0 a1 circle2 b0 b1")
         return max(abs(self.a1 - self.a0), abs(self.b1 - self.b0))
 
 
-class PhysPath(namedtuple("PhysPath", "segments waypoints")):
+def _segment_error(t0, t1, circle1, a0, a1, circle2, b0, b1) -> Exception:
+    """The first range, label or pole condition a malformed segment breaks."""
+    if not t1 > t0:
+        return ContractError("segment times must strictly increase")
+    for circle, v0, v1 in ((circle1, a0, a1), (circle2, b0, b1)):
+        if circle not in CIRCLES:
+            return DomainError(f"unknown circle {circle!r}")
+        for v in (v0, v1):
+            if not 0.0 <= v <= 1.0:
+                return DomainError(f"chart value {v!r} outside [0, 1]")
+        if v0 < 0.5 < v1 or v1 < 0.5 < v0:
+            return ContractError("segment interior crosses arc value 0.5; split required")
+    raise AssertionError("segment is well formed")
+
+
+class PhysPath(namedtuple("PhysPath", "segments")):
     """A validated piecewise-linear trajectory over t in [0, 1].
 
-    waypoints holds (t, configuration) at t = 0 and at each segment's end
-    time; it is built once, after the junctions are checked, from segments
-    alone, which is also all that repr and pickling carry.
+    Only the segments are stored.  The waypoints, (t, configuration) at
+    t = 0 and at each segment's end time, and the start and end are derived
+    from them when read; __new__ checks every one of those points on its
+    chart values, so each reads as a valid configuration.
     """
 
     __slots__ = ()
@@ -249,36 +265,56 @@ class PhysPath(namedtuple("PhysPath", "segments waypoints")):
             # a junction at one chart point is validated as prev's end below; at
             # any other, the start side is checked on chart values (config_dist's metric)
             if a != pa or b != pb or c1 != pc1 or c2 != pc2:
-                if (c1 == c2 and a == b) or (reads_as_center(a) and reads_as_center(b)):
+                if _coincide(c1, a, c2, b):
                     raise CollisionError(f"robots coincide at t={t}")
                 if max(_chart_dist(c1 == pc1, a, pa), _chart_dist(c2 == pc2, b, pb)) > EPS:
                     raise ContractError("trajectory waypoints disagree across a junction")
             pt, pc1, pa, pc2, pb = t1, c1, a1, c2, b1
-        pts = [(0.0, configuration(first.circle1, first.a0, first.circle2, first.b0))]
-        pts += [(t1, configuration(c1, a1, c2, b1)) for _, t1, c1, _, a1, c2, _, b1 in segments]
-        return tuple.__new__(cls, (segments, tuple(pts)))
-
-    def __getnewargs__(self):
-        return (self.segments,)
-
-    def __repr__(self) -> str:
-        return f"PhysPath(segments={self.segments!r})"
+        if _coincide(first.circle1, first.a0, first.circle2, first.b0):
+            raise CollisionError("robots coincide at t=0.0")
+        for _, t1, c1, _, a1, c2, _, b1 in segments:
+            if _coincide(c1, a1, c2, b1):
+                raise CollisionError(f"robots coincide at t={t1}")
+        return tuple.__new__(cls, (segments,))
 
     @property
     def start(self) -> Configuration:
-        return self.waypoints[0][1]
+        _, _, c1, a0, _, c2, b0, _ = self.segments[0]
+        return configuration(c1, a0, c2, b0)
 
     @property
     def end(self) -> Configuration:
-        return self.waypoints[-1][1]
+        _, _, c1, _, a1, c2, _, b1 = self.segments[-1]
+        return configuration(c1, a1, c2, b1)
 
-    def config_at(self, t: float) -> Configuration:
-        """Configuration at time t, exact at the segment ends (waypoints)."""
+    @property
+    def waypoints(self) -> tuple[tuple[float, Configuration], ...]:
+        """(t, configuration) at t = 0 and at each segment's end time."""
+        ends = [(t1, configuration(c1, a1, c2, b1))
+                for _, t1, c1, _, a1, c2, _, b1 in self.segments]
+        return (0.0, self.start), *ends
+
+    def chart_at(self, t: float) -> tuple[str, float, str, float]:
+        """Circle and chart value of each robot, (circle1, a, circle2, b), at
+        time t, exact at the segment ends (waypoints)."""
         if not (0.0 <= t <= 1.0):
             raise DomainError(f"time {t!r} outside [0, 1]")
         seg = self.segments[bisect.bisect_right(self.segments, t, key=lambda s: s.t0) - 1]
         a, b = _chart_at(seg, t)
-        return configuration(seg.circle1, a, seg.circle2, b)
+        return seg.circle1, a, seg.circle2, b
+
+    def config_at(self, t: float) -> Configuration:
+        """Configuration at time t, exact at the segment ends (waypoints)."""
+        return configuration(*self.chart_at(t))
+
+
+def _coincide(c1: str, a: float, c2: str, b: float) -> bool:
+    """Whether two robots at chart values a, b in [0, 1] on circles c1, c2
+    are at one place: one circle and one value, or both at the center
+    (reads_as_center, which for a value in [0, 1] is the test below)."""
+    if c1 == c2 and a == b:
+        return True
+    return (a < SNAP_EPS or 1.0 - a < SNAP_EPS) and (b < SNAP_EPS or 1.0 - b < SNAP_EPS)
 
 
 class ChartLeg(namedtuple("ChartLeg", "circle1 a0 a1 circle2 b0 b1")):
@@ -328,11 +364,10 @@ def path_from_legs(legs: list[ChartLeg]) -> PhysPath:
         total = reduce(add, sweeps, 0.0)
     segments = []
     acc = t1 = 0.0
-    last = len(pieces) - 1
-    for k, (c1, a0, a1, c2, b0, b1) in enumerate(pieces):
+    for (c1, a0, a1, c2, b0, b1), sweep in zip(pieces, sweeps):
         t0 = t1
-        acc += sweeps[k]
-        t1 = 1.0 if k == last else acc / total
+        acc += sweep  # the same additions as total, so the last t1 is exactly 1
+        t1 = acc / total
         segments.append(PathSegment(t0, t1, c1, a0, a1, c2, b0, b1))
     return PhysPath(tuple(segments))
 
@@ -379,17 +414,14 @@ def path_min_separation(path: PhysPath) -> float:
       robots meet inside the segment and the minimum is 0.
     """
     best = math.inf
-    for seg in path.segments:
-        if seg.circle1 == seg.circle2:
-            d0, d1 = seg.a0 - seg.b0, seg.a1 - seg.b1
+    for _, _, c1, a0, a1, c2, b0, b1 in path.segments:
+        if c1 == c2:
+            d0, d1 = a0 - b0, a1 - b1
             if d0 < 0.0 < d1 or d1 < 0.0 < d0:
                 return 0.0
             d = min(min(abs(d0), 1.0 - abs(d0)), min(abs(d1), 1.0 - abs(d1)))
         else:
-            d = min(
-                min(seg.a0, 1.0 - seg.a0) + min(seg.b0, 1.0 - seg.b0),
-                min(seg.a1, 1.0 - seg.a1) + min(seg.b1, 1.0 - seg.b1),
-            )
+            d = min(min(a0, 1.0 - a0) + min(b0, 1.0 - b0), min(a1, 1.0 - a1) + min(b1, 1.0 - b1))
         if d < best:
             best = d
     return best

@@ -46,6 +46,7 @@ from .geometry import (
     constant_path,
     path_from_legs,
     path_min_separation,
+    reads_as_center,
 )
 from .retraction import retract
 from .spine import (
@@ -75,9 +76,10 @@ class InstructionDomain(enum.Enum):
 
 
 def classify_domain(x: ChainPoint, y: ChainPoint) -> InstructionDomain:
-    if x.is_vertex and y.is_vertex:
+    x_vertex, y_vertex = x.is_vertex, y.is_vertex
+    if x_vertex and y_vertex:
         return InstructionDomain.U3
-    if x.is_vertex or y.is_vertex or is_antipodal(x, y):
+    if x_vertex or y_vertex or is_antipodal(x, y):
         return InstructionDomain.U2
     return InstructionDomain.U1
 
@@ -198,32 +200,32 @@ def plan(start: Configuration, goal: Configuration) -> Plan:
         interval = (0.0, 1.0)
 
     return Plan(
-        start=start,
-        goal=goal,
-        domain=domain,
-        chain_start=r_in.point,
-        chain_goal=r_out.point,
-        steps=steps,
-        hop_count=len(moves),
-        path=path,
-        spine_interval=interval,
-        trace_in=legs_in,
-        trace_out=legs_out,
+        start, goal, domain, r_in.point, r_out.point, steps, len(moves), path, interval,
+        legs_in, legs_out,
     )
 
 
 def plan_to_json(p: Plan) -> dict:
     """JSON-ready summary: instruction number, hop count, timed waypoints.
 
+    The waypoints are read straight off the path's segment ends, each
+    robot's chart value as the position (circle, s) it stands for: a value
+    that reads as the center is written A:0, as circle_point writes it.
     Values carry 12 significant digits, at which times still strictly
     increase: every segment lasts more than SNAP_EPS = 1e-12 (path_from_legs).
     Where two robots on one circle would round to the same s, that
     waypoint's two s values are written exactly (repr precision), so the
     JSON never shows distinct robots at one place.
     """
-
+    first = p.path.segments[0]
+    ends = [(0.0, first.circle1, first.a0, first.circle2, first.b0)]
+    ends += [(t1, c1, a1, c2, b1) for _, t1, c1, _, a1, c2, _, b1 in p.path.segments]
     waypoints = []
-    for t, ((c1, s1), (c2, s2)) in p.path.waypoints:
+    for t, c1, s1, c2, s2 in ends:
+        if reads_as_center(s1):
+            c1, s1 = "A", 0.0
+        if reads_as_center(s2):
+            c2, s2 = "A", 0.0
         w1, w2 = float(f"{s1:.12g}"), float(f"{s2:.12g}")
         if w1 == w2 and c1 == c2:
             w1, w2 = s1, s2
@@ -268,9 +270,9 @@ def validate_plan(p: Plan) -> None:
     else:
         # collapsed interval: both retraction images coincide, so the single
         # middle instant must sit on the spine
-        (c1, a), (c2, b) = middle = p.path.config_at(t0)
+        c1, a, c2, b = p.path.chart_at(t0)
         if not chart_on_spine(c1 == c2, a, b):
-            raise ContractError(f"plan middle is off the spine: {middle}")
+            raise ContractError(f"plan middle is off the spine: {c1 + c2} ({a}, {b})")
     if p.hop_count > MAX_HOPS:
         raise ContractError(f"plan used {p.hop_count} hops")
     if p.chain_length > MAX_CHAIN_LENGTH:

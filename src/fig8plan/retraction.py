@@ -101,4 +101,4 @@ def retract(c: Configuration) -> RetractResult:
     if point.is_vertex:
         a, b = round(2.0 * a) / 2.0, round(2.0 * b) / 2.0
     leg = ChartLeg(square[0], a0, a, square[1], b0, b)
-    return RetractResult(point=point, scale=scale, leg=leg)
+    return RetractResult(point, scale, leg)

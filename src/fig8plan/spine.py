@@ -86,6 +86,8 @@ class ChainPoint(namedtuple("ChainPoint", "circle theta")):
     __slots__ = ()
 
     def __new__(cls, circle: str, theta: float):
+        if circle in CHAIN_CIRCLES and 0.0 < theta < 1.0 and theta != 0.5:  # an interior point
+            return tuple.__new__(cls, (circle, theta))
         if circle not in CHAIN_CIRCLES:
             raise DomainError(f"unknown spine circle {circle!r}")
         if not (0.0 <= theta < 1.0):
@@ -108,33 +110,37 @@ class ChainPoint(namedtuple("ChainPoint", "circle theta")):
 
     @property
     def is_vertex(self) -> bool:
-        return self.vertex is not None
+        return self.theta == 0.0 or self.theta == 0.5
+
+
+# The six vertex points, one object each, and per circle its vertices at
+# theta = 0 and theta = 1/2.
+_VERTEX_POINTS = {v: ChainPoint(*VERTEX_CANONICAL[v]) for v in CHAIN_VERTICES}
+_CIRCLE_VERTEX_POINTS = {
+    circle: tuple(_VERTEX_POINTS[v] for v in pair) for circle, pair in CIRCLE_VERTICES.items()
+}
 
 
 def chain_point(circle: str, theta: float) -> ChainPoint:
     """Construct a canonical spine point, snapping near-vertex angles.
 
     Angles within EPS of a multiple of 1/2 are treated as the vertex itself,
-    and vertices are rewritten onto their designated circle.
+    which is returned as its one shared point on its designated circle.
     """
     if circle not in CHAIN_CIRCLES:
         raise DomainError(f"unknown spine circle {circle!r}")
     t = theta % 1.0
     if t < EPS or t > 1.0 - EPS:
-        t = 0.0
-    elif abs(t - 0.5) < EPS:
-        t = 0.5
-    if t == 0.0:
-        return ChainPoint(*VERTEX_CANONICAL[CIRCLE_VERTICES[circle][0]])
-    if t == 0.5:
-        return ChainPoint(*VERTEX_CANONICAL[CIRCLE_VERTICES[circle][1]])
+        return _CIRCLE_VERTEX_POINTS[circle][0]
+    if -EPS < t - 0.5 < EPS:
+        return _CIRCLE_VERTEX_POINTS[circle][1]
     return ChainPoint(circle, t)
 
 
 def vertex_point(vertex: str) -> ChainPoint:
     if vertex not in CHAIN_VERTICES:
         raise DomainError(f"unknown spine vertex {vertex!r}")
-    return ChainPoint(*VERTEX_CANONICAL[vertex])
+    return _VERTEX_POINTS[vertex]
 
 
 def vertex_theta_on(circle: str, vertex: str) -> float:
@@ -225,7 +231,7 @@ def dist_chain(x: ChainPoint, y: ChainPoint) -> float:
 
 def is_antipodal(x: ChainPoint, y: ChainPoint) -> bool:
     """True when two interior points face each other across one circle."""
-    if x.is_vertex or y.is_vertex or x.circle != y.circle:
+    if x.circle != y.circle or x.is_vertex or y.is_vertex:
         return False
     return abs(arc_dist(x.theta, y.theta) - 0.5) <= EPS
 
@@ -320,11 +326,10 @@ def shortest_arc(theta_from: float, theta_to: float) -> tuple[int, float]:
 
 def theta_on(circle: str, p: ChainPoint) -> float | None:
     """Angle of p on the given circle, None when p does not lie on it."""
-    if p.is_vertex:
-        if p.vertex in CIRCLE_VERTICES[circle]:
-            return vertex_theta_on(circle, p.vertex)
-        return None
-    return p.theta if p.circle == circle else None
+    vertex = p.vertex
+    if vertex is None:
+        return p.theta if p.circle == circle else None
+    return vertex_theta_on(circle, vertex) if vertex in CIRCLE_VERTICES[circle] else None
 
 
 def step_to_leg(step: ChainStep) -> ChartLeg:

@@ -21,6 +21,7 @@ from random import Random
 from .errors import DomainError
 from .geometry import (
     CIRCLES,
+    EPS,
     CirclePoint,
     Configuration,
     PhysPath,
@@ -136,14 +137,15 @@ def random_config(rng: Random) -> Configuration:
 
 def random_chain_point(rng: Random, vertex_prob: float = 0.0) -> ChainPoint:
     """A vertex with probability vertex_prob, else a circle point more than
-    1e-6 from both vertices of its circle."""
+    1e-6 from both vertices of its circle (so far outside chain_point's EPS
+    snap that it is built as it is drawn)."""
     if vertex_prob and rng.random() < vertex_prob:
         return vertex_point(rng.choice(CHAIN_VERTICES))
     while True:
         theta = rng.random()
         folded = theta % 0.5
-        if min(folded, 0.5 - folded) > 1e-6:
-            return chain_point(rng.choice(CHAIN_CIRCLES), theta)
+        if folded > 1e-6 and 0.5 - folded > 1e-6:
+            return ChainPoint(rng.choice(CHAIN_CIRCLES), theta)
 
 
 # Offsets from a vertex or a quarter point at which chain_point's EPS snap
@@ -279,7 +281,8 @@ def sampled_min_separations(paths: list[PhysPath], n: int) -> list[float]:
     """Smallest sampled distance between the robots along each trajectory.
 
     Samples n uniformly spaced times per segment, endpoints included, over
-    every segment of every path in one numpy pass.  It shares no code with
+    every segment of every path in one numpy pass per kind of segment (both
+    robots on one circle, or on two).  It shares no code with
     the exact geometry.path_min_separation; the two agree up to rounding
     unless the robots meet strictly between two samples.
     """
@@ -291,19 +294,23 @@ def sampled_min_separations(paths: list[PhysPath], n: int) -> list[float]:
 
     segments = [seg for path in paths for seg in path.segments]
     _, _, circle1, a0, a1, circle2, b0, b1 = zip(*segments)
-    a0, a1, b0, b1 = (np.array(v)[:, None] for v in (a0, a1, b0, b1))
-    same = (np.array(circle1) == np.array(circle2))[:, None]
+    a0, a1, b0, b1 = (np.array(v) for v in (a0, a1, b0, b1))
+    same = np.array(circle1) == np.array(circle2)
     u = np.arange(n) * (1.0 / (n - 1))
-    x = a0 + u * (a1 - a0)
-    y = b0 + u * (b1 - b0)
-    d = np.abs(x - y)
-    d = np.where(
-        same,
-        np.where(d > 0.5, 1.0 - d, d),
-        np.minimum(x, 1.0 - x) + np.minimum(y, 1.0 - y),
-    )
+    lowest = np.empty(len(segments))
+    # each sample's distance by the formula of its segment's circles only
+    for rows in (same, ~same):
+        x0, x1, y0, y1 = (v[rows][:, None] for v in (a0, a1, b0, b1))
+        x = x0 + u * (x1 - x0)
+        y = y0 + u * (y1 - y0)
+        if rows is same:
+            d = np.abs(x - y)
+            d = np.minimum(d, 1.0 - d)
+        else:
+            d = np.minimum(x, 1.0 - x) + np.minimum(y, 1.0 - y)
+        lowest[rows] = d.min(axis=1)
     starts = np.cumsum([0] + [len(path.segments) for path in paths[:-1]])
-    return np.minimum.reduceat(d.min(axis=1), starts).tolist()
+    return np.minimum.reduceat(lowest, starts).tolist()
 
 
 def _separation_gaps(n: int, make):
@@ -423,7 +430,7 @@ def _suite_collision(rng: Random, n: int) -> tuple[bool, str]:
         worst_end = max(worst_end, err)
         worst_sep = min(worst_sep, sep)
         worst_gap = max(worst_gap, gap)
-        if err > 1e-9 or sep <= 0.0 or gap > SEPARATION_TOL:
+        if err > EPS or sep <= 0.0 or gap > SEPARATION_TOL:
             return False, (
                 f"pair {i}: start {_format_config(start)} goal {_format_config(goal)}"
                 f" endpoint err {err:.3e} min sep {sep:.3e} oracle gap {gap:.3e}"
@@ -449,8 +456,9 @@ def _bounds_witness(max_hops: int, max_len: float) -> str:
 
 
 def _domain_flags(x: ChainPoint, y: ChainPoint) -> tuple[bool, bool, bool]:
-    both_vertex = x.is_vertex and y.is_vertex
-    any_vertex = x.is_vertex or y.is_vertex
+    x_vertex, y_vertex = x.is_vertex, y.is_vertex
+    both_vertex = x_vertex and y_vertex
+    any_vertex = x_vertex or y_vertex
     anti = is_antipodal(x, y)
     u3 = both_vertex
     u2 = (any_vertex or anti) and not both_vertex
@@ -470,29 +478,25 @@ def _random_chain_pair(rng: Random) -> tuple[ChainPoint, ChainPoint]:
 
 
 def _suite_partition(rng: Random, n: int) -> tuple[bool, str]:
-    counts = {d: 0 for d in InstructionDomain}
+    domains = (InstructionDomain.U1, InstructionDomain.U2, InstructionDomain.U3)
+    counts = [0, 0, 0]  # per domain, in the order of the predicates' flags
     for i in range(n):
         x, y = _random_chain_pair(rng)
         flags = _domain_flags(x, y)
         if sum(flags) != 1:
             return False, f"pair {i}: {_format_chain(x)},{_format_chain(y)} flags {flags}"
+        k = flags.index(True)
         tag = classify_domain(x, y)
-        expected = (InstructionDomain.U1, InstructionDomain.U2, InstructionDomain.U3)[
-            flags.index(True)
-        ]
-        if tag is not expected:
+        if tag is not domains[k]:
             return False, (
                 f"pair {i}: {_format_chain(x)},{_format_chain(y)}"
-                f" classified {tag.name}, predicates say {expected.name}"
+                f" classified {tag.name}, predicates say {domains[k].name}"
             )
-        counts[tag] += 1
+        counts[k] += 1
     for x, y in _VERTEX_PAIRS:
         if classify_domain(x, y) is not InstructionDomain.U3:
             return False, f"vertex pair ({x.vertex},{y.vertex}) not U3"
-    return True, (
-        f"counts U1={counts[InstructionDomain.U1]} U2={counts[InstructionDomain.U2]}"
-        f" U3={counts[InstructionDomain.U3]}, 36 vertex pairs all U3"
-    )
+    return True, f"counts U1={counts[0]} U2={counts[1]} U3={counts[2]}, 36 vertex pairs all U3"
 
 
 def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
@@ -512,7 +516,7 @@ def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
             return False, f"sample {i}: image {_format_chain(r.point)} of {_format_config(c)} is not fixed"
         end_err = max(config_dist(trace.start, c), config_dist(trace.end, image_config))
         worst_trace = max(worst_trace, end_err)
-        if end_err > 1e-9:
+        if end_err > EPS:
             return False, f"sample {i}: trace endpoint error {end_err:.3e}"
         worst_gap = max(worst_gap, gap)
         if sep <= 0.0:
@@ -586,12 +590,13 @@ def _suite_termination(rng: Random, n: int) -> tuple[bool, str]:
     max_len = 0.0
     for i, (x, y) in enumerate(pairs):
         p = plan(chain_to_config(x), chain_to_config(y))
-        max_hops = max(max_hops, p.hop_count)
-        max_len = max(max_len, p.chain_length)
-        if p.hop_count > MAX_HOPS or p.chain_length > MAX_CHAIN_LENGTH:
+        hops, length = p.hop_count, p.chain_length
+        max_hops = max(max_hops, hops)
+        max_len = max(max_len, length)
+        if hops > MAX_HOPS or length > MAX_CHAIN_LENGTH:
             return False, (
                 f"pair {i}: {_format_chain(x)} -> {_format_chain(y)}"
-                f" hops {p.hop_count} length {p.chain_length:.3f}"
+                f" hops {hops} length {length:.3f}"
             )
     return True, _bounds_witness(max_hops, max_len)
 

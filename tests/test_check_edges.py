@@ -19,9 +19,10 @@ from fig8plan.geometry import (
     PathSegment,
     PhysPath,
     chart,
+    circle_point,
     configuration,
 )
-from fig8plan.spine import VERTEX_CONFIG
+from fig8plan.spine import VERTEX_CONFIG, chain_point, vertex_point
 
 LO, HI = SNAP_EPS, 1.0 - SNAP_EPS
 BELOW_LO, ABOVE_LO = math.nextafter(LO, 0.0), math.nextafter(LO, 1.0)
@@ -211,3 +212,14 @@ def test_phys_path_edges(build, error):
     else:
         with pytest.raises(error):
             PhysPath(segments)
+
+
+def test_vertex_and_center_points_stay_shared_objects():
+    # chain_point snaps an angle within EPS of a vertex onto the vertex's one
+    # shared point, and circle_point a value reading as the center onto the
+    # one shared center.
+    assert chain_point("R", 1e-10) is vertex_point("HA")
+    assert chain_point("H1", 0.5 - 1e-10) is vertex_point("C1")
+    assert chain_point("V2", 0.5) is vertex_point("C2")
+    assert circle_point("B", 1e-13) is circle_point("A", 0.0)
+    assert circle_point("A", 1.0 - 1e-13) is circle_point("A", 0.0)

@@ -216,11 +216,14 @@ def test_min_separation_sees_crossing_between_samples():
     assert path_min_separation(path) == 0.0
 
 
-def test_waypoints_are_built_once_per_path():
+def test_waypoints_are_derived_from_the_segments():
+    # A path stores only its segments; start, end and waypoints are read off them.
     path = path_from_legs([ChartLeg("A", 0.2, 0.8, "B", 0.25, 0.25)])
-    assert path.start is path.waypoints[0][1]
-    assert path.end is path.waypoints[-1][1]
+    assert path == (path.segments,)
+    assert path.start == path.waypoints[0][1] == configuration("A", 0.2, "B", 0.25)
+    assert path.end == path.waypoints[-1][1] == configuration("A", 0.8, "B", 0.25)
     assert [t for t, _ in path.waypoints] == [0.0, path.segments[0].t1, 1.0]
+    assert path.waypoints[1][1] == configuration("A", 0.5, "B", 0.25)
 
 
 def test_constant_path_and_concat_identity():

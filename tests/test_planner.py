@@ -1,5 +1,6 @@
 """Domain classification, the spine walk, and assembled plans."""
 
+import json
 import math
 from random import Random
 
@@ -43,6 +44,7 @@ from fig8plan.spine import (
     theta_on,
     vertex_point,
 )
+from fig8plan.verify import _knife_edge_chain_point, random_config
 
 from spine_reference import on_spine
 
@@ -335,7 +337,7 @@ def test_plan_waypoints_share_the_vertex_configurations():
     at_vertices = [c for _, c in p.path.waypoints if c in VERTEX_CONFIG.values()]
     assert len(at_vertices) == 4
     assert all(id(c) in shared for c in at_vertices)
-    assert p.path.start is p.path.waypoints[0][1]
+    assert p.path.start == p.path.waypoints[0][1]
     assert configuration("B", 1.0, "B", 0.5) is VERTEX_CONFIG["HB"]
     q = plan(VERTEX_CONFIG["C1"], VERTEX_CONFIG["C2"])
     for (_, c), name in zip(q.path.waypoints, ("C1", "HB", "VB", "C2")):
@@ -479,3 +481,51 @@ def test_plan_contract_random(sq1, a1, b1, sq2, a2, b2):
     validate_plan(p)
     assert p.hop_count <= 7
     assert p.chain_length <= 4.0
+
+
+def _json_from_waypoints(p) -> dict:
+    """Oracle: plan_to_json as it read the path's waypoint configurations."""
+    waypoints = []
+    for t, ((c1, s1), (c2, s2)) in p.path.waypoints:
+        w1, w2 = float(f"{s1:.12g}"), float(f"{s2:.12g}")
+        if w1 == w2 and c1 == c2:
+            w1, w2 = s1, s2
+        waypoints.append(
+            {"t": float(f"{t:.12g}"), "r1": {"circle": c1, "s": w1}, "r2": {"circle": c2, "s": w2}}
+        )
+    return {"instruction": p.instruction, "hops": p.hop_count, "waypoints": waypoints}
+
+
+def _construction_pairs() -> list[tuple[Configuration, Configuration]]:
+    """The 36 vertex pairs, 2000 seeded random_config pairs and 500 pairs of
+    knife-edge spine points."""
+    rng = Random(19)
+    pairs = [(VERTEX_CONFIG[u], VERTEX_CONFIG[v]) for u in CHAIN_VERTICES for v in CHAIN_VERTICES]
+    pairs += [(random_config(rng), random_config(rng)) for _ in range(2000)]
+    knife = [chain_to_config(_knife_edge_chain_point(rng)) for _ in range(1000)]
+    pairs += list(zip(knife[::2], knife[1::2]))
+    return pairs
+
+
+def test_plan_builds_no_configuration(monkeypatch):
+    # A path stores only its segments: plan() builds no Configuration,
+    # validate_plan at most its path's start and end, plan_to_json none.
+    pairs = _construction_pairs()
+    built = []
+    original = Configuration.__new__
+
+    def counting(cls, p1, p2):
+        built.append((p1, p2))
+        return original(cls, p1, p2)
+
+    monkeypatch.setattr(Configuration, "__new__", staticmethod(counting))
+    for start, goal in pairs:
+        p = plan(start, goal)
+        assert not built, (start, goal)
+        validate_plan(p)
+        assert len(built) <= 2, (start, goal)
+        built.clear()
+        doc = plan_to_json(p)
+        assert not built, (start, goal)
+        assert json.dumps(doc) == json.dumps(_json_from_waypoints(p)), (start, goal)
+        built.clear()

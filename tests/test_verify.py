@@ -383,3 +383,22 @@ def test_roundtrip_suite_catches_a_narrowed_vertex_snap(monkeypatch):
     report = run_suite("roundtrip", seed=0, n=500)
     assert not report.passed
     assert "came back as" in report.witness
+
+
+@pytest.mark.parametrize(
+    "suite, witness",
+    [
+        (
+            "collision",
+            "pair 0: start (B:0.75, B:0.783799) goal (A:0.5, B:0.755804) endpoint err 0.000e+00",
+        ),
+        ("retraction", "sample 0: trace endpoint error 0.000e+00"),
+    ],
+)
+def test_endpoint_checks_use_the_package_tolerance(monkeypatch, suite, witness):
+    # The collision and retraction suites compare endpoint errors with
+    # geometry.EPS; a negative tolerance fails their first sample there.
+    monkeypatch.setattr(verify, "EPS", -1.0)
+    report = run_suite(suite, seed=0, n=20)
+    assert not report.passed
+    assert report.witness.startswith(witness)
