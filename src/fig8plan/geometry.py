@@ -193,17 +193,24 @@ class PathSegment(namedtuple("PathSegment", "t0 t1 circle1 a0 a1 circle2 b0 b1")
     __slots__ = ()
 
     def __new__(cls, t0, t1, circle1, a0, a1, circle2, b0, b1):
-        if not (
-            t1 > t0
-            and circle1 in CIRCLES
-            and circle2 in CIRCLES
-            and 0.0 <= a0 <= 1.0
-            and 0.0 <= a1 <= 1.0
-            and 0.0 <= b0 <= 1.0
-            and 0.0 <= b1 <= 1.0
-            and not (a0 < 0.5 < a1 or a1 < 0.5 < a0 or b0 < 0.5 < b1 or b1 < 0.5 < b0)
-        ):
-            raise _segment_error(t0, t1, circle1, a0, a1, circle2, b0, b1)
+        if not t1 > t0:
+            raise ContractError("segment times must strictly increase")
+        if circle1 not in CIRCLES:
+            raise DomainError(f"unknown circle {circle1!r}")
+        if not 0.0 <= a0 <= 1.0:
+            raise DomainError(f"chart value {a0!r} outside [0, 1]")
+        if not 0.0 <= a1 <= 1.0:
+            raise DomainError(f"chart value {a1!r} outside [0, 1]")
+        if a0 < 0.5 < a1 or a1 < 0.5 < a0:
+            raise ContractError("segment interior crosses arc value 0.5; split required")
+        if circle2 not in CIRCLES:
+            raise DomainError(f"unknown circle {circle2!r}")
+        if not 0.0 <= b0 <= 1.0:
+            raise DomainError(f"chart value {b0!r} outside [0, 1]")
+        if not 0.0 <= b1 <= 1.0:
+            raise DomainError(f"chart value {b1!r} outside [0, 1]")
+        if b0 < 0.5 < b1 or b1 < 0.5 < b0:
+            raise ContractError("segment interior crosses arc value 0.5; split required")
         # Cross-circle collisions need both robots at the center, which the
         # no-interior-crossing rule confines to segment endpoints; endpoint
         # configurations are validated separately.  On one circle the robots
@@ -223,21 +230,6 @@ class PathSegment(namedtuple("PathSegment", "t0 t1 circle1 a0 a1 circle2 b0 b1")
     def sweep(self) -> float:
         """Largest arc distance either robot travels within the segment."""
         return max(abs(self.a1 - self.a0), abs(self.b1 - self.b0))
-
-
-def _segment_error(t0, t1, circle1, a0, a1, circle2, b0, b1) -> Exception:
-    """The first range, label or pole condition a malformed segment breaks."""
-    if not t1 > t0:
-        return ContractError("segment times must strictly increase")
-    for circle, v0, v1 in ((circle1, a0, a1), (circle2, b0, b1)):
-        if circle not in CIRCLES:
-            return DomainError(f"unknown circle {circle!r}")
-        for v in (v0, v1):
-            if not 0.0 <= v <= 1.0:
-                return DomainError(f"chart value {v!r} outside [0, 1]")
-        if v0 < 0.5 < v1 or v1 < 0.5 < v0:
-            return ContractError("segment interior crosses arc value 0.5; split required")
-    raise AssertionError("segment is well formed")
 
 
 class PhysPath(namedtuple("PhysPath", "segments")):
@@ -303,18 +295,11 @@ class PhysPath(namedtuple("PhysPath", "segments")):
         a, b = _chart_at(seg, t)
         return seg.circle1, a, seg.circle2, b
 
-    def config_at(self, t: float) -> Configuration:
-        """Configuration at time t, exact at the segment ends (waypoints)."""
-        return configuration(*self.chart_at(t))
-
 
 def _coincide(c1: str, a: float, c2: str, b: float) -> bool:
-    """Whether two robots at chart values a, b in [0, 1] on circles c1, c2
-    are at one place: one circle and one value, or both at the center
-    (reads_as_center, which for a value in [0, 1] is the test below)."""
-    if c1 == c2 and a == b:
-        return True
-    return (a < SNAP_EPS or 1.0 - a < SNAP_EPS) and (b < SNAP_EPS or 1.0 - b < SNAP_EPS)
+    """Whether two robots at chart values a, b on circles c1, c2 are at one
+    place: one circle and one value, or both reading as the center."""
+    return (c1 == c2 and a == b) or (reads_as_center(a) and reads_as_center(b))
 
 
 class ChartLeg(namedtuple("ChartLeg", "circle1 a0 a1 circle2 b0 b1")):

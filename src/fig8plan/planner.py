@@ -42,6 +42,7 @@ from .geometry import (
     SNAP_EPS,
     ChartLeg,
     Configuration,
+    circle_point,
     config_dist,
     constant_path,
     path_from_legs,
@@ -210,7 +211,8 @@ def plan_to_json(p: Plan) -> dict:
 
     The waypoints are read straight off the path's segment ends, each
     robot's chart value as the position (circle, s) it stands for: a value
-    that reads as the center is written A:0, as circle_point writes it.
+    that reads as the center is written as circle_point writes it, A:0
+    (other values need no canonical form, so no position is built).
     Values carry 12 significant digits, at which times still strictly
     increase: every segment lasts more than SNAP_EPS = 1e-12 (path_from_legs).
     Where two robots on one circle would round to the same s, that
@@ -223,9 +225,9 @@ def plan_to_json(p: Plan) -> dict:
     waypoints = []
     for t, c1, s1, c2, s2 in ends:
         if reads_as_center(s1):
-            c1, s1 = "A", 0.0
+            c1, s1 = circle_point(c1, s1)
         if reads_as_center(s2):
-            c2, s2 = "A", 0.0
+            c2, s2 = circle_point(c2, s2)
         w1, w2 = float(f"{s1:.12g}"), float(f"{s2:.12g}")
         if w1 == w2 and c1 == c2:
             w1, w2 = s1, s2

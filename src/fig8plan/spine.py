@@ -86,8 +86,6 @@ class ChainPoint(namedtuple("ChainPoint", "circle theta")):
     __slots__ = ()
 
     def __new__(cls, circle: str, theta: float):
-        if circle in CHAIN_CIRCLES and 0.0 < theta < 1.0 and theta != 0.5:  # an interior point
-            return tuple.__new__(cls, (circle, theta))
         if circle not in CHAIN_CIRCLES:
             raise DomainError(f"unknown spine circle {circle!r}")
         if not (0.0 <= theta < 1.0):

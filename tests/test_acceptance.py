@@ -109,8 +109,8 @@ def test_planned_paths_are_collision_free(plan_batch):
     batch, plan_elapsed = plan_batch
     t0 = perf_counter()
     for start, goal, p in batch:
-        assert config_dist(p.path.config_at(0.0), start) <= 1e-9
-        assert config_dist(p.path.config_at(1.0), goal) <= 1e-9
+        assert config_dist(configuration(*p.path.chart_at(0.0)), start) <= 1e-9
+        assert config_dist(configuration(*p.path.chart_at(1.0)), goal) <= 1e-9
         assert path_min_separation(p.path) > 0.0
         validate_plan(p)
     check_elapsed = perf_counter() - t0

@@ -149,7 +149,7 @@ def test_path_from_legs_splits_at_pole():
     assert len(path.segments) == 2
     assert path.segments[0].a1 == 0.5
     assert path.segments[0].t1 == pytest.approx(0.5)
-    mid = path.config_at(0.25)
+    mid = configuration(*path.chart_at(0.25))
     assert mid.p1.circle == "A" and mid.p1.s == pytest.approx(0.35)
     assert path.start == configuration("A", 0.2, "B", 0.25)
     assert path.end == configuration("A", 0.8, "B", 0.25)
@@ -165,7 +165,7 @@ def test_path_from_legs_splits_at_center():
     )
     assert path.start == configuration("A", 0.8, "B", 0.25)
     assert path.end == configuration("B", 0.2, "B", 0.25)
-    junction = path.config_at(0.5)
+    junction = configuration(*path.chart_at(0.5))
     assert junction.p1 == CirclePoint("A", 0.0)
 
 
@@ -255,7 +255,7 @@ def test_concat_joins_at_pole_waypoint():
     )
     assert whole.start == configuration("A", 0.25, "B", 0.25)
     assert whole.end == configuration("A", 0.75, "B", 0.25)
-    assert whole.config_at(0.5).p1 == CirclePoint("A", 0.5)
+    assert configuration(*whole.chart_at(0.5)).p1 == CirclePoint("A", 0.5)
 
 
 def sampled_sup_distance(p: PhysPath, q: PhysPath, n: int = 256) -> float:
@@ -264,7 +264,7 @@ def sampled_sup_distance(p: PhysPath, q: PhysPath, n: int = 256) -> float:
     step = 1.0 / (n - 1)
     for k in range(n):
         t = k * step
-        d = config_dist(p.config_at(t), q.config_at(t))
+        d = config_dist(configuration(*p.chart_at(t)), configuration(*q.chart_at(t)))
         if d > worst:
             worst = d
     return worst
@@ -361,7 +361,7 @@ def test_config_at_stays_collision_free(t):
             ChartLeg("B", 0.0, 0.2, "B", 0.4, 0.45),
         ]
     )
-    c = path.config_at(t)
+    c = configuration(*path.chart_at(t))
     assert dist_gamma(*c) > 0.0
 
 
@@ -369,17 +369,17 @@ def test_config_at_is_exact_at_segment_ends():
     # Interpolating at t = 1 would round a0 + (a1 - a0) away from 1e-12;
     # below SNAP_EPS that reads as the center, here a collision.
     path = path_from_legs([ChartLeg("A", 0.5, 1e-12, "B", 0.5, 0.0)])
-    assert path.config_at(0.0) == path.start
-    assert path.config_at(1.0) == path.end
+    assert configuration(*path.chart_at(0.0)) == path.start
+    assert configuration(*path.chart_at(1.0)) == path.end
     drift = path_from_legs([ChartLeg("A", 0.2, 1e-12, "B", 0.5, 0.0)])
-    assert drift.config_at(1.0).p1.s == 1e-12
+    assert configuration(*drift.chart_at(1.0)).p1.s == 1e-12
 
 
 def test_config_at_rejects_times_outside_the_unit_interval():
     path = path_from_legs([ChartLeg("A", 0.2, 0.8, "B", 0.25, 0.25)])
     for t in (-1e-12, 1.0 + 1e-12):
         with pytest.raises(DomainError, match="outside"):
-            path.config_at(t)
+            path.chart_at(t)
 
 
 def test_physpath_requires_unit_interval():

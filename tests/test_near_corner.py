@@ -61,8 +61,8 @@ def test_near_corner_requests_plan_and_validate():
             continue
         p = plan(start, goal)
         validate_plan(p)
-        assert config_dist(p.path.config_at(0.0), start) <= EPS
-        assert config_dist(p.path.config_at(1.0), goal) <= EPS
+        assert config_dist(configuration(*p.path.chart_at(0.0)), start) <= EPS
+        assert config_dist(configuration(*p.path.chart_at(1.0)), goal) <= EPS
         assert path_min_separation(p.path) > 0.0
         planned += 1
     assert planned > 1500

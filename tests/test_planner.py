@@ -265,10 +265,10 @@ def test_plan_identity_off_spine_round_trips():
     c = configuration("A", 0.1, "A", 0.3)
     p = plan(c, c)
     assert p.hop_count == 0
-    assert p.path.config_at(0.0) == c
-    assert p.path.config_at(1.0) == c
+    assert configuration(*p.path.chart_at(0.0)) == c
+    assert configuration(*p.path.chart_at(1.0)) == c
     assert p.spine_interval == (0.5, 0.5)
-    assert p.path.config_at(0.5) == chain_to_config(retract(c).point)
+    assert configuration(*p.path.chart_at(0.5)) == chain_to_config(retract(c).point)
     validate_plan(p)
 
 

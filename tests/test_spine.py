@@ -218,7 +218,7 @@ def test_steps_to_path_stays_on_spine():
     assert path.start == chain_to_config(ChainPoint("R", 0.2))
     assert path.end == chain_to_config(ChainPoint("R", 0.9))
     for k in range(33):
-        c = path.config_at(k / 32)
+        c = configuration(*path.chart_at(k / 32))
         assert on_spine(*chart(c))
 
 
@@ -228,7 +228,7 @@ def test_steps_cross_center_wrap():
     path = path_from_legs(steps_to_legs(steps))
     assert path.start == chain_to_config(ChainPoint("H1", 0.9))
     assert path.end == chain_to_config(ChainPoint("H1", 0.1))
-    mid = path.config_at(0.5)
+    mid = configuration(*path.chart_at(0.5))
     assert mid == VERTEX_CONFIG["HB"]
 
 
