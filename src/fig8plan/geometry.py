@@ -214,16 +214,16 @@ class PathSegment(namedtuple("PathSegment", "t0 t1 circle1 a0 a1 circle2 b0 b1")
         # Cross-circle collisions need both robots at the center, which the
         # no-interior-crossing rule confines to segment endpoints; endpoint
         # configurations are validated separately.  On one circle the robots
-        # meet where d = a - b passes -1, 0 or 1; while d stays strictly
-        # inside (-1, 0) or (0, 1) at both ends, no such u lies in (0, 1).
+        # meet where d = a - b passes -1, 0 or 1; chart values lie in [0, 1],
+        # so the linear d reaches -1 or 1 only at an end, and an interior
+        # meeting needs d to change sign strictly.
         if circle1 == circle2:
             d0 = a0 - b0
             d1 = a1 - b1
-            if d0 != d1 and not (0.0 < d0 < 1.0 and 0.0 < d1 < 1.0 or -1.0 < d0 < 0.0 and -1.0 < d1 < 0.0):
-                for target in (-1.0, 0.0, 1.0):
-                    u = (target - d0) / (d1 - d0)
-                    if SNAP_EPS < u < 1.0 - SNAP_EPS:
-                        raise CollisionError("trajectory segment passes through a collision")
+            if d0 < 0.0 < d1 or d1 < 0.0 < d0:
+                u = -d0 / (d1 - d0)
+                if SNAP_EPS < u < 1.0 - SNAP_EPS:
+                    raise CollisionError("trajectory segment passes through a collision")
         return tuple.__new__(cls, (t0, t1, circle1, a0, a1, circle2, b0, b1))
 
     @property

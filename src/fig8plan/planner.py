@@ -12,20 +12,17 @@ spine:
   3  both images vertices.
 
 Every vertex-to-vertex hop of the walk is the positive half-turn along the
-current vertex's designated circle, so it follows the successor ring
-
-    C1 -H1-> HB -Bc-> VB -V2-> C2 -H2-> HA -R-> VA -V1-> C1
-
-and a walk has at most three parts.  When the goal lies on the start's
-circle, it is the final arc alone.  Otherwise it is a positive partial hop
-to the next vertex (none from a vertex), then a slice of the ring that stops
-one vertex before a goal vertex, or at the vertex whose designated circle
-holds an interior goal, then the final arc along that circle.  The final
-arc is the shortest arc to the goal; instruction 1 leaves a half-turn tie to
-the shortest-arc rule, and instructions 2 and 3 break it positively, which
-keeps instruction 2 stable under perturbation of an antipodal pair.  A walk
-makes at most seven arc moves (MAX_HOPS): a partial hop, five ring hops and
-a final arc.
+current vertex's designated circle, so it follows the successor ring, the
+cyclic vertex order of spine.CHAIN_VERTICES, and a walk has at most three
+parts.  When the goal lies on the start's circle, it is the final arc alone.
+Otherwise it is a positive partial hop to the next vertex (none from a
+vertex), then a slice of the ring that stops one vertex before a goal
+vertex, or at the vertex whose designated circle holds an interior goal,
+then the final arc along that circle.  The final arc is the shortest arc to
+the goal; instruction 1 leaves a half-turn tie to the shortest-arc rule, and
+instructions 2 and 3 break it positively, which keeps instruction 2 stable
+under perturbation of an antipodal pair.  A walk makes at most seven arc
+moves (MAX_HOPS): a partial hop, five ring hops and a final arc.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from .geometry import (
 )
 from .retraction import retract
 from .spine import (
-    CIRCLE_VERTICES,
+    CHAIN_VERTICES,
     VERTEX_CANONICAL,
     ChainPoint,
     ChainStep,
@@ -85,17 +82,8 @@ def classify_domain(x: ChainPoint, y: ChainPoint) -> InstructionDomain:
     return InstructionDomain.U1
 
 
-def _successor_ring() -> tuple[ChainStep, ...]:
-    """The designated half-turn of each vertex in successor order, from C1."""
-    ring, vertex = [], "C1"
-    for _ in VERTEX_CANONICAL:
-        circle, theta = VERTEX_CANONICAL[vertex]
-        ring.append(ChainStep(circle, theta, theta + 0.5, 1))
-        vertex = CIRCLE_VERTICES[circle][theta == 0.0]
-    return tuple(ring)
-
-
-_RING = _successor_ring()
+# The designated half-turn of each vertex, in successor order.
+_RING = tuple(ChainStep(c, t, t + 0.5, 1) for c, t in (VERTEX_CANONICAL[v] for v in CHAIN_VERTICES))
 # Ring index of the vertex each circle is designated to; a vertex is stored
 # on its designated circle, so this is also the ring index of a vertex point.
 _RING_AT = {step.circle: i for i, step in enumerate(_RING)}
@@ -241,7 +229,7 @@ def plan_to_json(p: Plan) -> dict:
     return {"instruction": p.instruction, "hops": p.hop_count, "waypoints": waypoints}
 
 
-def validate_plan(p: Plan) -> None:
+def validate_plan(p: Plan) -> tuple[float, float]:
     """Check a plan's contract; raises ContractError with a witness on failure.
 
     Endpoints must match to EPS; separation and spine membership are
@@ -251,12 +239,11 @@ def validate_plan(p: Plan) -> None:
     midpoint and end are on the spine lies on one of those lines throughout.
     The three points are tested on the segment's own chart values
     (chart_on_spine), without building a configuration for any of them.
+    Returns the certified (endpoint error, minimum separation).
     """
-    start, end = p.path.start, p.path.end
-    if config_dist(start, p.start) > EPS:
-        raise ContractError(f"plan does not start at its start: {start} vs {p.start}")
-    if config_dist(end, p.goal) > EPS:
-        raise ContractError(f"plan does not end at its goal: {end} vs {p.goal}")
+    err = max(config_dist(p.path.start, p.start), config_dist(p.path.end, p.goal))
+    if err > EPS:
+        raise ContractError(f"endpoint err {err:.3e}: the path runs {p.path.start} -> {p.path.end}")
     sep = path_min_separation(p.path)
     if sep <= 0.0:
         raise ContractError(f"plan separation dropped to {sep}")
@@ -279,3 +266,4 @@ def validate_plan(p: Plan) -> None:
         raise ContractError(f"plan used {p.hop_count} hops")
     if p.chain_length > MAX_CHAIN_LENGTH:
         raise ContractError(f"plan walked {p.chain_length} along the spine")
+    return err, sep

@@ -28,11 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .geometry import SAME_CIRCLE_SQUARES, ChartLeg, Configuration, chart
-from .spine import chain_point
-
-# Per square, the spine circle charted by a (sub-diagonal or b = 1/2) and by b (a = 1/2).
-_LINE_BY_A = {"AA": "R", "BB": "Bc", "AB": "H1", "BA": "H2"}
-_LINE_BY_B = {"AB": "V1", "BA": "V2"}
+from .spine import A_HALF, B_HALF, LINE_CIRCLE, SUB_DIAGONAL, chain_point
 
 
 def region_corner(square: str, a: float, b: float) -> tuple[int, int]:
@@ -94,10 +90,12 @@ def retract(c: Configuration) -> RetractResult:
     """
     square, a0, b0 = chart(c)
     a, b, scale = retract_flat(square, a0, b0)
-    if b == 0.5 or square in SAME_CIRCLE_SQUARES:
-        point = chain_point(_LINE_BY_A[square], a)
+    if square in SAME_CIRCLE_SQUARES:
+        point = chain_point(LINE_CIRCLE[square, SUB_DIAGONAL], a)
+    elif b == 0.5:
+        point = chain_point(LINE_CIRCLE[square, B_HALF], a)
     else:
-        point = chain_point(_LINE_BY_B[square], b)
+        point = chain_point(LINE_CIRCLE[square, A_HALF], b)
     if point.is_vertex:
         a, b = round(2.0 * a) / 2.0, round(2.0 * b) / 2.0
     leg = ChartLeg(square[0], a0, a, square[1], b0, b)

@@ -4,15 +4,8 @@ Inside each mixed square the spine is the pair of cross lines a = 1/2 and
 b = 1/2; inside each same-circle square it is the pair of sub-diagonals
 |b - a| = 1/2.  Each of those six lines closes up into a circle of
 circumference 1 under the square gluings, and the circles meet in six
-4-valent vertices, two arcs of length 1/2 per circle:
-
-    circle  lives in  vertex at theta=0   vertex at theta=1/2
-    R       AA        HA                  VA
-    Bc      BB        HB                  VB
-    H1      AB        HB                  C1
-    V1      AB        VA                  C1
-    H2      BA        HA                  C2
-    V2      BA        VB                  C2
+4-valent vertices, two arcs of length 1/2 per circle.  NECKLACE below lists
+each circle's square, line and two vertices.
 
 Vertices are the configurations where each robot sits at the center or a
 pole: HA/HB put robot 1 at the center with robot 2 at a pole, VA/VB swap the
@@ -36,26 +29,31 @@ from .errors import ContractError, DomainError
 from .geometry import EPS, SNAP_EPS, ChartLeg, Configuration, configuration, reads_as_center
 
 CHAIN_VERTICES = ("HA", "VA", "C1", "HB", "VB", "C2")
-CHAIN_CIRCLES = ("R", "Bc", "H1", "V1", "H2", "V2")
 
-# Square each circle's chart lives in, and which cross line it follows.
-CIRCLE_SQUARE = {"R": "AA", "Bc": "BB", "H1": "AB", "V1": "AB", "H2": "BA", "V2": "BA"}
-
-# (vertex at theta = 0, vertex at theta = 1/2) for each circle.
-CIRCLE_VERTICES = {
-    "R": ("HA", "VA"),
-    "Bc": ("HB", "VB"),
-    "H1": ("HB", "C1"),
-    "V1": ("VA", "C1"),
-    "H2": ("HA", "C2"),
-    "V2": ("VB", "C2"),
-}
+# The spine's lines in a square's chart (a, b), and the six circles: the
+# square each one's chart lives in, the line it follows there, and its
+# vertices at theta = 0 and theta = 1/2.  A circle on b = 1/2 or the
+# sub-diagonal is charted by a = theta, one on a = 1/2 by b = theta.
+B_HALF, A_HALF, SUB_DIAGONAL = "b = 1/2", "a = 1/2", "|b - a| = 1/2"
+NECKLACE = (
+    ("R", "AA", SUB_DIAGONAL, "HA", "VA"),
+    ("Bc", "BB", SUB_DIAGONAL, "HB", "VB"),
+    ("H1", "AB", B_HALF, "HB", "C1"),
+    ("V1", "AB", A_HALF, "VA", "C1"),
+    ("H2", "BA", B_HALF, "HA", "C2"),
+    ("V2", "BA", A_HALF, "VB", "C2"),
+)
+CHAIN_CIRCLES = tuple(row[0] for row in NECKLACE)
+CIRCLE_VERTICES = {circle: (v0, v1) for circle, _, _, v0, v1 in NECKLACE}
+# Each circle's (square, line), and the circle on each (square, line).
+_CIRCLE_CHART = {circle: (square, line) for circle, square, line, _, _ in NECKLACE}
+LINE_CIRCLE = {(square, line): circle for circle, square, line, _, _ in NECKLACE}
 
 # Canonical storage of each vertex: on its designated circle, the one a
 # positive traversal leaves it along.  A positive half-turn along that circle
-# reaches the next vertex of the successor cycle
-#     C1 -H1-> HB -Bc-> VB -V2-> C2 -H2-> HA -R-> VA -V1-> C1,
-# which visits every vertex and designates every circle exactly once.
+# reaches the vertex after it in CHAIN_VERTICES (the last one wrapping round
+# to the first), so this successor ring visits every vertex and designates
+# every circle exactly once.
 VERTEX_CANONICAL = {
     "HA": ("R", 0.0),
     "VA": ("V1", 0.0),
@@ -86,7 +84,7 @@ class ChainPoint(namedtuple("ChainPoint", "circle theta")):
     __slots__ = ()
 
     def __new__(cls, circle: str, theta: float):
-        if circle not in CHAIN_CIRCLES:
+        if circle not in CIRCLE_VERTICES:
             raise DomainError(f"unknown spine circle {circle!r}")
         if not (0.0 <= theta < 1.0):
             raise DomainError(f"angle {theta!r} outside [0, 1)")
@@ -123,15 +121,15 @@ def chain_point(circle: str, theta: float) -> ChainPoint:
     """Construct a canonical spine point, snapping near-vertex angles.
 
     Angles within EPS of a multiple of 1/2 are treated as the vertex itself,
-    which is returned as its one shared point on its designated circle.
+    which is returned as its one shared point on its designated circle; any
+    other angle is checked by ChainPoint.
     """
-    if circle not in CHAIN_CIRCLES:
-        raise DomainError(f"unknown spine circle {circle!r}")
     t = theta % 1.0
-    if t < EPS or t > 1.0 - EPS:
-        return _CIRCLE_VERTEX_POINTS[circle][0]
-    if -EPS < t - 0.5 < EPS:
-        return _CIRCLE_VERTEX_POINTS[circle][1]
+    if t < EPS or t > 1.0 - EPS or -EPS < t - 0.5 < EPS:
+        ends = _CIRCLE_VERTEX_POINTS.get(circle)
+        if ends is None:
+            raise DomainError(f"unknown spine circle {circle!r}")
+        return ends[0.25 < t < 0.75]
     return ChainPoint(circle, t)
 
 
@@ -159,26 +157,21 @@ def vertex_theta_on(circle: str, vertex: str) -> float:
 def chart_coords(circle: str, theta: float, branch_hint: float | None = None) -> tuple[str, float, float]:
     """Raw square-chart coordinates of a spine angle, theta in [0, 1].
 
-    The sub-diagonal circles R and Bc switch chart branch at theta = 1/2; a
-    branch_hint angle (typically an arc midpoint) disambiguates the endpoints.
+    A sub-diagonal circle switches chart branch at theta = 1/2; a branch_hint
+    angle (typically an arc midpoint) disambiguates the endpoints.
     """
     if not (0.0 <= theta <= 1.0):
         raise DomainError(f"chart angle {theta!r} outside [0, 1]")
-    if circle == "H1":
-        return ("AB", theta, 0.5)
-    if circle == "H2":
-        return ("BA", theta, 0.5)
-    if circle == "V1":
-        return ("AB", 0.5, theta)
-    if circle == "V2":
-        return ("BA", 0.5, theta)
-    if circle in ("R", "Bc"):
-        square = CIRCLE_SQUARE[circle]
-        pivot = theta if branch_hint is None else branch_hint
-        if pivot <= 0.5:
-            return (square, theta, theta + 0.5)
-        return (square, theta, theta - 0.5)
-    raise DomainError(f"unknown spine circle {circle!r}")
+    chart = _CIRCLE_CHART.get(circle)
+    if chart is None:
+        raise DomainError(f"unknown spine circle {circle!r}")
+    square, line = chart
+    if line == B_HALF:
+        return (square, theta, 0.5)
+    if line == A_HALF:
+        return (square, 0.5, theta)
+    pivot = theta if branch_hint is None else branch_hint
+    return (square, theta, theta + 0.5 if pivot <= 0.5 else theta - 0.5)
 
 
 def chain_to_config(p: ChainPoint) -> Configuration:

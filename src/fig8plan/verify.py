@@ -18,7 +18,7 @@ import time
 from collections import defaultdict, namedtuple
 from random import Random
 
-from .errors import DomainError
+from .errors import ContractError, DomainError
 from .geometry import (
     CIRCLES,
     EPS,
@@ -32,7 +32,7 @@ from .geometry import (
     path_min_separation,
     path_sup_distance,
 )
-from .planner import MAX_CHAIN_LENGTH, MAX_HOPS, InstructionDomain, classify_domain, plan
+from .planner import MAX_CHAIN_LENGTH, MAX_HOPS, InstructionDomain, classify_domain, plan, validate_plan
 from .retraction import retract
 from .spine import (
     CHAIN_CIRCLES,
@@ -314,20 +314,18 @@ def sampled_min_separations(paths: list[PhysPath], n: int) -> list[float]:
 
 
 def _separation_gaps(n: int, make):
-    """Yield (i, made, sep, gap) for i in range(n): made = make() ends in a
-    path, sep is its exact minimum separation and gap is sep's distance from
-    the sampled oracle.
+    """Yield (i, made, low) for i in range(n): made = make() ends in a path
+    and low is its minimum separation by the sampled oracle.
 
     Items are made BLOCK at a time, in order, and the oracle samples each
     block in one call, so its arrays stay small at any n; the caller checks
-    the items one by one, so a failure still names the first failing index.
+    the items one by one against its own exact separation, so a failure
+    still names the first failing index.
     """
     for first in range(0, n, BLOCK):
         made = [make() for _ in range(min(BLOCK, n - first))]
         sampled = sampled_min_separations([m[-1] for m in made], SEPARATION_SAMPLES)
-        for i, m, low in zip(range(first, n), made, sampled):
-            sep = path_min_separation(m[-1])
-            yield i, m, sep, abs(low - sep)
+        yield from zip(range(first, n), made, sampled)
 
 
 # ---------------------------------------------------------------------------
@@ -420,28 +418,22 @@ def _suite_collision(rng: Random, n: int) -> tuple[bool, str]:
     max_len = 0.0
 
     def make():
-        start = random_config(rng)
-        goal = random_config(rng)
-        p = plan(start, goal)
-        return start, goal, p.hop_count, p.chain_length, p.path
+        p = plan(random_config(rng), random_config(rng))
+        return p, p.path
 
-    for i, (start, goal, hops, length, path), sep, gap in _separation_gaps(n, make):
-        err = max(config_dist(path.start, start), config_dist(path.end, goal))
+    for i, (p, _), low in _separation_gaps(n, make):
+        try:
+            err, sep = validate_plan(p)
+            gap = abs(low - sep)
+            if gap > SEPARATION_TOL:
+                raise ContractError(f"endpoint err {err:.3e} min sep {sep:.3e} oracle gap {gap:.3e}")
+        except ContractError as exc:
+            return False, f"pair {i}: start {_format_config(p.start)} goal {_format_config(p.goal)} {exc}"
         worst_end = max(worst_end, err)
         worst_sep = min(worst_sep, sep)
         worst_gap = max(worst_gap, gap)
-        if err > EPS or sep <= 0.0 or gap > SEPARATION_TOL:
-            return False, (
-                f"pair {i}: start {_format_config(start)} goal {_format_config(goal)}"
-                f" endpoint err {err:.3e} min sep {sep:.3e} oracle gap {gap:.3e}"
-            )
-        max_hops = max(max_hops, hops)
-        max_len = max(max_len, length)
-        if hops > MAX_HOPS or length > MAX_CHAIN_LENGTH:
-            return False, (
-                f"pair {i}: {_format_config(start)} -> {_format_config(goal)}"
-                f" hops {hops} length {length:.3f}"
-            )
+        max_hops = max(max_hops, p.hop_count)
+        max_len = max(max_len, p.chain_length)
     return True, (
         f"worst endpoint err {worst_end:.3e}, min separation {worst_sep:.3e},"
         f" worst oracle gap {worst_gap:.3e}; {_bounds_witness(max_hops, max_len)}"
@@ -508,7 +500,7 @@ def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
         r = retract(c)
         return c, r, path_from_legs([r.leg])
 
-    for i, (c, r, trace), sep, gap in _separation_gaps(n, make):
+    for i, (c, r, trace), low in _separation_gaps(n, make):
         if not chart_on_spine(r.leg.circle1 == r.leg.circle2, r.leg.a1, r.leg.b1):
             return False, f"sample {i}: leg of {_format_config(c)} ends off the spine"
         image_config = chain_to_config(r.point)
@@ -518,6 +510,8 @@ def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
         worst_trace = max(worst_trace, end_err)
         if end_err > EPS:
             return False, f"sample {i}: trace endpoint error {end_err:.3e}"
+        sep = path_min_separation(trace)
+        gap = abs(low - sep)
         worst_gap = max(worst_gap, gap)
         if sep <= 0.0:
             return False, f"sample {i}: trace of {_format_config(c)} collides"

@@ -17,6 +17,7 @@ from fig8plan.spine import (
     build_chain,
     chain_point,
     chain_to_config,
+    chart_coords,
     dist_chain,
     is_antipodal,
     make_steps,
@@ -66,6 +67,16 @@ def test_chain_point_rejects_a_vertex_off_its_canonical_circle(circle, theta):
     with pytest.raises(DomainError, match="is stored on"):
         ChainPoint(circle, theta)
     assert chain_point(circle, theta) == vertex_point(CIRCLE_VERTICES[circle][theta == 0.5])
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0 - 1e-12, 0.3])
+def test_unknown_circle_is_refused(theta):
+    # a vertex angle is refused by chain_point's vertex lookup, an interior
+    # one by ChainPoint
+    with pytest.raises(DomainError, match="unknown spine circle"):
+        chain_point("X", theta)
+    with pytest.raises(DomainError, match="unknown spine circle"):
+        chart_coords("X", 0.3)
 
 
 def test_vertex_configs():

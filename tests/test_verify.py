@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fig8plan import spine, verify
+from fig8plan import planner, spine, verify
 from fig8plan.errors import DomainError
 from fig8plan.geometry import (
     Configuration,
@@ -354,24 +354,49 @@ def test_blocked_suites_keep_their_witnesses(suite, witness):
         (
             "collision",
             "pair 299: start (B:0.25, A:0.75) goal (B:0.75, A:0.911631)"
-            " endpoint err 0.000e+00 min sep 0.000e+00 oracle gap 3.384e-01",
+            " plan separation dropped to 0.0",
         ),
         ("retraction", "sample 299: trace of (B:0.159713, B:0.75) collides"),
     ],
 )
 def test_blocked_suites_name_the_failing_index(monkeypatch, suite, witness):
-    # a collision forced on the 300th path, in the second block
-    real = verify.path_min_separation
+    # a collision forced on the 300th path, in the second block, where the
+    # suite reads its exact separation: validate_plan's for a plan, its own
+    # for a retraction trace
+    module = planner if suite == "collision" else verify
+    real = module.path_min_separation
     calls = []
 
     def forced(path):
         calls.append(path)
         return 0.0 if len(calls) == 300 else real(path)
 
-    monkeypatch.setattr(verify, "path_min_separation", forced)
+    monkeypatch.setattr(module, "path_min_separation", forced)
     report = run_suite(suite, seed=0, n=600)
     assert not report.passed
     assert report.witness == witness
+
+
+def test_collision_suite_reports_an_oracle_gap(monkeypatch):
+    # the sampled oracle pushed 0.5 off validate_plan's exact separation on
+    # the 300th plan, index 43 of the second block
+    real = verify.sampled_min_separations
+    blocks = []
+
+    def shifted(paths, n):
+        lows = real(paths, n)
+        blocks.append(lows)
+        if len(blocks) == 2:
+            lows[43] += 0.5
+        return lows
+
+    monkeypatch.setattr(verify, "sampled_min_separations", shifted)
+    report = run_suite("collision", seed=0, n=600)
+    assert not report.passed
+    assert report.witness == (
+        "pair 299: start (B:0.25, A:0.75) goal (B:0.75, A:0.911631)"
+        " endpoint err 0.000e+00 min sep 3.384e-01 oracle gap 5.000e-01"
+    )
 
 
 def test_roundtrip_suite_catches_a_narrowed_vertex_snap(monkeypatch):
@@ -396,8 +421,10 @@ def test_roundtrip_suite_catches_a_narrowed_vertex_snap(monkeypatch):
     ],
 )
 def test_endpoint_checks_use_the_package_tolerance(monkeypatch, suite, witness):
-    # The collision and retraction suites compare endpoint errors with
-    # geometry.EPS; a negative tolerance fails their first sample there.
+    # The collision suite (through validate_plan) and the retraction suite
+    # compare endpoint errors with geometry.EPS; a negative tolerance fails
+    # their first sample there.
+    monkeypatch.setattr(planner, "EPS", -1.0)
     monkeypatch.setattr(verify, "EPS", -1.0)
     report = run_suite(suite, seed=0, n=20)
     assert not report.passed
