@@ -3,7 +3,7 @@
 Usage: python scripts/run_all_suites.py [--seed S] [--full]
 
 --full uses the acceptance-sized sample counts instead of the quick defaults,
-which takes about 4-5 s on a shared 2-vCPU Xeon machine (4.07-4.70 s wall
+which takes about 3 s on a shared 2-vCPU Xeon machine (2.68-3.19 s wall
 time over three runs, Python 3.11.7).
 """
 

@@ -14,7 +14,7 @@ from .geometry import (
 from .planner import InstructionDomain, Plan, classify_domain, plan, plan_to_json, validate_plan
 from .render import RenderSpec, render_svg
 from .retraction import retract
-from .spine import ChainPoint, build_chain, chain_point, dist_chain, vertex_point
+from .spine import ChainPoint, chain_point, vertex_point
 
 __version__ = "0.1.0"
 
@@ -29,13 +29,11 @@ __all__ = [
     "Plan",
     "PhysPath",
     "RenderSpec",
-    "build_chain",
     "chain_point",
     "circle_point",
     "classify_domain",
     "config_dist",
     "configuration",
-    "dist_chain",
     "dist_gamma",
     "parse_position",
     "plan",

@@ -20,7 +20,7 @@ from .errors import CollisionError, ContractError, DomainError
 from .geometry import Configuration, parse_position
 from .planner import plan, plan_to_json, validate_plan
 from .render import RenderSpec, render_svg
-from .spine import build_chain
+from .spine import CHAIN_VERTICES, NECKLACE
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,7 +86,8 @@ def cmd_verify(args) -> int:
 def cmd_tc(args) -> int:
     from .verify import cycle_rank, tc_wedge
 
-    b1 = cycle_rank(build_chain())
+    # each necklace circle is two edges between its vertices, one per half arc
+    b1 = cycle_rank(CHAIN_VERTICES, [(v0, v1) for _, _, _, v0, v1 in NECKLACE] * 2)
     print(json.dumps({"b1": b1, "tc": tc_wedge(b1)}))
     return 0
 

@@ -20,8 +20,8 @@ stays on one circle and its arc coordinate is affine in time.  Chart values
 lie in [0, 1], so the center (0 or 1) can only be a segment's end; builders
 split segments only at the pole, where a robot crosses 1/2, and every
 segment lives in a single square chart.  A trajectory stores only its
-segments; its waypoints are configurations read off the segment ends when
-asked for, so assembling and certifying one builds no configuration.
+segments; its start and end are configurations read off the segment ends
+when asked for, so assembling and certifying one builds no configuration.
 
 Two constants bound the admissible inputs (README, "Admissible inputs"):
 EPS is the spine snap (spine.chain_point) and the endpoint and junction
@@ -184,7 +184,7 @@ def parse_position(text: str) -> CirclePoint:
 class PathSegment(namedtuple("PathSegment", "t0 t1 circle1 a0 a1 circle2 b0 b1")):
     """One affine leg of a trajectory.
 
-    Arc values live in [0, 1] chart form; a value of 1 is the center seen from
+    Chart values lie in [0, 1]; a value of 1 is the center seen from
     the far side of a circle, so a single segment never wraps.  The open
     interior of a leg must avoid the center and the pole: crossings force a
     waypoint split.  In [0, 1] only the pole can lie strictly inside.
@@ -235,10 +235,9 @@ class PathSegment(namedtuple("PathSegment", "t0 t1 circle1 a0 a1 circle2 b0 b1")
 class PhysPath(namedtuple("PhysPath", "segments")):
     """A validated piecewise-linear trajectory over t in [0, 1].
 
-    Only the segments are stored.  The waypoints, (t, configuration) at
-    t = 0 and at each segment's end time, and the start and end are derived
-    from them when read; __new__ checks every one of those points on its
-    chart values, so each reads as a valid configuration.
+    Only the segments are stored; the start and end are derived from them
+    when read.  __new__ checks the waypoints, at t = 0 and at each segment's
+    end time, on their chart values, so each reads as a valid configuration.
     """
 
     __slots__ = ()
@@ -278,13 +277,6 @@ class PhysPath(namedtuple("PhysPath", "segments")):
     def end(self) -> Configuration:
         _, _, c1, _, a1, c2, _, b1 = self.segments[-1]
         return configuration(c1, a1, c2, b1)
-
-    @property
-    def waypoints(self) -> tuple[tuple[float, Configuration], ...]:
-        """(t, configuration) at t = 0 and at each segment's end time."""
-        ends = [(t1, configuration(c1, a1, c2, b1))
-                for _, t1, c1, _, a1, c2, _, b1 in self.segments]
-        return (0.0, self.start), *ends
 
     def chart_at(self, t: float) -> tuple[str, float, str, float]:
         """Circle and chart value of each robot, (circle1, a, circle2, b), at

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cache
 
 from .errors import ContractError, DomainError
 from .geometry import EPS, SNAP_EPS, ChartLeg, Configuration, configuration, reads_as_center
@@ -50,28 +49,17 @@ _CIRCLE_CHART = {circle: (square, line) for circle, square, line, _, _ in NECKLA
 LINE_CIRCLE = {(square, line): circle for circle, square, line, _, _ in NECKLACE}
 
 # Canonical storage of each vertex: on its designated circle, the one a
-# positive traversal leaves it along.  A positive half-turn along that circle
-# reaches the vertex after it in CHAIN_VERTICES (the last one wrapping round
-# to the first), so this successor ring visits every vertex and designates
-# every circle exactly once.
+# positive traversal leaves it along.  CHAIN_VERTICES lists the vertices in
+# successor order (the last wrapping round to the first); a vertex's
+# designated circle is the one it shares with its successor, and a positive
+# half-turn along it from the vertex's slot reaches that successor, so the
+# ring visits every vertex and designates every circle exactly once.
 VERTEX_CANONICAL = {
-    "HA": ("R", 0.0),
-    "VA": ("V1", 0.0),
-    "HB": ("Bc", 0.0),
-    "VB": ("V2", 0.0),
-    "C1": ("H1", 0.5),
-    "C2": ("H2", 0.5),
+    v: (circle, 0.5 * pair.index(v))
+    for v, w in zip(CHAIN_VERTICES, CHAIN_VERTICES[1:] + CHAIN_VERTICES[:1])
+    for circle, pair in CIRCLE_VERTICES.items()
+    if set(pair) == {v, w}
 }
-
-# Collapsing each circle's two arcs to an edge leaves a 6-cycle on the
-# vertices, in the order of CHAIN_VERTICES; distances below come from
-# positions on that cycle.
-_RING_INDEX = {v: i for i, v in enumerate(CHAIN_VERTICES)}
-
-
-def vertex_dist(u: str, v: str) -> float:
-    k = abs(_RING_INDEX[u] - _RING_INDEX[v])
-    return 0.5 * min(k, 6 - k)
 
 
 class ChainPoint(namedtuple("ChainPoint", "circle theta")):
@@ -200,26 +188,6 @@ def arc_dist(theta0: float, theta1: float) -> float:
     return min(d, 1.0 - d)
 
 
-def dist_chain(x: ChainPoint, y: ChainPoint) -> float:
-    """Geodesic distance on the spine.
-
-    Within one circle the direct arc is always optimal; between circles the
-    geodesic exits through a vertex of each, with the vertex-to-vertex leg
-    read off the collapsed 6-cycle.
-    """
-    best = math.inf
-    if x.circle == y.circle:
-        best = arc_dist(x.theta, y.theta)
-    for u in CIRCLE_VERTICES[x.circle]:
-        du = arc_dist(x.theta, vertex_theta_on(x.circle, u))
-        for v in CIRCLE_VERTICES[y.circle]:
-            dv = arc_dist(y.theta, vertex_theta_on(y.circle, v))
-            cand = du + vertex_dist(u, v) + dv
-            if cand < best:
-                best = cand
-    return best
-
-
 def is_antipodal(x: ChainPoint, y: ChainPoint) -> bool:
     """True when two interior points face each other across one circle."""
     if x.circle != y.circle or x.is_vertex or y.is_vertex:
@@ -228,38 +196,7 @@ def is_antipodal(x: ChainPoint, y: ChainPoint) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Graph structure
-# ---------------------------------------------------------------------------
-
-
-class Arc(namedtuple("Arc", "circle v_from v_to theta0 theta1")):
-    """Half of a spine circle, running between consecutive vertices."""
-
-    __slots__ = ()
-
-
-class ChainGraph(namedtuple("ChainGraph", "vertex_ids edge_list arcs")):
-    """The spine as a multigraph: vertex names, (from, to) edges and their arcs."""
-
-    __slots__ = ()
-
-
-@cache
-def build_chain() -> ChainGraph:
-    arcs = []
-    for circle in CHAIN_CIRCLES:
-        lo, hi = CIRCLE_VERTICES[circle]
-        arcs.append(Arc(circle, lo, hi, 0.0, 0.5))
-        arcs.append(Arc(circle, hi, lo, 0.5, 1.0))
-    return ChainGraph(
-        vertex_ids=CHAIN_VERTICES,
-        edge_list=tuple((arc.v_from, arc.v_to) for arc in arcs),
-        arcs=tuple(arcs),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Arc moves
+# Moves along one circle
 # ---------------------------------------------------------------------------
 
 
@@ -333,7 +270,7 @@ def step_to_leg(step: ChainStep) -> ChartLeg:
 
 
 # The chart leg of each of the twelve half arcs, keyed by its positive step,
-# in the order of CHAIN_CIRCLES and then of build_chain's arcs.
+# in the order of CHAIN_CIRCLES, each circle's half from theta = 0 first.
 HALF_ARC_LEGS = {
     step: step_to_leg(step)
     for step in (ChainStep(c, t, t + 0.5, 1) for c in CHAIN_CIRCLES for t in (0.0, 0.5))

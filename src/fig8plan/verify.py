@@ -2,10 +2,10 @@
 
 Every suite is a pure function of (seed, n): it draws its samples from a
 private ``random.Random(seed)`` and reports a worst-case witness, so a failure
-can be replayed exactly.  The distance oracles deliberately do not share code
-with the analytic metrics they check: each query splices its two points into
-the track (center plus the points) or into the twelve arcs of the spine graph
-(build_chain), and runs Dijkstra on that graph of at most eight nodes.  No
+can be replayed exactly.  The distance oracles share no code with the
+analytic track metric they check: each query splices its two points into the
+track (center plus the points) or into the twelve half arcs of the spine
+(spine.NECKLACE), and runs Dijkstra on that graph of at most eight nodes.  No
 discretisation is involved, so the oracles are exact up to rounding.
 """
 
@@ -37,20 +37,19 @@ from .retraction import retract
 from .spine import (
     CHAIN_CIRCLES,
     CHAIN_VERTICES,
+    NECKLACE,
     ChainPoint,
-    build_chain,
     chain_point,
     chain_to_config,
     chart_on_spine,
-    dist_chain,
     is_antipodal,
     vertex_point,
 )
 
 SUITE_NAMES = ("collision", "partition", "retraction", "continuity", "termination", "roundtrip")
 
-# How far dist_gamma and dist_chain may sit from their Dijkstra oracles: both
-# sum the same arc lengths, possibly in another order, so only rounding differs.
+# How far dist_gamma may sit from its Dijkstra oracle: both sum the same arc
+# lengths, possibly in another order, so only rounding differs.
 METRIC_TOL = 1e-12
 
 # Density of the sampled separation oracle, and how far the exact minimum may
@@ -69,14 +68,15 @@ BLOCK = 256
 # graph invariants
 
 
-def cycle_rank(g) -> int:
+def cycle_rank(vertex_ids, edge_list) -> int:
     """First Betti number E - V + 1 of a connected multigraph.
 
-    ``g`` needs ``vertex_ids`` and ``edge_list`` attributes; disconnected
-    input is rejected because the formula would silently undercount.
+    ``edge_list`` holds (u, v) pairs of names from ``vertex_ids``.  An edge
+    naming any other vertex, and disconnected input, are rejected: the
+    formula would silently miscount.
     """
-    verts = list(g.vertex_ids)
-    edges = list(g.edge_list)
+    verts = list(vertex_ids)
+    edges = list(edge_list)
     if not verts:
         raise DomainError("empty graph")
     parent = {v: v for v in verts}
@@ -89,6 +89,8 @@ def cycle_rank(g) -> int:
 
     components = len(verts)
     for u, v in edges:
+        if u not in parent or v not in parent:
+            raise DomainError(f"edge ({u!r}, {v!r}) names a vertex outside the graph")
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
@@ -371,21 +373,28 @@ def gamma_oracle(pairs: list[tuple[CirclePoint, CirclePoint]]) -> list[float]:
     return out
 
 
+# The twelve half arcs of the spine, (circle, theta0, from, theta1, to): each
+# NECKLACE circle runs from its first vertex to its second on [0, 1/2] and
+# back on [1/2, 1].
+_HALF_ARCS = [
+    half
+    for circle, _, _, v0, v1 in NECKLACE
+    for half in ((circle, 0.0, v0, 0.5, v1), (circle, 0.5, v1, 1.0, v0))
+]
+
+
 def chain_oracle(pairs: list[tuple[ChainPoint, ChainPoint]]) -> list[float]:
-    """Spine distances by Dijkstra on the twelve arcs of build_chain(), each
-    cut at any query point strictly inside it."""
-    arcs = build_chain().arcs
+    """Spine distances by Dijkstra on the twelve half arcs, each cut at any
+    query point strictly inside it."""
     out = []
     for p, q in pairs:
         ends = (("p", p), ("q", q))
         edges = []
-        for arc in arcs:
+        for circle, theta0, u, theta1, v in _HALF_ARCS:
             inner = sorted(
-                (x.theta, name)
-                for name, x in ends
-                if x.circle == arc.circle and arc.theta0 < x.theta < arc.theta1
+                (x.theta, name) for name, x in ends if x.circle == circle and theta0 < x.theta < theta1
             )
-            edges += _cut_edges([(arc.theta0, arc.v_from), *inner, (arc.theta1, arc.v_to)])
+            edges += _cut_edges([(theta0, u), *inner, (theta1, v)])
         out.append(_shortest(edges, p.vertex or "p", q.vertex or "q"))
     return out
 
@@ -531,8 +540,9 @@ def _gluing_probe(rng: Random, n: int) -> tuple[bool, str]:
 
     A twin pair puts one robot 5e-5 off the center on two different branches
     (1e-4 apart on the track) while the other robot sits at least 0.05 away
-    from the center, and compares the chain distance of the two spine images
-    against 50x the configuration distance.
+    from the center, and compares the spine distance of the two images, by
+    the exact Dijkstra oracle (chain_oracle), against 50x the configuration
+    distance.
     """
     branches = [("A", False), ("A", True), ("B", False), ("B", True)]
     worst_ratio = 0.0
@@ -550,7 +560,7 @@ def _gluing_probe(rng: Random, n: int) -> tuple[bool, str]:
         else:
             ca, cb = Configuration(other, moving_a), Configuration(other, moving_b)
         gap = config_dist(ca, cb)
-        image_gap = dist_chain(retract(ca).point, retract(cb).point)
+        (image_gap,) = chain_oracle([(retract(ca).point, retract(cb).point)])
         ratio = image_gap / gap
         worst_ratio = max(worst_ratio, ratio)
         if image_gap > 50.0 * gap:
@@ -616,22 +626,7 @@ def _suite_roundtrip(rng: Random, n: int) -> tuple[bool, str]:
                 f"dist_gamma({p.circle}:{p.s:.6g},{q.circle}:{q.s:.6g})"
                 f" off oracle by {diff:.3e}"
             )
-    chain_pairs = [
-        (random_chain_point(rng, vertex_prob=0.1), random_chain_point(rng, vertex_prob=0.1))
-        for _ in range(n)
-    ]
-    worst_chain = 0.0
-    for (p, q), ov in zip(chain_pairs, chain_oracle(chain_pairs)):
-        diff = abs(dist_chain(p, q) - ov)
-        worst_chain = max(worst_chain, diff)
-        if diff > METRIC_TOL:
-            return False, (
-                f"dist_chain({_format_chain(p)},{_format_chain(q)}) off oracle by {diff:.3e}"
-            )
-    return True, (
-        f"roundtrip drift 0.0e+00, gamma oracle gap {worst_gamma:.1e},"
-        f" chain oracle gap {worst_chain:.1e} (tol {METRIC_TOL:.0e})"
-    )
+    return True, f"roundtrip drift 0.0e+00, gamma oracle gap {worst_gamma:.1e} (tol {METRIC_TOL:.0e})"
 
 
 _SUITES = {

@@ -19,17 +19,16 @@ from fig8plan.spine import (
     CHAIN_CIRCLES,
     CHAIN_VERTICES,
     CIRCLE_VERTICES,
+    HALF_ARC_LEGS,
+    NECKLACE,
     VERTEX_CANONICAL,
     VERTEX_CONFIG,
-    build_chain,
     chain_point,
-    dist_chain,
     vertex_point,
 )
 from fig8plan.verify import (
     METRIC_TOL,
     _random_position,
-    chain_oracle,
     continuity_probe,
     gamma_oracle,
     random_chain_point,
@@ -66,15 +65,16 @@ def test_instruction_count_command(capsys):
 
 def test_chain_structure_and_closure():
     t0 = perf_counter()
-    g = build_chain()
-    assert len(g.vertex_ids) == 6
-    assert len(g.edge_list) == 12
-    assert len(g.arcs) == 12
-    assert all(abs((a.theta1 - a.theta0) - 0.5) < 1e-12 for a in g.arcs)
+    # each necklace circle is two half arcs between its vertices
+    edges = [(v0, v1) for _, _, _, v0, v1 in NECKLACE] * 2
+    assert len(CHAIN_VERTICES) == 6
+    assert len(edges) == 12
+    assert len(HALF_ARC_LEGS) == 12
+    assert all(abs(step.length - 0.5) < 1e-12 for step in HALF_ARC_LEGS)
 
     # every circle carries exactly two vertices, every vertex two circles
-    degree = {v: 0 for v in g.vertex_ids}
-    for u, v in g.edge_list:
+    degree = {v: 0 for v in CHAIN_VERTICES}
+    for u, v in edges:
         degree[u] += 1
         degree[v] += 1
     assert all(d == 4 for d in degree.values())
@@ -86,7 +86,7 @@ def test_chain_structure_and_closure():
     assert all(len(cs) == 2 for cs in incidence.values())
 
     # collapsing parallel arcs leaves the six-cycle necklace
-    simple = {frozenset(e) for e in g.edge_list}
+    simple = {frozenset(e) for e in edges}
     ring = ("HA", "VA", "C1", "HB", "VB", "C2")
     expected = {frozenset((ring[i], ring[(i + 1) % 6])) for i in range(6)}
     assert simple == expected
@@ -102,7 +102,7 @@ def test_chain_structure_and_closure():
     assert walk[-1] == "C1"
     assert sorted(circles) == sorted(CHAIN_CIRCLES)
     # the walk visits the vertices in the cyclic order of CHAIN_VERTICES,
-    # which the planner's ring and vertex_dist both read
+    # which VERTEX_CANONICAL and the planner's ring both read
     k = CHAIN_VERTICES.index("C1")
     assert tuple(walk[:-1]) == CHAIN_VERTICES[k:] + CHAIN_VERTICES[:k]
     assert perf_counter() - t0 < 1.0
@@ -168,13 +168,6 @@ def test_metrics_match_exact_oracles():
     gamma_pairs = [(_random_position(rng), _random_position(rng)) for _ in range(5000)]
     for (p, q), oracle in zip(gamma_pairs, gamma_oracle(gamma_pairs), strict=True):
         assert abs(dist_gamma(p, q) - oracle) <= METRIC_TOL
-
-    chain_pairs = [
-        (random_chain_point(rng, vertex_prob=0.1), random_chain_point(rng, vertex_prob=0.1))
-        for _ in range(5000)
-    ]
-    for (p, q), oracle in zip(chain_pairs, chain_oracle(chain_pairs), strict=True):
-        assert abs(dist_chain(p, q) - oracle) <= METRIC_TOL
 
 
 def test_scenario_smoke():

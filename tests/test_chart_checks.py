@@ -123,7 +123,7 @@ def test_junction_check_matches_config_dist():
             rejected += 1
         else:
             path = PhysPath((first, second))
-            assert path.waypoints[1][1] == end
+            assert configuration(*path.chart_at(0.25)) == end
         checked += 1
     assert checked > 15_000 and 1000 < rejected < checked - 1000
 

@@ -208,7 +208,9 @@ def test_phys_path_edges(build, error):
     if error is None:
         path = PhysPath(segments)
         assert path.segments == segments
-        assert len(path.waypoints) == len(segments) + 1
+        # every segment end reads as a valid configuration
+        ends = [configuration(s.circle1, s.a1, s.circle2, s.b1) for s in segments]
+        assert path.end == ends[-1]
     else:
         with pytest.raises(error):
             PhysPath(segments)

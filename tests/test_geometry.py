@@ -217,13 +217,14 @@ def test_min_separation_sees_crossing_between_samples():
 
 
 def test_waypoints_are_derived_from_the_segments():
-    # A path stores only its segments; start, end and waypoints are read off them.
+    # A path stores only its segments; start, end and the configuration at
+    # each waypoint are read off them.
     path = path_from_legs([ChartLeg("A", 0.2, 0.8, "B", 0.25, 0.25)])
     assert path == (path.segments,)
-    assert path.start == path.waypoints[0][1] == configuration("A", 0.2, "B", 0.25)
-    assert path.end == path.waypoints[-1][1] == configuration("A", 0.8, "B", 0.25)
-    assert [t for t, _ in path.waypoints] == [0.0, path.segments[0].t1, 1.0]
-    assert path.waypoints[1][1] == configuration("A", 0.5, "B", 0.25)
+    assert path.start == configuration(*path.chart_at(0.0)) == configuration("A", 0.2, "B", 0.25)
+    assert path.end == configuration(*path.chart_at(1.0)) == configuration("A", 0.8, "B", 0.25)
+    assert [s.t0 for s in path.segments] + [1.0] == [0.0, path.segments[0].t1, 1.0]
+    assert configuration(*path.chart_at(path.segments[0].t1)) == configuration("A", 0.5, "B", 0.25)
 
 
 def test_constant_path_and_concat_identity():
@@ -348,7 +349,7 @@ def test_waypoints_are_time_ordered():
             ChartLeg("A", 0.5, 0.9, "B", 0.25, 0.25),
         ]
     )
-    times = [t for t, _ in path.waypoints]
+    times = [0.0] + [s.t1 for s in path.segments]
     assert times[0] == 0.0 and times[-1] == 1.0
     assert all(t0 < t1 for t0, t1 in zip(times, times[1:]))
 

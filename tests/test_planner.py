@@ -254,7 +254,7 @@ def test_plan_identity_on_spine():
     c = chain_to_config(ChainPoint("H1", 0.3))
     p = plan(c, c)
     assert p.hop_count == 0
-    assert len(p.path.waypoints) == 2
+    assert len(p.path.segments) == 1
     assert config_dist(p.path.start, c) == 0.0
     assert config_dist(p.path.end, c) == 0.0
     validate_plan(p)
@@ -330,17 +330,23 @@ def test_plan_vertex_to_vertex():
     validate_plan(p)
 
 
+def _waypoints(path: PhysPath) -> list:
+    """(t, configuration) at t = 0 and at each segment's end time."""
+    ends = [(t1, configuration(c1, a1, c2, b1)) for _, t1, c1, _, a1, c2, _, b1 in path.segments]
+    return [(0.0, path.start), *ends]
+
+
 def test_plan_waypoints_share_the_vertex_configurations():
     # A waypoint on a spine vertex is the one Configuration built for it.
     p = plan(configuration("A", 0.3, "B", 0.7), configuration("B", 0.25, "A", 0.6))
     shared = {id(c) for c in VERTEX_CONFIG.values()}
-    at_vertices = [c for _, c in p.path.waypoints if c in VERTEX_CONFIG.values()]
+    at_vertices = [c for _, c in _waypoints(p.path) if c in VERTEX_CONFIG.values()]
     assert len(at_vertices) == 4
     assert all(id(c) in shared for c in at_vertices)
-    assert p.path.start == p.path.waypoints[0][1]
+    assert p.path.start == _waypoints(p.path)[0][1]
     assert configuration("B", 1.0, "B", 0.5) is VERTEX_CONFIG["HB"]
     q = plan(VERTEX_CONFIG["C1"], VERTEX_CONFIG["C2"])
-    for (_, c), name in zip(q.path.waypoints, ("C1", "HB", "VB", "C2")):
+    for (_, c), name in zip(_waypoints(q.path), ("C1", "HB", "VB", "C2")):
         assert c is VERTEX_CONFIG[name]
 
 
@@ -486,7 +492,7 @@ def test_plan_contract_random(sq1, a1, b1, sq2, a2, b2):
 def _json_from_waypoints(p) -> dict:
     """Oracle: plan_to_json as it read the path's waypoint configurations."""
     waypoints = []
-    for t, ((c1, s1), (c2, s2)) in p.path.waypoints:
+    for t, ((c1, s1), (c2, s2)) in _waypoints(p.path):
         w1, w2 = float(f"{s1:.12g}"), float(f"{s2:.12g}")
         if w1 == w2 and c1 == c2:
             w1, w2 = s1, s2

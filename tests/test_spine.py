@@ -10,26 +10,25 @@ from fig8plan.spine import (
     CHAIN_VERTICES,
     CIRCLE_VERTICES,
     HALF_ARC_LEGS,
+    NECKLACE,
     VERTEX_CANONICAL,
     VERTEX_CONFIG,
     ChainPoint,
     ChainStep,
-    build_chain,
     chain_point,
     chain_to_config,
     chart_coords,
-    dist_chain,
     is_antipodal,
     make_steps,
     shortest_arc,
     step_to_leg,
     steps_to_legs,
     theta_on,
-    vertex_dist,
     vertex_point,
     vertex_theta_on,
 )
 
+from fig8plan.verify import chain_oracle
 from spine_reference import on_spine, spine_image
 
 chain_circles = st.sampled_from(CHAIN_CIRCLES)
@@ -108,18 +107,32 @@ def test_successor_walk_closes_in_six():
     assert sorted(seen_circles) == sorted(CHAIN_CIRCLES)
 
 
+def test_vertex_canonical_is_pinned():
+    # Derived from NECKLACE and the ring order: each vertex on the circle it
+    # shares with its successor in CHAIN_VERTICES, at its slot there.
+    assert VERTEX_CANONICAL == {
+        "HA": ("R", 0.0),
+        "VA": ("V1", 0.0),
+        "HB": ("Bc", 0.0),
+        "VB": ("V2", 0.0),
+        "C1": ("H1", 0.5),
+        "C2": ("H2", 0.5),
+    }
+
+
 def test_chain_graph_counts():
-    g = build_chain()
-    assert len(g.vertex_ids) == 6
-    assert len(g.edge_list) == 12
-    assert len(g.arcs) == 12
-    degree = {v: 0 for v in g.vertex_ids}
-    for u, v in g.edge_list:
+    # Each necklace circle is two half arcs between its two vertices: twelve
+    # edges, and every vertex has degree 4.
+    edges = [(v0, v1) for _, _, _, v0, v1 in NECKLACE] * 2
+    assert len(CHAIN_VERTICES) == 6
+    assert len(edges) == 12
+    degree = {v: 0 for v in CHAIN_VERTICES}
+    for u, v in edges:
         degree[u] += 1
         degree[v] += 1
     assert all(d == 4 for d in degree.values())
-    lengths = [abs(a.theta1 - a.theta0) for a in g.arcs]
-    assert all(length == 0.5 for length in lengths)
+    assert len(HALF_ARC_LEGS) == 12
+    assert all(step.length == 0.5 for step in HALF_ARC_LEGS)
 
 
 @given(chain_circles, angles)
@@ -140,31 +153,15 @@ def test_flat_to_chain_rejects_off_spine():
 def test_dist_chain_frozen_values():
     ha, vb = vertex_point("HA"), vertex_point("VB")
     c1, c2 = vertex_point("C1"), vertex_point("C2")
-    assert dist_chain(ha, vb) == pytest.approx(1.0)
-    assert dist_chain(c1, c2) == pytest.approx(1.5)
-    assert dist_chain(ha, vertex_point("VA")) == pytest.approx(0.5)
-    assert dist_chain(ChainPoint("H1", 0.1), ChainPoint("H1", 0.45)) == pytest.approx(0.35)
-    # Interior-to-interior across squares, optimal route VA then C1.
-    assert dist_chain(ChainPoint("R", 0.2), ChainPoint("H1", 0.1)) == pytest.approx(1.2)
-
-
-def test_vertex_dist_table():
-    assert vertex_dist("HA", "HA") == 0.0
-    assert vertex_dist("HA", "VA") == 0.5
-    assert vertex_dist("HA", "C1") == 1.0
-    assert vertex_dist("HA", "HB") == 1.5
-    assert vertex_dist("VA", "VB") == 1.5
-    assert vertex_dist("C1", "C2") == 1.5
-
-
-@given(chain_circles, angles, chain_circles, angles)
-def test_dist_chain_metric(c1, t1, c2, t2):
-    x, y = chain_point(c1, t1), chain_point(c2, t2)
-    d = dist_chain(x, y)
-    assert d == pytest.approx(dist_chain(y, x))
-    assert 0.0 <= d <= 1.5 + 1e-12
-    if x == y:
-        assert d < 1e-12
+    pairs = [
+        (ha, vb, 1.0),
+        (c1, c2, 1.5),
+        (ha, vertex_point("VA"), 0.5),
+        (ChainPoint("H1", 0.1), ChainPoint("H1", 0.45), 0.35),
+        # Interior-to-interior across squares, optimal route VA then C1.
+        (ChainPoint("R", 0.2), ChainPoint("H1", 0.1), 1.2),
+    ]
+    assert chain_oracle([(p, q) for p, q, _ in pairs]) == pytest.approx([d for _, _, d in pairs])
 
 
 def test_is_antipodal():
@@ -244,12 +241,12 @@ def test_steps_cross_center_wrap():
 
 
 def test_half_arc_leg_table():
-    # One leg per half arc of build_chain, in its order, each the chart leg of
-    # the positive step along that arc; steps_to_legs reads whole half arcs
-    # off the table and charts every other step.
-    arcs = build_chain().arcs
+    # One leg per half arc, in NECKLACE order and each circle's half from
+    # theta = 0 first, each the chart leg of the positive step along that
+    # arc; steps_to_legs reads whole half arcs off the table and charts every
+    # other step.
     assert [(s.circle, s.t_from, s.t_to) for s in HALF_ARC_LEGS] == [
-        (a.circle, a.theta0, a.theta1) for a in arcs
+        (row[0], t, t + 0.5) for row in NECKLACE for t in (0.0, 0.5)
     ]
     for step, leg in HALF_ARC_LEGS.items():
         assert step.direction == 1

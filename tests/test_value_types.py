@@ -11,7 +11,7 @@ from fig8plan.geometry import ChartLeg, CirclePoint, Configuration, PathSegment,
 from fig8plan.planner import InstructionDomain, Plan
 from fig8plan.render import RenderSpec
 from fig8plan.retraction import RetractResult
-from fig8plan.spine import Arc, ChainGraph, ChainPoint, ChainStep
+from fig8plan.spine import ChainPoint, ChainStep
 from fig8plan.verify import SuiteReport
 
 POINT = "CirclePoint(circle='A', s=0.3)"
@@ -21,7 +21,6 @@ PATH = f"PhysPath(segments=({SEGMENT},))"
 LEG = "ChartLeg(circle1='A', a0=0.3, a1=0.5, circle2='B', b0=0.7, b1=0.7)"
 CHAIN_POINT = "ChainPoint(circle='V1', theta=0.7)"
 STEP = "ChainStep(circle='R', t_from=0.1, t_to=0.2, direction=1)"
-ARC = "Arc(circle='R', v_from='HA', v_to='VA', theta0=0.0, theta1=0.5)"
 
 
 def _config():
@@ -41,11 +40,6 @@ CASES = [
     (lambda: ChartLeg("A", 0.3, 0.5, "B", 0.7, 0.7), LEG),
     (lambda: ChainPoint("V1", 0.7), CHAIN_POINT),
     (lambda: ChainStep("R", 0.1, 0.2, 1), STEP),
-    (lambda: Arc("R", "HA", "VA", 0.0, 0.5), ARC),
-    (
-        lambda: ChainGraph(("HA", "VA"), (("HA", "VA"),), (Arc("R", "HA", "VA", 0.0, 0.5),)),
-        f"ChainGraph(vertex_ids=('HA', 'VA'), edge_list=(('HA', 'VA'),), arcs=({ARC},))",
-    ),
     (
         lambda: RetractResult(ChainPoint("V1", 0.7), 0.5, ChartLeg("A", 0.3, 0.5, "B", 0.7, 0.7)),
         f"RetractResult(point={CHAIN_POINT}, scale=0.5, leg={LEG})",

@@ -2,9 +2,9 @@
 
 from collections import defaultdict, deque
 from random import Random
-from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fig8plan import planner, spine, verify
 from fig8plan.errors import DomainError
@@ -21,7 +21,15 @@ from fig8plan.geometry import (
 )
 from fig8plan.planner import InstructionDomain, plan
 from fig8plan.retraction import retract
-from fig8plan.spine import VERTEX_CONFIG, build_chain, chain_point, dist_chain, vertex_point
+from fig8plan.spine import (
+    CHAIN_CIRCLES,
+    CHAIN_VERTICES,
+    NECKLACE,
+    VERTEX_CONFIG,
+    ChainPoint,
+    chain_point,
+    vertex_point,
+)
 from fig8plan.verify import (
     BLOCK,
     SUITE_NAMES,
@@ -38,14 +46,12 @@ from fig8plan.verify import (
 )
 
 
-def graph(vertices, edges):
-    return SimpleNamespace(vertex_ids=tuple(vertices), edge_list=tuple(edges))
+chain_circles = st.sampled_from(CHAIN_CIRCLES)
+angles = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 
 
-def spanning_tree_cycle_count(g) -> int:
+def spanning_tree_cycle_count(verts, edges) -> int:
     """Reference for cycle_rank: edges left over by a BFS tree."""
-    verts = list(g.vertex_ids)
-    edges = list(g.edge_list)
     if not verts:
         raise DomainError("empty graph")
     adj = defaultdict(list)
@@ -68,31 +74,40 @@ def spanning_tree_cycle_count(g) -> int:
 
 
 def test_cycle_rank_of_chain_is_seven():
-    g = build_chain()
-    assert cycle_rank(g) == 7
-    assert spanning_tree_cycle_count(g) == 7
+    # each necklace circle is two edges, one per half arc
+    edges = [(v0, v1) for _, _, _, v0, v1 in NECKLACE] * 2
+    assert cycle_rank(CHAIN_VERTICES, edges) == 7
+    assert spanning_tree_cycle_count(CHAIN_VERTICES, edges) == 7
 
 
 def test_cycle_rank_small_graphs():
-    loop = graph(["v"], [("v", "v")])
-    assert cycle_rank(loop) == 1
-    assert spanning_tree_cycle_count(loop) == 1
+    loop = (["v"], [("v", "v")])
+    assert cycle_rank(*loop) == 1
+    assert spanning_tree_cycle_count(*loop) == 1
 
-    tree = graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    assert cycle_rank(tree) == 0
-    assert spanning_tree_cycle_count(tree) == 0
+    tree = (["a", "b", "c"], [("a", "b"), ("b", "c")])
+    assert cycle_rank(*tree) == 0
+    assert spanning_tree_cycle_count(*tree) == 0
 
     # parallel edges count as independent cycles
-    banana = graph(["a", "b"], [("a", "b"), ("a", "b"), ("a", "b")])
-    assert cycle_rank(banana) == 2
-    assert spanning_tree_cycle_count(banana) == 2
+    banana = (["a", "b"], [("a", "b"), ("a", "b"), ("a", "b")])
+    assert cycle_rank(*banana) == 2
+    assert spanning_tree_cycle_count(*banana) == 2
 
 
 def test_cycle_rank_rejects_disconnected():
     with pytest.raises(DomainError):
-        cycle_rank(graph(["a", "b"], []))
+        cycle_rank(["a", "b"], [])
     with pytest.raises(DomainError):
-        spanning_tree_cycle_count(graph(["a", "b", "c"], [("a", "b")]))
+        spanning_tree_cycle_count(["a", "b", "c"], [("a", "b")])
+
+
+def test_cycle_rank_rejects_an_edge_off_the_vertex_list():
+    # an edge to a vertex the graph does not list is a DomainError, not a
+    # KeyError from the union-find, at either end and in either position
+    for edges in ([("a", "b")], [("b", "a")], [("a", "a"), ("a", "b")]):
+        with pytest.raises(DomainError, match="outside the graph"):
+            cycle_rank(["a"], edges)
 
 
 def test_tc_wedge_table():
@@ -208,7 +223,17 @@ def test_chain_oracle_exact_cases():
     pairs = [(point(p), point(q)) for p, q, _ in cases]
     expected = [d for _, _, d in cases]
     assert chain_oracle(pairs) == expected
-    assert [dist_chain(p, q) for p, q in pairs] == expected
+
+
+@given(chain_circles, angles, chain_circles, angles, chain_circles, angles)
+def test_chain_oracle_is_a_metric(c1, t1, c2, t2, c3, t3):
+    x, y, z = chain_point(c1, t1), chain_point(c2, t2), chain_point(c3, t3)
+    xy, yx, yz, xz = chain_oracle([(x, y), (y, x), (y, z), (x, z)])
+    assert xy == pytest.approx(yx)
+    assert 0.0 <= xy <= 1.5 + 1e-12
+    assert xz <= xy + yz + 1e-12
+    if x == y:
+        assert xy < 1e-12
 
 
 def test_random_config_reaches_near_coincident_pairs():
@@ -252,7 +277,7 @@ def test_gluing_twin_images_stay_close():
     twin_b = configuration("B", 5e-5, "B", 0.3)
     gap = config_dist(twin_a, twin_b)
     assert gap == pytest.approx(1e-4, abs=1e-12)
-    image_gap = dist_chain(retract(twin_a).point, retract(twin_b).point)
+    (image_gap,) = chain_oracle([(retract(twin_a).point, retract(twin_b).point)])
     assert image_gap <= 50.0 * gap
 
 
