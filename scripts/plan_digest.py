@@ -4,7 +4,7 @@ and that the verification suites report exactly as before.
 Usage: python scripts/plan_digest.py
 
 For the first 20 000 requests of each of perfbench/gen.py's uniform_pairs(7),
-cli_pairs(7) and boundary_pairs(7), the script feeds two sha256 digests per
+cli_pairs(7) and boundary_pairs(7), the script feeds three sha256 digests per
 stream:
 
 * json:   json.dumps(plan_to_json(plan(start, goal))), one line per request;
@@ -12,7 +12,10 @@ stream:
   (domain, hop_count, steps, path.segments, spine_interval, trace_in and
   trace_out), one line per request.  repr writes every float exactly, so
   this digest also sees a change in the last bit of a value, such as
-  spine_interval, that the 12-digit JSON rounds away.
+  spine_interval, that the 12-digit JSON rounds away;
+* cert:   the repr of validate_plan(plan), the certified (endpoint error,
+  minimum separation), one line per request, so a change to how a plan is
+  certified shows that it certifies the same values to the last bit.
 
 It also hashes the reports of the six verification suites at their quick
 sizes (run_suite's default n) for seeds 0 and 1, each report's JSON without
@@ -35,7 +38,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
 from fig8plan.geometry import configuration  # noqa: E402
-from fig8plan.planner import plan, plan_to_json  # noqa: E402
+from fig8plan.planner import plan, plan_to_json, validate_plan  # noqa: E402
 from fig8plan.verify import SUITE_NAMES, run_suite  # noqa: E402
 
 SEED = 7
@@ -47,6 +50,9 @@ DIGESTS = {
     ("uniform", "fields"): "647cbd894cc0a18080656ff303621ebb5e17a555a5fc66e66ba79ecf596e1353",
     ("cli", "fields"): "faedde5f21e4f1784949c9ed1208ec3c9c4b376dc13ffe4ad45831da032b6f2a",
     ("boundary", "fields"): "64465c74073f38629864e6bd8f4b385b65940a826df321e66e3d1feb094ffde2",
+    ("uniform", "cert"): "b05e12f0accc847476227edbe61e4e65a15e50b034059ad0aa5a92ce8f8ef991",
+    ("cli", "cert"): "e9c948c0d110f24af5fdf713cc8425122dc5f77683ff87a95c31b8bccaae0e2a",
+    ("boundary", "cert"): "22882ff77717d661853f2402f85a269b6038522946b4dd47d1c73134ec139605",
 }
 STREAMS = {"uniform": gen.uniform_pairs, "cli": gen.cli_pairs, "boundary": gen.boundary_pairs}
 SUITE_SEEDS = (0, 1)
@@ -54,14 +60,15 @@ SUITE_DIGEST = "5b559b97b432f33c4b103d4724405092944d0f11bab7889a0d204cbd01494f73
 
 
 def stream_digests(pairs) -> dict[str, str]:
-    text, fields = hashlib.sha256(), hashlib.sha256()
+    text, fields, cert = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for _, ((s1, s2), (g1, g2)) in zip(range(REQUESTS), pairs):
         p = plan(configuration(*s1, *s2), configuration(*g1, *g2))
         text.update(json.dumps(plan_to_json(p)).encode() + b"\n")
         record = (p.domain, p.hop_count, p.steps, p.path.segments, p.spine_interval,
                   p.trace_in, p.trace_out)
         fields.update(repr(record).encode() + b"\n")
-    return {"json": text.hexdigest(), "fields": fields.hexdigest()}
+        cert.update(repr(validate_plan(p)).encode() + b"\n")
+    return {"json": text.hexdigest(), "fields": fields.hexdigest(), "cert": cert.hexdigest()}
 
 
 def suite_digest() -> str:

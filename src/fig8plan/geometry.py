@@ -20,8 +20,9 @@ stays on one circle and its arc coordinate is affine in time.  Chart values
 lie in [0, 1], so the center (0 or 1) can only be a segment's end; builders
 split segments only at the pole, where a robot crosses 1/2, and every
 segment lives in a single square chart.  A trajectory stores only its
-segments; its start and end are configurations read off the segment ends
-when asked for, so assembling and certifying one builds no configuration.
+segments, and is assembled and certified on their chart values: its ends
+are measured against configurations with chart_config_dist, so neither
+builds a configuration.
 
 Two constants bound the admissible inputs (README, "Admissible inputs"):
 EPS is the spine snap (spine.chain_point) and the endpoint and junction
@@ -33,7 +34,6 @@ tolerance; SNAP_EPS is the resolution below which motion is dropped
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from collections import namedtuple
 from functools import reduce
@@ -121,31 +121,25 @@ class Configuration(namedtuple("Configuration", "p1 p2")):
 
 
 def configuration(c1: str, s1: float, c2: str, s2: float) -> Configuration:
-    """Convenience constructor canonicalizing both positions; each of the six
-    spine vertices (each robot at the center or a pole) is one shared object."""
-    if s1 == 0.5 or s2 == 0.5:
-        shared = _VERTEX_CONFIGS.get((c1, s1, c2, s2))
-        if shared is not None:
-            return shared
+    """Convenience constructor canonicalizing both positions."""
     return Configuration(circle_point(c1, s1), circle_point(c2, s2))
-
-
-def _vertex_configs() -> dict[tuple[str, float, str, float], Configuration]:
-    """Every raw chart form of the six vertex configurations, one object each."""
-    table, shared = {}, {}
-    for key in itertools.product(CIRCLES, (0.0, 0.5, 1.0), CIRCLES, (0.0, 0.5, 1.0)):
-        if 0.5 in key[1::2] and key[:2] != key[2:]:  # a robot at a pole, no collision
-            c = Configuration(circle_point(*key[:2]), circle_point(*key[2:]))
-            table[key] = shared.setdefault(c, c)
-    return table
-
-
-_VERTEX_CONFIGS = _vertex_configs()
 
 
 def config_dist(x: Configuration, y: Configuration) -> float:
     """Distance between configurations: the larger of the two robots' moves."""
     return max(dist_gamma(x.p1, y.p1), dist_gamma(x.p2, y.p2))
+
+
+def chart_config_dist(c1: str, a: float, c2: str, b: float, y: Configuration) -> float:
+    """config_dist(configuration(c1, a, c2, b), y), bit for bit, without
+    building the configuration: a value that reads as the center is the
+    center, as circle_point makes it."""
+    if reads_as_center(a):
+        c1, a = _CENTER
+    if reads_as_center(b):
+        c2, b = _CENTER
+    (y1, ys1), (y2, ys2) = y
+    return max(_chart_dist(c1 == y1, a, ys1), _chart_dist(c2 == y2, b, ys2))
 
 
 def chart(c: Configuration) -> tuple[str, float, float]:
@@ -226,18 +220,14 @@ class PathSegment(namedtuple("PathSegment", "t0 t1 circle1 a0 a1 circle2 b0 b1")
                     raise CollisionError("trajectory segment passes through a collision")
         return tuple.__new__(cls, (t0, t1, circle1, a0, a1, circle2, b0, b1))
 
-    @property
-    def sweep(self) -> float:
-        """Largest arc distance either robot travels within the segment."""
-        return max(abs(self.a1 - self.a0), abs(self.b1 - self.b0))
-
 
 class PhysPath(namedtuple("PhysPath", "segments")):
     """A validated piecewise-linear trajectory over t in [0, 1].
 
-    Only the segments are stored; the start and end are derived from them
-    when read.  __new__ checks the waypoints, at t = 0 and at each segment's
-    end time, on their chart values, so each reads as a valid configuration.
+    Only the segments are stored; configuration(*path.chart_at(t)) reads
+    the configuration at time t.  __new__ checks the waypoints, at t = 0
+    and at each segment's end time, on their chart values, so each reads as
+    a valid configuration.
     """
 
     __slots__ = ()
@@ -267,16 +257,6 @@ class PhysPath(namedtuple("PhysPath", "segments")):
             if _coincide(c1, a1, c2, b1):
                 raise CollisionError(f"robots coincide at t={t1}")
         return tuple.__new__(cls, (segments,))
-
-    @property
-    def start(self) -> Configuration:
-        _, _, c1, a0, _, c2, b0, _ = self.segments[0]
-        return configuration(c1, a0, c2, b0)
-
-    @property
-    def end(self) -> Configuration:
-        _, _, c1, _, a1, c2, _, b1 = self.segments[-1]
-        return configuration(c1, a1, c2, b1)
 
     def chart_at(self, t: float) -> tuple[str, float, str, float]:
         """Circle and chart value of each robot, (circle1, a, circle2, b), at

@@ -39,8 +39,9 @@ from .geometry import (
     SNAP_EPS,
     ChartLeg,
     Configuration,
+    chart_config_dist,
     circle_point,
-    config_dist,
+    configuration,
     constant_path,
     path_from_legs,
     path_min_separation,
@@ -232,18 +233,23 @@ def plan_to_json(p: Plan) -> dict:
 def validate_plan(p: Plan) -> tuple[float, float]:
     """Check a plan's contract; raises ContractError with a witness on failure.
 
-    Endpoints must match to EPS; separation and spine membership are
-    certified exactly from the segments.  Each spine segment (one whose
-    midpoint time lies in spine_interval) is straight in its square, and a
-    square holds at most two straight spine lines, so a segment whose start,
-    midpoint and end are on the spine lies on one of those lines throughout.
-    The three points are tested on the segment's own chart values
-    (chart_on_spine), without building a configuration for any of them.
+    Endpoints must match to EPS, measured on the chart values of the path's
+    first and last waypoints (chart_config_dist); separation and spine
+    membership are certified exactly from the segments.  Each spine segment
+    (one whose midpoint time lies in spine_interval) is straight in its
+    square, and a square holds at most two straight spine lines, so a
+    segment whose start, midpoint and end are on the spine lies on one of
+    those lines throughout.  The three points are tested on the segment's
+    own chart values (chart_on_spine).  A passing plan builds no
+    configuration.
     Returns the certified (endpoint error, minimum separation).
     """
-    err = max(config_dist(p.path.start, p.start), config_dist(p.path.end, p.goal))
+    _, _, c1, a0, _, c2, b0, _ = p.path.segments[0]
+    _, _, d1, _, a1, d2, _, b1 = p.path.segments[-1]
+    err = max(chart_config_dist(c1, a0, c2, b0, p.start), chart_config_dist(d1, a1, d2, b1, p.goal))
     if err > EPS:
-        raise ContractError(f"endpoint err {err:.3e}: the path runs {p.path.start} -> {p.path.end}")
+        ends = configuration(c1, a0, c2, b0), configuration(d1, a1, d2, b1)
+        raise ContractError(f"endpoint err {err:.3e}: the path runs {ends[0]} -> {ends[1]}")
     sep = path_min_separation(p.path)
     if sep <= 0.0:
         raise ContractError(f"plan separation dropped to {sep}")

@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError
-from .geometry import PhysPath, chart
+from .geometry import PhysPath, chart, configuration
 from .planner import Plan
 from .spine import CHAIN_VERTICES, HALF_ARC_LEGS, VERTEX_CONFIG
 
@@ -180,8 +180,8 @@ def _traces_layer(spec: RenderSpec, plan: Plan) -> list[str]:
 
 
 def _marker_pair(spec: RenderSpec, plan: Plan) -> list[str]:
-    sx, sy = spec.to_xy(*chart(plan.path.start))
-    ex, ey = spec.to_xy(*chart(plan.path.end))
+    sx, sy = spec.to_xy(*chart(configuration(*plan.path.chart_at(0.0))))
+    ex, ey = spec.to_xy(*chart(configuration(*plan.path.chart_at(1.0))))
     r = 6.0
     triangle = (
         f'<path class="start-marker" d="M {_f(sx)} {_f(sy - r)}'

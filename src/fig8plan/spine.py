@@ -127,16 +127,6 @@ def vertex_point(vertex: str) -> ChainPoint:
     return _VERTEX_POINTS[vertex]
 
 
-def vertex_theta_on(circle: str, vertex: str) -> float:
-    """Angle of a vertex on a circle it belongs to."""
-    pair = CIRCLE_VERTICES[circle]
-    if vertex == pair[0]:
-        return 0.0
-    if vertex == pair[1]:
-        return 0.5
-    raise DomainError(f"vertex {vertex} does not lie on circle {circle}")
-
-
 # ---------------------------------------------------------------------------
 # Charts between the spine and the flat squares
 # ---------------------------------------------------------------------------
@@ -257,7 +247,12 @@ def theta_on(circle: str, p: ChainPoint) -> float | None:
     vertex = p.vertex
     if vertex is None:
         return p.theta if p.circle == circle else None
-    return vertex_theta_on(circle, vertex) if vertex in CIRCLE_VERTICES[circle] else None
+    pair = CIRCLE_VERTICES[circle]
+    if vertex == pair[0]:
+        return 0.0
+    if vertex == pair[1]:
+        return 0.5
+    return None
 
 
 def step_to_leg(step: ChainStep) -> ChartLeg:

@@ -25,6 +25,7 @@ from .geometry import (
     CirclePoint,
     Configuration,
     PhysPath,
+    chart_config_dist,
     circle_point,
     config_dist,
     dist_gamma,
@@ -515,7 +516,11 @@ def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
         image_config = chain_to_config(r.point)
         if retract(image_config).point != r.point:
             return False, f"sample {i}: image {_format_chain(r.point)} of {_format_config(c)} is not fixed"
-        end_err = max(config_dist(trace.start, c), config_dist(trace.end, image_config))
+        _, _, c1, a0, _, c2, b0, _ = trace.segments[0]
+        _, _, d1, _, a1, d2, _, b1 = trace.segments[-1]
+        end_err = max(
+            chart_config_dist(c1, a0, c2, b0, c), chart_config_dist(d1, a1, d2, b1, image_config)
+        )
         worst_trace = max(worst_trace, end_err)
         if end_err > EPS:
             return False, f"sample {i}: trace endpoint error {end_err:.3e}"

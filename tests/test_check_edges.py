@@ -22,7 +22,7 @@ from fig8plan.geometry import (
     circle_point,
     configuration,
 )
-from fig8plan.spine import VERTEX_CONFIG, chain_point, vertex_point
+from fig8plan.spine import chain_point, vertex_point
 
 LO, HI = SNAP_EPS, 1.0 - SNAP_EPS
 BELOW_LO, ABOVE_LO = math.nextafter(LO, 0.0), math.nextafter(LO, 1.0)
@@ -76,12 +76,6 @@ def test_configuration_edges(args, error):
             assert p == CirclePoint("A", 0.0)
         else:
             assert p == CirclePoint(circle, s)
-
-
-def test_vertex_configurations_stay_shared_objects():
-    assert configuration("A", 0.5, "B", 0.5) is VERTEX_CONFIG["C1"]
-    assert configuration("A", 0.5, "A", 1.0) is VERTEX_CONFIG["VA"]
-    assert configuration("B", 0.0, "B", 0.5) is VERTEX_CONFIG["HB"]
 
 
 # Raw chart values (square, a, b) as configuration() reads them: a value at or
@@ -210,7 +204,7 @@ def test_phys_path_edges(build, error):
         assert path.segments == segments
         # every segment end reads as a valid configuration
         ends = [configuration(s.circle1, s.a1, s.circle2, s.b1) for s in segments]
-        assert path.end == ends[-1]
+        assert configuration(*path.chart_at(1.0)) == ends[-1]
     else:
         with pytest.raises(error):
             PhysPath(segments)

@@ -151,8 +151,8 @@ def test_path_from_legs_splits_at_pole():
     assert path.segments[0].t1 == pytest.approx(0.5)
     mid = configuration(*path.chart_at(0.25))
     assert mid.p1.circle == "A" and mid.p1.s == pytest.approx(0.35)
-    assert path.start == configuration("A", 0.2, "B", 0.25)
-    assert path.end == configuration("A", 0.8, "B", 0.25)
+    assert configuration(*path.chart_at(0.0)) == configuration("A", 0.2, "B", 0.25)
+    assert configuration(*path.chart_at(1.0)) == configuration("A", 0.8, "B", 0.25)
 
 
 def test_path_from_legs_splits_at_center():
@@ -163,8 +163,8 @@ def test_path_from_legs_splits_at_center():
             ChartLeg("B", 0.0, 0.2, "B", 0.25, 0.25),
         ]
     )
-    assert path.start == configuration("A", 0.8, "B", 0.25)
-    assert path.end == configuration("B", 0.2, "B", 0.25)
+    assert configuration(*path.chart_at(0.0)) == configuration("A", 0.8, "B", 0.25)
+    assert configuration(*path.chart_at(1.0)) == configuration("B", 0.2, "B", 0.25)
     junction = configuration(*path.chart_at(0.5))
     assert junction.p1 == CirclePoint("A", 0.0)
 
@@ -172,11 +172,11 @@ def test_path_from_legs_splits_at_center():
 def test_path_from_legs_keeps_leg_endpoints_exact():
     # A value 1e-13 short of the pole used to be pulled onto it.
     path = path_from_legs([ChartLeg("A", 0.2, 0.3, "B", 1e-9, 0.4999999999999)])
-    assert path.end == configuration("A", 0.3, "B", 0.4999999999999)
+    assert configuration(*path.chart_at(1.0)) == configuration("A", 0.3, "B", 0.4999999999999)
     # At a cut the crossing coordinate takes the critical value exactly.
     path = path_from_legs([ChartLeg("A", 0.3, 0.7, "B", 0.1, 0.2)])
     assert [(seg.a0, seg.a1) for seg in path.segments] == [(0.3, 0.5), (0.5, 0.7)]
-    assert path.end == configuration("A", 0.7, "B", 0.2)
+    assert configuration(*path.chart_at(1.0)) == configuration("A", 0.7, "B", 0.2)
 
 
 def test_path_from_legs_drops_sub_resolution_pieces():
@@ -189,7 +189,8 @@ def test_path_from_legs_drops_sub_resolution_pieces():
         ]
     )
     assert [(seg.t0, seg.t1) for seg in path.segments] == [(0.0, 1.0)]
-    assert config_dist(path.end, configuration("A", 0.4 + 1e-13, "B", 0.3)) <= 1e-13
+    end = configuration(*path.chart_at(1.0))
+    assert config_dist(end, configuration("A", 0.4 + 1e-13, "B", 0.3)) <= 1e-13
 
 
 def test_min_separation_frozen_values():
@@ -217,12 +218,12 @@ def test_min_separation_sees_crossing_between_samples():
 
 
 def test_waypoints_are_derived_from_the_segments():
-    # A path stores only its segments; start, end and the configuration at
-    # each waypoint are read off them.
+    # A path stores only its segments; the configuration at each waypoint is
+    # read off them.
     path = path_from_legs([ChartLeg("A", 0.2, 0.8, "B", 0.25, 0.25)])
     assert path == (path.segments,)
-    assert path.start == configuration(*path.chart_at(0.0)) == configuration("A", 0.2, "B", 0.25)
-    assert path.end == configuration(*path.chart_at(1.0)) == configuration("A", 0.8, "B", 0.25)
+    assert configuration(*path.chart_at(0.0)) == configuration("A", 0.2, "B", 0.25)
+    assert configuration(*path.chart_at(1.0)) == configuration("A", 0.8, "B", 0.25)
     assert [s.t0 for s in path.segments] + [1.0] == [0.0, path.segments[0].t1, 1.0]
     assert configuration(*path.chart_at(path.segments[0].t1)) == configuration("A", 0.5, "B", 0.25)
 
@@ -231,11 +232,13 @@ def test_constant_path_and_concat_identity():
     # A parked leg glued in front of a moving one costs no time.
     leg = ChartLeg("A", 0.2, 0.45, "B", 0.25, 0.3)
     path = path_from_legs([leg])
-    still = constant_path(path.start)
-    assert still.start == still.end == path.start
+    start = configuration(*path.chart_at(0.0))
+    still = constant_path(start)
+    assert configuration(*still.chart_at(0.0)) == configuration(*still.chart_at(1.0)) == start
     glued = path_from_legs([ChartLeg("A", 0.2, 0.2, "B", 0.25, 0.25), leg])
     assert path_sup_distance(glued, path) < 1e-12
-    assert glued.start == path.start and glued.end == path.end
+    for t in (0.0, 1.0):
+        assert configuration(*glued.chart_at(t)) == configuration(*path.chart_at(t))
 
 
 def test_concat_rejects_junction_mismatch():
@@ -254,8 +257,8 @@ def test_concat_joins_at_pole_waypoint():
             ChartLeg("A", 0.5, 0.75, "B", 0.25, 0.25),
         ]
     )
-    assert whole.start == configuration("A", 0.25, "B", 0.25)
-    assert whole.end == configuration("A", 0.75, "B", 0.25)
+    assert configuration(*whole.chart_at(0.0)) == configuration("A", 0.25, "B", 0.25)
+    assert configuration(*whole.chart_at(1.0)) == configuration("A", 0.75, "B", 0.25)
     assert configuration(*whole.chart_at(0.5)).p1 == CirclePoint("A", 0.5)
 
 
@@ -370,8 +373,8 @@ def test_config_at_is_exact_at_segment_ends():
     # Interpolating at t = 1 would round a0 + (a1 - a0) away from 1e-12;
     # below SNAP_EPS that reads as the center, here a collision.
     path = path_from_legs([ChartLeg("A", 0.5, 1e-12, "B", 0.5, 0.0)])
-    assert configuration(*path.chart_at(0.0)) == path.start
-    assert configuration(*path.chart_at(1.0)) == path.end
+    assert configuration(*path.chart_at(0.0)) == configuration("A", 0.5, "B", 0.5)
+    assert configuration(*path.chart_at(1.0)) == configuration("A", 1e-12, "A", 0.0)
     drift = path_from_legs([ChartLeg("A", 0.2, 1e-12, "B", 0.5, 0.0)])
     assert configuration(*drift.chart_at(1.0)).p1.s == 1e-12
 
@@ -391,6 +394,6 @@ def test_physpath_requires_unit_interval():
 
 def test_sweep_totals():
     path = path_from_legs([ChartLeg("A", 0.2, 0.8, "B", 0.25, 0.25)])
-    assert sum(seg.sweep for seg in path.segments) == pytest.approx(0.6)
+    assert sum(max(abs(s.a1 - s.a0), abs(s.b1 - s.b0)) for s in path.segments) == pytest.approx(0.6)
     still = constant_path(configuration("A", 0.1, "B", 0.2))
-    assert math.isclose(sum(seg.sweep for seg in still.segments), 0.0)
+    assert math.isclose(sum(max(abs(s.a1 - s.a0), abs(s.b1 - s.b0)) for s in still.segments), 0.0)

@@ -1,5 +1,6 @@
 """Domain classification, the spine walk, and assembled plans."""
 
+import itertools
 import json
 import math
 from random import Random
@@ -9,16 +10,20 @@ from hypothesis import given, settings, strategies as st
 
 from fig8plan.errors import ContractError
 from fig8plan.geometry import (
+    CIRCLES,
     EPS,
+    SNAP_EPS,
     Configuration,
     PathSegment,
     PhysPath,
     chart,
+    chart_config_dist,
     config_dist,
     configuration,
     parse_position,
     path_min_separation,
     path_sup_distance,
+    reads_as_center,
 )
 from fig8plan.planner import (
     InstructionDomain,
@@ -242,8 +247,8 @@ def test_plan_end_to_end_u1():
     p = plan(start, goal)
     assert p.domain is U1
     assert p.hop_count == 4
-    assert config_dist(p.path.start, start) <= 1e-9
-    assert config_dist(p.path.end, goal) <= 1e-9
+    assert config_dist(configuration(*p.path.chart_at(0.0)), start) <= 1e-9
+    assert config_dist(configuration(*p.path.chart_at(1.0)), goal) <= 1e-9
     assert path_min_separation(p.path) > 0.0
     validate_plan(p)
     t0, t1 = p.spine_interval
@@ -255,8 +260,8 @@ def test_plan_identity_on_spine():
     p = plan(c, c)
     assert p.hop_count == 0
     assert len(p.path.segments) == 1
-    assert config_dist(p.path.start, c) == 0.0
-    assert config_dist(p.path.end, c) == 0.0
+    assert config_dist(configuration(*p.path.chart_at(0.0)), c) == 0.0
+    assert config_dist(configuration(*p.path.chart_at(1.0)), c) == 0.0
     validate_plan(p)
 
 
@@ -332,28 +337,27 @@ def test_plan_vertex_to_vertex():
 
 def _waypoints(path: PhysPath) -> list:
     """(t, configuration) at t = 0 and at each segment's end time."""
+    _, _, c1, a0, _, c2, b0, _ = path.segments[0]
     ends = [(t1, configuration(c1, a1, c2, b1)) for _, t1, c1, _, a1, c2, _, b1 in path.segments]
-    return [(0.0, path.start), *ends]
+    return [(0.0, configuration(c1, a0, c2, b0)), *ends]
 
 
 def test_plan_waypoints_share_the_vertex_configurations():
-    # A waypoint on a spine vertex is the one Configuration built for it.
+    # A waypoint on a spine vertex reads as that vertex's configuration.
     p = plan(configuration("A", 0.3, "B", 0.7), configuration("B", 0.25, "A", 0.6))
-    shared = {id(c) for c in VERTEX_CONFIG.values()}
     at_vertices = [c for _, c in _waypoints(p.path) if c in VERTEX_CONFIG.values()]
     assert len(at_vertices) == 4
-    assert all(id(c) in shared for c in at_vertices)
-    assert p.path.start == _waypoints(p.path)[0][1]
-    assert configuration("B", 1.0, "B", 0.5) is VERTEX_CONFIG["HB"]
+    assert configuration(*p.path.chart_at(0.0)) == _waypoints(p.path)[0][1]
+    assert configuration("B", 1.0, "B", 0.5) == VERTEX_CONFIG["HB"]
     q = plan(VERTEX_CONFIG["C1"], VERTEX_CONFIG["C2"])
-    for (_, c), name in zip(_waypoints(q.path), ("C1", "HB", "VB", "C2")):
-        assert c is VERTEX_CONFIG[name]
+    assert [c for _, c in _waypoints(q.path)] == [VERTEX_CONFIG[v] for v in ("C1", "HB", "VB", "C2")]
 
 
 def _with_path(path: PhysPath, spine_interval: tuple[float, float]):
     """A real plan whose trajectory is swapped for a hand-built one."""
     base = plan(configuration("A", 0.1, "A", 0.3), configuration("B", 0.2, "B", 0.6))
-    return base._replace(start=path.start, goal=path.end, path=path, spine_interval=spine_interval)
+    start, goal = configuration(*path.chart_at(0.0)), configuration(*path.chart_at(1.0))
+    return base._replace(start=start, goal=goal, path=path, spine_interval=spine_interval)
 
 
 def test_validate_rejects_crossing_between_samples():
@@ -514,8 +518,8 @@ def _construction_pairs() -> list[tuple[Configuration, Configuration]]:
 
 
 def test_plan_builds_no_configuration(monkeypatch):
-    # A path stores only its segments: plan() builds no Configuration,
-    # validate_plan at most its path's start and end, plan_to_json none.
+    # A path stores only its segments: plan(), validate_plan and
+    # plan_to_json build no Configuration.
     pairs = _construction_pairs()
     built = []
     original = Configuration.__new__
@@ -529,9 +533,38 @@ def test_plan_builds_no_configuration(monkeypatch):
         p = plan(start, goal)
         assert not built, (start, goal)
         validate_plan(p)
-        assert len(built) <= 2, (start, goal)
-        built.clear()
+        assert not built, (start, goal)
         doc = plan_to_json(p)
         assert not built, (start, goal)
         assert json.dumps(doc) == json.dumps(_json_from_waypoints(p)), (start, goal)
         built.clear()
+
+
+def test_chart_config_dist_matches_config_dist():
+    # chart_config_dist measures raw chart values against a configuration
+    # exactly as config_dist measures the configuration they stand for.
+    def check(values, y):
+        got, want = chart_config_dist(*values, y), config_dist(configuration(*values), y)
+        assert got.hex() == want.hex(), (values, y)
+
+    vertices = list(VERTEX_CONFIG.values())
+    for start, goal in _construction_pairs():
+        segments = plan(start, goal).path.segments
+        _, _, c1, a0, _, c2, b0, _ = segments[0]
+        _, _, d1, _, a1, d2, _, b1 = segments[-1]
+        for y in (start, goal, *vertices):
+            check((c1, a0, c2, b0), y)
+            check((d1, a1, d2, b1), y)
+    # the center, read at 0 and 1 and SNAP_EPS / 2 either side of each, on
+    # both circles, against itself, interior points, the poles and the vertices
+    h = SNAP_EPS / 2
+    values = (-h, 0.0, h, 0.25, 0.5, 1.0 - h, 1.0, 1.0 + h)
+    charts = [
+        (c1, a, c2, b)
+        for c1, a, c2, b in itertools.product(CIRCLES, values, CIRCLES, values)
+        if not (c1 == c2 and a == b) and not (reads_as_center(a) and reads_as_center(b))
+    ]
+    targets = {configuration(*x) for x in charts} | set(vertices)
+    for x in charts:
+        for y in targets:
+            check(x, y)

@@ -253,8 +253,8 @@ def test_trace_runs_input_to_image_collision_free(square, a, b):
     c = configuration(square[0], a, square[1], b)
     r = retract(c)
     trace = path_from_legs([r.leg])
-    assert config_dist(trace.start, c) < 1e-9
-    assert config_dist(trace.end, chain_to_config(r.point)) < 1e-9
+    assert config_dist(configuration(*trace.chart_at(0.0)), c) < 1e-9
+    assert config_dist(configuration(*trace.chart_at(1.0)), chain_to_config(r.point)) < 1e-9
     assert path_min_separation(trace) > 0.0
 
 

@@ -25,7 +25,6 @@ from fig8plan.spine import (
     steps_to_legs,
     theta_on,
     vertex_point,
-    vertex_theta_on,
 )
 
 from fig8plan.verify import chain_oracle
@@ -89,7 +88,6 @@ def test_vertex_configs():
     }
     assert VERTEX_CONFIG == expected
     for name, config in expected.items():
-        assert VERTEX_CONFIG[name] is config
         assert chain_to_config(vertex_point(name)) == config
         assert spine_image(*chart(config)) == vertex_point(name)
 
@@ -223,8 +221,8 @@ def test_make_steps_keeps_a_short_move_exact():
 def test_steps_to_path_stays_on_spine():
     steps = make_steps("R", 0.2, 0.9, 1)
     path = path_from_legs(steps_to_legs(steps))
-    assert path.start == chain_to_config(ChainPoint("R", 0.2))
-    assert path.end == chain_to_config(ChainPoint("R", 0.9))
+    assert configuration(*path.chart_at(0.0)) == chain_to_config(ChainPoint("R", 0.2))
+    assert configuration(*path.chart_at(1.0)) == chain_to_config(ChainPoint("R", 0.9))
     for k in range(33):
         c = configuration(*path.chart_at(k / 32))
         assert on_spine(*chart(c))
@@ -234,8 +232,8 @@ def test_steps_cross_center_wrap():
     # H1 angles wrap through HB, the center-and-pole vertex.
     steps = make_steps("H1", 0.9, 0.1, 1)
     path = path_from_legs(steps_to_legs(steps))
-    assert path.start == chain_to_config(ChainPoint("H1", 0.9))
-    assert path.end == chain_to_config(ChainPoint("H1", 0.1))
+    assert configuration(*path.chart_at(0.0)) == chain_to_config(ChainPoint("H1", 0.9))
+    assert configuration(*path.chart_at(1.0)) == chain_to_config(ChainPoint("H1", 0.1))
     mid = configuration(*path.chart_at(0.5))
     assert mid == VERTEX_CONFIG["HB"]
 
@@ -268,10 +266,6 @@ def test_step_straddling_a_vertex_is_refused():
 
 
 def test_vertex_theta_on():
-    assert vertex_theta_on("R", "HA") == 0.0
-    assert vertex_theta_on("R", "VA") == 0.5
-    with pytest.raises(DomainError):
-        vertex_theta_on("R", "C1")
     # A vertex lies on two circles; an interior point only on its own.
     assert theta_on("R", vertex_point("VA")) == 0.5
     assert theta_on("V1", vertex_point("VA")) == 0.0
@@ -285,5 +279,5 @@ def test_antipodal_slide_legs():
     steps = make_steps("R", 0.2, 0.7, 1)
     legs = steps_to_legs(steps)
     path = path_from_legs(legs)
-    assert dist_gamma(*path.start) == pytest.approx(0.5)
-    assert dist_gamma(*path.end) == pytest.approx(0.5)
+    assert dist_gamma(*configuration(*path.chart_at(0.0))) == pytest.approx(0.5)
+    assert dist_gamma(*configuration(*path.chart_at(1.0))) == pytest.approx(0.5)
