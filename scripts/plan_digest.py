@@ -4,16 +4,19 @@ and that the verification suites report exactly as before.
 Usage: python scripts/plan_digest.py
 
 For the first 20 000 requests of each of perfbench/gen.py's uniform_pairs(7),
-cli_pairs(7) and boundary_pairs(7), the script feeds three sha256 digests per
+cli_pairs(7) and boundary_pairs(7), the script feeds four sha256 digests per
 stream:
 
-* json:   json.dumps(plan_to_json(plan(start, goal))), one line per request;
-* fields: the repr of the Plan fields the JSON does not show in full
-  (domain, hop_count, steps, path.segments, spine_interval, trace_in and
+* json: json.dumps(plan_to_json(plan(start, goal))), one line per request;
+* path: the repr of the trajectory fields the JSON does not show in full
+  (domain, hop_count, path.segments, spine_interval, trace_in and
   trace_out), one line per request.  repr writes every float exactly, so
   this digest also sees a change in the last bit of a value, such as
   spine_interval, that the 12-digit JSON rounds away;
-* cert:   the repr of validate_plan(plan), the certified (endpoint error,
+* walk: the repr of the walk's chart legs (Plan.steps), one line per
+  request, so a change to how the walk is represented shows apart from
+  the trajectory it yields;
+* cert: the repr of validate_plan(plan), the certified (endpoint error,
   minimum separation), one line per request, so a change to how a plan is
   certified shows that it certifies the same values to the last bit.
 
@@ -47,9 +50,12 @@ DIGESTS = {
     ("uniform", "json"): "988cc6656e61d09b935e017c5a4834e8e5b9a4221bcf1b1e0b6fddc90c0a428c",
     ("cli", "json"): "bb05002ae58c66bc40abc21cf23c91fbc24d7bd16b016a361eb1c578df3a749e",
     ("boundary", "json"): "ee71fb21e1e53dc2a47a3a6ba1766d8a8c038c66823a9071c8a5ad7cdb56170f",
-    ("uniform", "fields"): "647cbd894cc0a18080656ff303621ebb5e17a555a5fc66e66ba79ecf596e1353",
-    ("cli", "fields"): "faedde5f21e4f1784949c9ed1208ec3c9c4b376dc13ffe4ad45831da032b6f2a",
-    ("boundary", "fields"): "64465c74073f38629864e6bd8f4b385b65940a826df321e66e3d1feb094ffde2",
+    ("uniform", "path"): "71894263f8db8eca5fc07daf25b57d0cc1f1ec18c073f5dc33e9a8392214e072",
+    ("cli", "path"): "2dd0bec0d5d143fd7a83c4970f1801a8a96fc5309650d46ae66d99e06e2c6593",
+    ("boundary", "path"): "0e18bf6aeeaa074fd02159aa28f9f73284d0641bbc829279a46404278a3d62e2",
+    ("uniform", "walk"): "7e2dfb91059db463c38cda657630c83fddfd8934b72057c72f4126a781ba57a9",
+    ("cli", "walk"): "82e3574a9a63fcbdb65f8f90bff92a9596b0ed618c94ebc45d3c3d6b220c1af0",
+    ("boundary", "walk"): "798207b9e7173cd61d3f18700729033273aa0656bb721c0395763904682777aa",
     ("uniform", "cert"): "b05e12f0accc847476227edbe61e4e65a15e50b034059ad0aa5a92ce8f8ef991",
     ("cli", "cert"): "e9c948c0d110f24af5fdf713cc8425122dc5f77683ff87a95c31b8bccaae0e2a",
     ("boundary", "cert"): "22882ff77717d661853f2402f85a269b6038522946b4dd47d1c73134ec139605",
@@ -60,15 +66,16 @@ SUITE_DIGEST = "5b559b97b432f33c4b103d4724405092944d0f11bab7889a0d204cbd01494f73
 
 
 def stream_digests(pairs) -> dict[str, str]:
-    text, fields, cert = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    text, path, walk, cert = (hashlib.sha256() for _ in range(4))
     for _, ((s1, s2), (g1, g2)) in zip(range(REQUESTS), pairs):
         p = plan(configuration(*s1, *s2), configuration(*g1, *g2))
         text.update(json.dumps(plan_to_json(p)).encode() + b"\n")
-        record = (p.domain, p.hop_count, p.steps, p.path.segments, p.spine_interval,
-                  p.trace_in, p.trace_out)
-        fields.update(repr(record).encode() + b"\n")
+        record = (p.domain, p.hop_count, p.path.segments, p.spine_interval, p.trace_in, p.trace_out)
+        path.update(repr(record).encode() + b"\n")
+        walk.update(repr(p.steps).encode() + b"\n")
         cert.update(repr(validate_plan(p)).encode() + b"\n")
-    return {"json": text.hexdigest(), "fields": fields.hexdigest(), "cert": cert.hexdigest()}
+    return {"json": text.hexdigest(), "path": path.hexdigest(), "walk": walk.hexdigest(),
+            "cert": cert.hexdigest()}
 
 
 def suite_digest() -> str:

@@ -27,7 +27,7 @@ builds a configuration.
 Two constants bound the admissible inputs (README, "Admissible inputs"):
 EPS is the spine snap (spine.chain_point) and the endpoint and junction
 tolerance; SNAP_EPS is the resolution below which motion is dropped
-(path_from_legs, spine.make_steps) and a coordinate reads as the center
+(path_from_legs, spine.arc_legs) and a coordinate reads as the center
 (circle_point).
 """
 

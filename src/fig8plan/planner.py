@@ -52,13 +52,12 @@ from .spine import (
     CHAIN_VERTICES,
     VERTEX_CANONICAL,
     ChainPoint,
-    ChainStep,
     arc_dist,
+    arc_leg,
+    arc_legs,
     chart_on_spine,
     is_antipodal,
-    make_steps,
     shortest_arc,
-    steps_to_legs,
     theta_on,
 )
 
@@ -83,37 +82,39 @@ def classify_domain(x: ChainPoint, y: ChainPoint) -> InstructionDomain:
     return InstructionDomain.U1
 
 
-# The designated half-turn of each vertex, in successor order.
-_RING = tuple(ChainStep(c, t, t + 0.5, 1) for c, t in (VERTEX_CANONICAL[v] for v in CHAIN_VERTICES))
-# Ring index of the vertex each circle is designated to; a vertex is stored
-# on its designated circle, so this is also the ring index of a vertex point.
-_RING_AT = {step.circle: i for i, step in enumerate(_RING)}
+# The chart leg of each vertex's designated half-turn, in successor order.
+_RING = tuple(arc_leg(c, t, t + 0.5) for c, t in (VERTEX_CANONICAL[v] for v in CHAIN_VERTICES))
+# Per circle, the ring index and angle of the vertex designated to it; a
+# vertex is stored on its designated circle, so this is also the ring index
+# of a vertex point.
+_RING_AT = {c: (i, t) for i, (c, t) in enumerate(VERTEX_CANONICAL[v] for v in CHAIN_VERTICES)}
 
 
-def _final_arc(circle: str, theta: float, goal_theta: float, positive_ties: bool) -> list[list[ChainStep]]:
+def _final_arc(circle: str, theta: float, goal_theta: float, positive_ties: bool) -> list[list[ChartLeg]]:
     """The arc move from theta to goal_theta on one circle; none for a move
     of at most SNAP_EPS."""
     if positive_ties and abs(arc_dist(theta, goal_theta) - 0.5) <= EPS:
         direction = 1
     else:
         direction, _ = shortest_arc(theta, goal_theta)
-    steps = make_steps(circle, theta, goal_theta, direction)
-    return [steps] if steps else []
+    legs = arc_legs(circle, theta, goal_theta, direction)
+    return [legs] if legs else []
 
 
-def plan_steps(start: ChainPoint, goal: ChainPoint) -> tuple[InstructionDomain, list[list[ChainStep]]]:
+def plan_steps(start: ChainPoint, goal: ChainPoint) -> tuple[InstructionDomain, list[list[ChartLeg]]]:
     """Classify a pair of spine points and walk from start to goal.
 
-    Each entry of the walk is one arc move, a list of ChainSteps.
+    Each entry of the walk is one arc move, the list of its chart legs
+    (spine.arc_legs), each leg ending where the next one starts.
     """
     domain = classify_domain(start, goal)
     if start == goal:
         return domain, []
     positive_ties = domain is not InstructionDomain.U1
     circle, theta = start
-    i = _RING_AT[circle]
-    moves: list[list[ChainStep]] = []
-    if theta != _RING[i].t_from:  # an interior start
+    i, vertex_theta = _RING_AT[circle]
+    moves: list[list[ChartLeg]] = []
+    if theta != vertex_theta:  # an interior start
         goal_theta = theta_on(circle, goal)
         if goal_theta is not None:
             return domain, _final_arc(circle, theta, goal_theta, positive_ties)
@@ -121,15 +122,15 @@ def plan_steps(start: ChainPoint, goal: ChainPoint) -> tuple[InstructionDomain, 
         # designated half arc, which leads on to the next vertex
         target = 0.5 if theta < 0.5 else 0.0
         if arc_dist(theta, target) > SNAP_EPS:
-            moves.append([ChainStep(circle, theta, target or 1.0, 1)])
-        if target != _RING[i].t_from:
+            moves.append([arc_leg(circle, theta, target or 1.0)])
+        if target != vertex_theta:
             i += 1
     goal_circle, goal_theta = goal
-    j = _RING_AT[goal_circle]
+    j, goal_vertex_theta = _RING_AT[goal_circle]
     n = len(_RING)
     moves += [[_RING[k % n]] for k in range(i, i + (j - i) % n)]
-    if goal_theta != _RING[j].t_from:  # an interior goal
-        moves += _final_arc(goal_circle, _RING[j].t_from, goal_theta, positive_ties)
+    if goal_theta != goal_vertex_theta:  # an interior goal
+        moves += _final_arc(goal_circle, goal_vertex_theta, goal_theta, positive_ties)
     return domain, moves
 
 
@@ -143,7 +144,7 @@ class Plan(
     """A complete collision-free trajectory between two configurations.
 
     start and goal are Configurations, chain_start and chain_goal their spine
-    images, steps the ChainSteps of the walk in hop_count arc moves, and path
+    images, steps the chart legs of the walk in hop_count arc moves, and path
     the PhysPath, on the spine for t in spine_interval.  trace_in is the
     start's retraction ChartLeg and trace_out the goal's, already reversed to
     run towards the goal.  Each holds one leg, or none when the leg has zero
@@ -159,7 +160,7 @@ class Plan(
     @property
     def chain_length(self) -> float:
         # added left to right, the same on every Python (see path_from_legs)
-        return reduce(add, (s.length for s in self.steps), 0.0)
+        return reduce(add, (leg.sweep for leg in self.steps), 0.0)
 
 
 def plan(start: Configuration, goal: Configuration) -> Plan:
@@ -173,16 +174,15 @@ def plan(start: Configuration, goal: Configuration) -> Plan:
     # snapped onto a vertex) adds no motion; the goal's leg is played backwards.
     sw_in, sw_out = r_in.leg.sweep, r_out.leg.sweep
     legs_in = (r_in.leg,) if sw_in > 0.0 else ()
-    legs_spine = steps_to_legs(steps)
     c1, a0, a1, c2, b0, b1 = r_out.leg
     legs_out = (ChartLeg(c1, a1, a0, c2, b1, b0),) if sw_out > 0.0 else ()
-    legs = [*legs_in, *legs_spine, *legs_out]
+    legs = [*legs_in, *steps, *legs_out]
     if legs:
         path = path_from_legs(legs)
     else:
         path = constant_path(start)
 
-    sw_spine = reduce(add, (leg.sweep for leg in legs_spine), 0.0)
+    sw_spine = reduce(add, (leg.sweep for leg in steps), 0.0)
     total = sw_in + sw_spine + sw_out
     if total > 0.0:
         interval = (sw_in / total, (sw_in + sw_spine) / total)

@@ -17,7 +17,7 @@ from collections import namedtuple
 from .errors import DomainError
 from .geometry import PhysPath, chart, configuration
 from .planner import Plan
-from .spine import CHAIN_VERTICES, HALF_ARC_LEGS, VERTEX_CONFIG
+from .spine import CHAIN_CIRCLES, CHAIN_VERTICES, VERTEX_CONFIG, arc_leg
 
 _SQUARE_CELL = {"AA": (0, 0), "AB": (1, 0), "BA": (0, 1), "BB": (1, 1)}
 
@@ -146,7 +146,9 @@ def _diagonal_layer(spec: RenderSpec) -> list[str]:
 
 def _spine_layer(spec: RenderSpec) -> list[str]:
     parts = ['<g id="spine">']
-    parts.extend(_leg_line(spec, leg, "spine-arc") for leg in HALF_ARC_LEGS.values())
+    parts.extend(
+        _leg_line(spec, arc_leg(c, t, t + 0.5), "spine-arc") for c in CHAIN_CIRCLES for t in (0.0, 0.5)
+    )
     parts.append("</g>")
     return parts
 

@@ -15,7 +15,7 @@ circle a positive traversal leaves it along, and ChainPoint refuses it on
 any other.
 
 An angle within EPS of a vertex is that vertex (chain_point), the one place a
-spine position is moved: make_steps starts and ends arc moves on the exact
+spine position is moved: arc_legs starts and ends arc moves on the exact
 angles it is given, a move of at most SNAP_EPS being none.
 """
 
@@ -132,29 +132,33 @@ def vertex_point(vertex: str) -> ChainPoint:
 # ---------------------------------------------------------------------------
 
 
-def chart_coords(circle: str, theta: float, branch_hint: float | None = None) -> tuple[str, float, float]:
-    """Raw square-chart coordinates of a spine angle, theta in [0, 1].
+def arc_leg(circle: str, t0: float, t1: float) -> ChartLeg:
+    """The chart leg of the arc from t0 to t1 on one circle, raw angles in [0, 1].
 
-    A sub-diagonal circle switches chart branch at theta = 1/2; a branch_hint
-    angle (typically an arc midpoint) disambiguates the endpoints.
+    An arc may end on theta = 1/2 but not straddle it: a sub-diagonal circle
+    switches chart branch there, and the arc's midpoint picks the branch
+    (b = a + 1/2 while t0 + t1 <= 1).  arc_leg(circle, theta, theta) charts
+    a single point.
     """
-    if not (0.0 <= theta <= 1.0):
-        raise DomainError(f"chart angle {theta!r} outside [0, 1]")
+    if not (0.0 <= t0 <= 1.0 and 0.0 <= t1 <= 1.0):
+        raise DomainError(f"chart angles {t0!r}, {t1!r} outside [0, 1]")
+    if min(t0, t1) < 0.5 < max(t0, t1):
+        raise ContractError(f"arc {circle} {t0!r} -> {t1!r} straddles the vertex at theta = 1/2")
     chart = _CIRCLE_CHART.get(circle)
     if chart is None:
         raise DomainError(f"unknown spine circle {circle!r}")
-    square, line = chart
+    (c1, c2), line = chart
     if line == B_HALF:
-        return (square, theta, 0.5)
+        return ChartLeg(c1, t0, t1, c2, 0.5, 0.5)
     if line == A_HALF:
-        return (square, 0.5, theta)
-    pivot = theta if branch_hint is None else branch_hint
-    return (square, theta, theta + 0.5 if pivot <= 0.5 else theta - 0.5)
+        return ChartLeg(c1, 0.5, 0.5, c2, t0, t1)
+    shift = 0.5 if t0 + t1 <= 1.0 else -0.5
+    return ChartLeg(c1, t0, t1, c2, t0 + shift, t1 + shift)
 
 
 def chain_to_config(p: ChainPoint) -> Configuration:
-    square, a, b = chart_coords(p.circle, p.theta)
-    return configuration(square[0], a, square[1], b)
+    c1, a, _, c2, b, _ = arc_leg(p.circle, p.theta, p.theta)
+    return configuration(c1, a, c2, b)
 
 
 def chart_on_spine(same_circle: bool, a: float, b: float) -> bool:
@@ -190,29 +194,14 @@ def is_antipodal(x: ChainPoint, y: ChainPoint) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class ChainStep(namedtuple("ChainStep", "circle t_from t_to direction")):
-    """A vertex-free sweep along one circle, in raw chart angles.
-
-    Angles stay in [0, 1] and never straddle a multiple of 1/2 strictly, so a
-    step maps to a single straight chart leg; a full crossing is represented
-    by two steps meeting at the vertex.
-    """
-
-    __slots__ = ()
-
-    @property
-    def length(self) -> float:
-        return abs(self.t_to - self.t_from)
-
-
-def make_steps(circle: str, theta_from: float, theta_to: float, direction: int) -> list[ChainStep]:
-    """Split a directed arc move into vertex-free steps.
+def arc_legs(circle: str, theta_from: float, theta_to: float, direction: int) -> list[ChartLeg]:
+    """The chart legs of a directed arc move, cut at the vertices.
 
     The move runs from theta_from in the given direction (+1 with theta
     increasing) until it reaches theta_to, never a full turn or more.  It is
-    cut at the multiples of 1/2 strictly between its ends, and it starts and
-    ends on the given angles exactly (a raw chart angle of 1 standing for 0).
-    A move of at most SNAP_EPS is no move.
+    cut at the multiples of 1/2 strictly between its ends, one arc_leg per
+    piece, and it starts and ends on the given angles exactly (a raw chart
+    angle of 1 standing for 0).  A move of at most SNAP_EPS is no move.
     """
     if direction not in (1, -1):
         raise DomainError(f"direction must be +1 or -1, got {direction!r}")
@@ -220,17 +209,17 @@ def make_steps(circle: str, theta_from: float, theta_to: float, direction: int) 
     t1 = theta_to % 1.0
     if arc_dist(t0, t1) <= SNAP_EPS:
         return []
-    # Raw chart angles: a positive step may end at 1 but never start there,
+    # Raw chart angles: a positive piece may end at 1 but never start there,
     # a negative one the other way round.
     a, goal = (t0, t1 or 1.0) if direction > 0 else (t0 or 1.0, t1)
-    steps = []
+    legs = []
     while True:
         # the next vertex angle strictly beyond a
         end = 0.5 * (math.floor(2.0 * a) + 1) if direction > 0 else 0.5 * (math.ceil(2.0 * a) - 1)
         if min(a, end) <= goal <= max(a, end):
-            steps.append(ChainStep(circle, a, goal, direction))
-            return steps
-        steps.append(ChainStep(circle, a, end, direction))
+            legs.append(arc_leg(circle, a, goal))
+            return legs
+        legs.append(arc_leg(circle, a, end))
         a = end % 1.0 if direction > 0 else end or 1.0
 
 
@@ -253,28 +242,6 @@ def theta_on(circle: str, p: ChainPoint) -> float | None:
     if vertex == pair[1]:
         return 0.5
     return None
-
-
-def step_to_leg(step: ChainStep) -> ChartLeg:
-    if min(step.t_from, step.t_to) < 0.5 < max(step.t_from, step.t_to):
-        raise ContractError(f"chain step {step} straddles the vertex at theta = 1/2")
-    hint = 0.5 * (step.t_from + step.t_to)
-    square, a0, b0 = chart_coords(step.circle, step.t_from, hint)
-    _, a1, b1 = chart_coords(step.circle, step.t_to, hint)
-    return ChartLeg(square[0], a0, a1, square[1], b0, b1)
-
-
-# The chart leg of each of the twelve half arcs, keyed by its positive step,
-# in the order of CHAIN_CIRCLES, each circle's half from theta = 0 first.
-HALF_ARC_LEGS = {
-    step: step_to_leg(step)
-    for step in (ChainStep(c, t, t + 0.5, 1) for c in CHAIN_CIRCLES for t in (0.0, 0.5))
-}
-
-
-def steps_to_legs(steps) -> list[ChartLeg]:
-    """The chart leg of each step; a whole half arc is read off HALF_ARC_LEGS."""
-    return [HALF_ARC_LEGS.get(s) or step_to_leg(s) for s in steps]
 
 
 VERTEX_CONFIG = {v: chain_to_config(vertex_point(v)) for v in CHAIN_VERTICES}

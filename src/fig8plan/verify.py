@@ -72,15 +72,18 @@ BLOCK = 256
 def cycle_rank(vertex_ids, edge_list) -> int:
     """First Betti number E - V + 1 of a connected multigraph.
 
-    ``edge_list`` holds (u, v) pairs of names from ``vertex_ids``.  An edge
-    naming any other vertex, and disconnected input, are rejected: the
-    formula would silently miscount.
+    ``edge_list`` holds (u, v) pairs of names from ``vertex_ids``.  A repeated
+    vertex name, an edge naming any other vertex, and disconnected input are
+    rejected: the formula would silently miscount.
     """
     verts = list(vertex_ids)
     edges = list(edge_list)
     if not verts:
         raise DomainError("empty graph")
     parent = {v: v for v in verts}
+    if len(parent) != len(verts):
+        repeated = next(v for i, v in enumerate(verts) if v in verts[:i])
+        raise DomainError(f"vertex {repeated!r} is listed twice")
 
     def find(v):
         while parent[v] != v:

@@ -19,10 +19,10 @@ from fig8plan.spine import (
     CHAIN_CIRCLES,
     CHAIN_VERTICES,
     CIRCLE_VERTICES,
-    HALF_ARC_LEGS,
     NECKLACE,
     VERTEX_CANONICAL,
     VERTEX_CONFIG,
+    arc_leg,
     chain_point,
     vertex_point,
 )
@@ -69,8 +69,9 @@ def test_chain_structure_and_closure():
     edges = [(v0, v1) for _, _, _, v0, v1 in NECKLACE] * 2
     assert len(CHAIN_VERTICES) == 6
     assert len(edges) == 12
-    assert len(HALF_ARC_LEGS) == 12
-    assert all(abs(step.length - 0.5) < 1e-12 for step in HALF_ARC_LEGS)
+    half_arcs = {arc_leg(c, t, t + 0.5) for c in CHAIN_CIRCLES for t in (0.0, 0.5)}
+    assert len(half_arcs) == 12
+    assert all(abs(leg.sweep - 0.5) < 1e-12 for leg in half_arcs)
 
     # every circle carries exactly two vertices, every vertex two circles
     degree = {v: 0 for v in CHAIN_VERTICES}

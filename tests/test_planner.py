@@ -13,6 +13,7 @@ from fig8plan.geometry import (
     CIRCLES,
     EPS,
     SNAP_EPS,
+    ChartLeg,
     Configuration,
     PathSegment,
     PhysPath,
@@ -37,14 +38,14 @@ from fig8plan.retraction import retract
 from fig8plan.spine import (
     CHAIN_CIRCLES,
     CHAIN_VERTICES,
-    HALF_ARC_LEGS,
     VERTEX_CANONICAL,
     VERTEX_CONFIG,
     ChainPoint,
     arc_dist,
+    arc_leg,
+    arc_legs,
     chain_point,
     chain_to_config,
-    make_steps,
     shortest_arc,
     theta_on,
     vertex_point,
@@ -69,27 +70,24 @@ def test_classify_domain():
 def test_instruction1_frozen_walk():
     domain, moves = plan_steps(ChainPoint("R", 0.2), ChainPoint("H1", 0.3))
     assert domain is U1
-    assert len(moves) == 3
-    flat_moves = [(m[0].circle, m[0].t_from, m[-1].t_to, m[0].direction) for m in moves]
-    assert flat_moves == [
-        ("R", 0.2, 0.5, 1),  # positive to VA
-        ("V1", 0.0, 0.5, 1),  # positive to C1
-        ("H1", 0.5, 0.3, -1),  # shortest arc to the goal
+    assert moves == [
+        [ChartLeg("A", 0.2, 0.5, "A", 0.7, 1.0)],  # positive along R to VA
+        [ChartLeg("A", 0.5, 0.5, "B", 0.0, 0.5)],  # positive along V1 to C1
+        [ChartLeg("A", 0.5, 0.3, "B", 0.5, 0.5)],  # shortest arc along H1 to the goal
     ]
 
 
 def test_instruction1_same_circle_direct():
     domain, moves = plan_steps(ChainPoint("Bc", 0.1), ChainPoint("Bc", 0.35))
     assert domain is U1
-    assert len(moves) == 1
-    assert moves[0][0].direction == 1
+    assert moves == [[ChartLeg("B", 0.1, 0.35, "B", 0.6, 0.85)]]
 
 
 def test_instruction1_worst_case_seven_hops():
     domain, moves = plan_steps(ChainPoint("R", 0.7), ChainPoint("H2", 0.25))
     assert domain is U1
     assert len(moves) == 7
-    length = sum(s.length for m in moves for s in m)
+    length = sum(leg.sweep for m in moves for leg in m)
     assert length == pytest.approx(3.05)
 
 
@@ -97,19 +95,18 @@ def test_instruction2_antipodal_goes_positive():
     domain, moves = plan_steps(ChainPoint("R", 0.2), ChainPoint("R", 0.7))
     assert domain is U2
     assert len(moves) == 1
-    assert all(s.direction == 1 for s in moves[0])
-    assert sum(s.length for s in moves[0]) == pytest.approx(0.5)
+    assert all(leg.a1 > leg.a0 for leg in moves[0])  # R is charted by a = theta
+    assert sum(leg.sweep for leg in moves[0]) == pytest.approx(0.5)
 
 
 def test_instruction2_vertex_start_frozen_walk():
     domain, moves = plan_steps(vertex_point("HA"), ChainPoint("Bc", 0.3))
     assert domain is U2
-    flat_moves = [(m[0].circle, m[0].t_from, m[-1].t_to) for m in moves]
-    assert flat_moves == [
-        ("R", 0.0, 0.5),
-        ("V1", 0.0, 0.5),
-        ("H1", 0.5, 1.0),
-        ("Bc", 0.0, 0.3),
+    assert moves == [
+        [ChartLeg("A", 0.0, 0.5, "A", 0.5, 1.0)],  # R
+        [ChartLeg("A", 0.5, 0.5, "B", 0.0, 0.5)],  # V1
+        [ChartLeg("A", 0.5, 1.0, "B", 0.5, 0.5)],  # H1
+        [ChartLeg("B", 0.0, 0.3, "B", 0.5, 0.8)],  # Bc
     ]
 
 
@@ -117,19 +114,19 @@ def test_instruction2_interior_to_vertex_uses_shared_circle():
     # HA sits on both R and H2; from an H2 interior the arc is direct.
     domain, moves = plan_steps(ChainPoint("H2", 0.9), vertex_point("HA"))
     assert domain is U2
-    assert len(moves) == 1
-    assert moves[0][0].circle == "H2"
-    assert moves[0][-1].t_to == 1.0
+    assert moves == [[ChartLeg("B", 0.9, 1.0, "A", 0.5, 0.5)]]
 
 
 def test_instruction3_successor_ring():
     domain, moves = plan_steps(vertex_point("C1"), vertex_point("C2"))
     assert domain is U3
-    assert [(m[0].circle) for m in moves] == ["H1", "Bc", "V2"]
-    assert sum(s.length for m in moves for s in m) == pytest.approx(1.5)
+    # each circle's designated half-turn
+    ring = {c: [arc_leg(c, t, t + 0.5)] for c, t in VERTEX_CANONICAL.values()}
+    assert moves == [ring[c] for c in ("H1", "Bc", "V2")]
+    assert sum(leg.sweep for m in moves for leg in m) == pytest.approx(1.5)
     # The ring's long way round: five hops, never six.
     _, moves = plan_steps(vertex_point("C1"), vertex_point("VA"))
-    assert [m[0].circle for m in moves] == ["H1", "Bc", "V2", "H2", "R"]
+    assert moves == [ring[c] for c in ("H1", "Bc", "V2", "H2", "R")]
     assert plan_steps(vertex_point("VB"), vertex_point("VB")) == (U3, [])
 
 
@@ -139,7 +136,7 @@ def test_instruction3_all_pairs_bounded():
             domain, moves = plan_steps(vertex_point(u), vertex_point(v))
             assert domain is U3
             assert len(moves) <= 5
-            assert sum(s.length for m in moves for s in m) <= 2.5 + 1e-12
+            assert sum(leg.sweep for m in moves for leg in m) <= 2.5 + 1e-12
 
 
 def _successor_walk(u: str, v: str):
@@ -150,7 +147,7 @@ def _successor_walk(u: str, v: str):
         if cur == goal:
             return moves
         circle, theta = VERTEX_CANONICAL[cur.vertex]
-        moves.append(make_steps(circle, theta, theta + 0.5, 1))
+        moves.append(arc_legs(circle, theta, theta + 0.5, 1))
         cur = chain_point(circle, theta + 0.5)
     raise AssertionError(f"successor walk from {u} never reached {v}")
 
@@ -181,14 +178,14 @@ def _walk(start: ChainPoint, goal: ChainPoint, positive_ties: bool) -> list[list
                 direction = 1
             else:
                 direction, _ = shortest_arc(cur.theta, goal_theta)
-            steps = make_steps(circle, cur.theta, goal_theta, direction)
-            if steps:
-                moves.append(steps)
+            legs = arc_legs(circle, cur.theta, goal_theta, direction)
+            if legs:
+                moves.append(legs)
             return moves
         target = 0.5 if cur.theta < 0.5 else 0.0
-        steps = make_steps(circle, cur.theta, target, 1)
-        if steps:
-            moves.append(steps)
+        legs = arc_legs(circle, cur.theta, target, 1)
+        if legs:
+            moves.append(legs)
         cur = chain_point(circle, target)
     raise AssertionError("spine walk exceeded its hop budget")
 
@@ -209,6 +206,20 @@ _KNIFE_EDGE_POINTS = [vertex_point(v) for v in CHAIN_VERTICES] + [
 ]
 
 
+def _inexact_joins(moves) -> list:
+    """The consecutive legs of a walk whose junction is not exact: the next
+    leg's start measured against the previous leg's end."""
+    legs = [leg for move in moves for leg in move]
+    return [
+        (prev, nxt)
+        for prev, nxt in zip(legs, legs[1:])
+        if chart_config_dist(
+            nxt.circle1, nxt.a0, nxt.circle2, nxt.b0,
+            configuration(prev.circle1, prev.a1, prev.circle2, prev.b1),
+        ) != 0.0
+    ]
+
+
 def test_ring_walk_matches_the_hop_loop_on_knife_edge_pairs():
     assert len(_KNIFE_EDGE_POINTS) == 186
     for x in _KNIFE_EDGE_POINTS:
@@ -217,6 +228,7 @@ def test_ring_walk_matches_the_hop_loop_on_knife_edge_pairs():
             assert domain is classify_domain(x, y)
             assert moves == _walk(x, y, positive_ties=domain is not U1), (x, y)
             assert len(moves) <= 7, (x, y)
+            assert _inexact_joins(moves) == [], (x, y)
 
 
 def test_ring_walk_matches_the_hop_loop_on_random_pairs():
@@ -226,19 +238,19 @@ def test_ring_walk_matches_the_hop_loop_on_random_pairs():
         y = chain_point(rng.choice(CHAIN_CIRCLES), rng.random())
         domain, moves = plan_steps(x, y)
         assert moves == _walk(x, y, positive_ties=domain is not U1), (x, y)
+        assert _inexact_joins(moves) == [], (x, y)
 
 
 def test_ring_legs_stay_inside_one_half_chart():
     # A ring hop's leg never crosses the pole in its chart, so path_from_legs
     # never cuts it.
-    ring_steps = {s for u in CHAIN_VERTICES for v in CHAIN_VERTICES
-                  for m in plan_steps(vertex_point(u), vertex_point(v))[1] for s in m}
-    assert len(ring_steps) == 6
-    for step in ring_steps:
-        leg = HALF_ARC_LEGS[step]
+    ring_legs = {leg for u in CHAIN_VERTICES for v in CHAIN_VERTICES
+                 for m in plan_steps(vertex_point(u), vertex_point(v))[1] for leg in m}
+    assert len(ring_legs) == 6
+    for leg in ring_legs:
         for lo, hi in ((leg.a0, leg.a1), (leg.b0, leg.b1)):
             assert 0.0 <= min(lo, hi) and max(lo, hi) <= 1.0
-            assert max(lo, hi) <= 0.5 or min(lo, hi) >= 0.5, (step, leg)
+            assert max(lo, hi) <= 0.5 or min(lo, hi) >= 0.5, leg
 
 
 def test_plan_end_to_end_u1():

@@ -44,8 +44,8 @@ def test_spine_only_render_counts():
 
 
 def test_spine_only_render_is_frozen():
-    # The spine layer draws HALF_ARC_LEGS; the picture is byte-identical to
-    # the one drawn from twelve step_to_leg calls before that table existed.
+    # The spine layer draws the twelve half arcs, one arc_leg each; the
+    # digest pins the picture byte for byte.
     digest = hashlib.sha256(render_svg().encode()).hexdigest()
     assert digest == "ad282500df05a18e96212257bc8c228961a22a479144ff2ceafdc4ca134884b0"
 

@@ -6,23 +6,20 @@ from hypothesis import given, strategies as st
 from fig8plan.errors import ContractError, DomainError
 from fig8plan.geometry import ChartLeg, chart, configuration, dist_gamma, path_from_legs
 from fig8plan.spine import (
+    A_HALF,
     CHAIN_CIRCLES,
     CHAIN_VERTICES,
     CIRCLE_VERTICES,
-    HALF_ARC_LEGS,
     NECKLACE,
     VERTEX_CANONICAL,
     VERTEX_CONFIG,
     ChainPoint,
-    ChainStep,
+    arc_leg,
+    arc_legs,
     chain_point,
     chain_to_config,
-    chart_coords,
     is_antipodal,
-    make_steps,
     shortest_arc,
-    step_to_leg,
-    steps_to_legs,
     theta_on,
     vertex_point,
 )
@@ -74,7 +71,7 @@ def test_unknown_circle_is_refused(theta):
     with pytest.raises(DomainError, match="unknown spine circle"):
         chain_point("X", theta)
     with pytest.raises(DomainError, match="unknown spine circle"):
-        chart_coords("X", 0.3)
+        arc_leg("X", 0.3, 0.3)
 
 
 def test_vertex_configs():
@@ -129,8 +126,9 @@ def test_chain_graph_counts():
         degree[u] += 1
         degree[v] += 1
     assert all(d == 4 for d in degree.values())
-    assert len(HALF_ARC_LEGS) == 12
-    assert all(step.length == 0.5 for step in HALF_ARC_LEGS)
+    half_arcs = {arc_leg(c, t, t + 0.5) for c in CHAIN_CIRCLES for t in (0.0, 0.5)}
+    assert len(half_arcs) == 12
+    assert all(leg.sweep == 0.5 for leg in half_arcs)
 
 
 @given(chain_circles, angles)
@@ -178,49 +176,66 @@ def test_shortest_arc():
     assert direction == 1 and span == pytest.approx(0.5)
 
 
-def test_make_steps_frozen():
-    steps = make_steps("R", 0.2, 0.9, 1)
-    assert [(s.t_from, s.t_to) for s in steps] == [(0.2, 0.5), (0.5, 0.9)]
-    steps = make_steps("H1", 0.2, 0.9, -1)
-    assert [(s.t_from, s.t_to) for s in steps] == [(0.2, 0.0), (1.0, 0.9)]
-    assert make_steps("R", 0.3, 0.3, 1) == []
+def _angles(circle, leg):
+    """The raw angles (from, to) of a leg along the circle: b on a = 1/2, else a."""
+    line = next(row[2] for row in NECKLACE if row[0] == circle)
+    return (leg.b0, leg.b1) if line == A_HALF else (leg.a0, leg.a1)
+
+
+def test_arc_legs_frozen():
+    assert arc_legs("R", 0.2, 0.9, 1) == [
+        ChartLeg("A", 0.2, 0.5, "A", 0.7, 1.0),
+        ChartLeg("A", 0.5, 0.9, "A", 0.0, 0.4),
+    ]
+    assert arc_legs("H1", 0.2, 0.9, -1) == [
+        ChartLeg("A", 0.2, 0.0, "B", 0.5, 0.5),
+        ChartLeg("A", 1.0, 0.9, "B", 0.5, 0.5),
+    ]
+    assert arc_legs("R", 0.3, 0.3, 1) == []
     # Positive half turn between antipodal interiors.
-    steps = make_steps("Bc", 0.7, 0.2, 1)
-    assert [(s.t_from, s.t_to) for s in steps] == [(0.7, 1.0), (0.0, 0.2)]
+    assert arc_legs("Bc", 0.7, 0.2, 1) == [
+        ChartLeg("B", 0.7, 1.0, "B", 0.19999999999999996, 0.5),
+        ChartLeg("B", 0.0, 0.2, "B", 0.5, 0.7),
+    ]
+    assert arc_legs("V2", 0.0, 0.7, 1) == [
+        ChartLeg("B", 0.5, 0.5, "A", 0.0, 0.5),
+        ChartLeg("B", 0.5, 0.5, "A", 0.5, 0.7),
+    ]
 
 
 @given(chain_circles, angles, angles, st.sampled_from((1, -1)))
-def test_make_steps_properties(circle, t0, t1, direction):
-    steps = make_steps(circle, t0, t1, direction)
+def test_arc_legs_properties(circle, t0, t1, direction):
+    legs = arc_legs(circle, t0, t1, direction)
     span = ((t1 - t0) * direction) % 1.0
     if fold(t1 - t0) <= 1e-12:
-        assert steps == []
+        assert legs == []
         return
     # Any move longer than SNAP_EPS is kept, and it starts and ends on the
     # given angles exactly (a raw chart angle of 1 is the angle 0).
-    assert sum(s.length for s in steps) == pytest.approx(span, abs=1e-12)
-    assert steps[0].t_from % 1.0 == t0
-    assert steps[-1].t_to % 1.0 == t1
-    for s in steps:
-        lo, hi = min(s.t_from, s.t_to), max(s.t_from, s.t_to)
+    assert sum(leg.sweep for leg in legs) == pytest.approx(span, abs=1e-12)
+    runs = [_angles(circle, leg) for leg in legs]
+    assert runs[0][0] % 1.0 == t0
+    assert runs[-1][1] % 1.0 == t1
+    for leg, (u0, u1) in zip(legs, runs):
+        lo, hi = min(u0, u1), max(u0, u1)
         assert not (lo < 0.5 < hi)
         assert 0.0 <= lo < hi <= 1.0
-        assert s.direction == direction
-    for prev, nxt in zip(steps, steps[1:]):
-        assert prev.t_to % 1.0 == nxt.t_from % 1.0
-        assert prev.t_to in (0.0, 0.5, 1.0)
+        assert (u1 - u0) * direction > 0.0
+        assert leg == arc_leg(circle, u0, u1)
+    for prev, nxt in zip(runs, runs[1:]):
+        assert prev[1] % 1.0 == nxt[0] % 1.0
+        assert prev[1] in (0.0, 0.5, 1.0)
 
 
-def test_make_steps_keeps_a_short_move_exact():
+def test_arc_legs_keeps_a_short_move_exact():
     # A move of EPS from a vertex used to be dropped, so a plan could end
     # more than EPS from its goal.
-    assert make_steps("R", 0.0, 1e-9, 1) == [ChainStep("R", 0.0, 1e-9, 1)]
-    assert make_steps("R", 0.0, 1e-13, 1) == []
+    assert arc_legs("R", 0.0, 1e-9, 1) == [ChartLeg("A", 0.0, 1e-9, "A", 0.5, 0.500000001)]
+    assert arc_legs("R", 0.0, 1e-13, 1) == []
 
 
 def test_steps_to_path_stays_on_spine():
-    steps = make_steps("R", 0.2, 0.9, 1)
-    path = path_from_legs(steps_to_legs(steps))
+    path = path_from_legs(arc_legs("R", 0.2, 0.9, 1))
     assert configuration(*path.chart_at(0.0)) == chain_to_config(ChainPoint("R", 0.2))
     assert configuration(*path.chart_at(1.0)) == chain_to_config(ChainPoint("R", 0.9))
     for k in range(33):
@@ -230,8 +245,7 @@ def test_steps_to_path_stays_on_spine():
 
 def test_steps_cross_center_wrap():
     # H1 angles wrap through HB, the center-and-pole vertex.
-    steps = make_steps("H1", 0.9, 0.1, 1)
-    path = path_from_legs(steps_to_legs(steps))
+    path = path_from_legs(arc_legs("H1", 0.9, 0.1, 1))
     assert configuration(*path.chart_at(0.0)) == chain_to_config(ChainPoint("H1", 0.9))
     assert configuration(*path.chart_at(1.0)) == chain_to_config(ChainPoint("H1", 0.1))
     mid = configuration(*path.chart_at(0.5))
@@ -239,30 +253,37 @@ def test_steps_cross_center_wrap():
 
 
 def test_half_arc_leg_table():
-    # One leg per half arc, in NECKLACE order and each circle's half from
-    # theta = 0 first, each the chart leg of the positive step along that
-    # arc; steps_to_legs reads whole half arcs off the table and charts every
-    # other step.
-    assert [(s.circle, s.t_from, s.t_to) for s in HALF_ARC_LEGS] == [
-        (row[0], t, t + 0.5) for row in NECKLACE for t in (0.0, 0.5)
+    # The chart leg of each of the twelve half arcs, in NECKLACE order and
+    # each circle's half from theta = 0 first; a sub-diagonal half arc keeps
+    # one chart branch, b = a + 1/2 below the vertex at 1/2 and b = a - 1/2
+    # above it.
+    assert [arc_leg(row[0], t, t + 0.5) for row in NECKLACE for t in (0.0, 0.5)] == [
+        ChartLeg("A", 0.0, 0.5, "A", 0.5, 1.0),
+        ChartLeg("A", 0.5, 1.0, "A", 0.0, 0.5),
+        ChartLeg("B", 0.0, 0.5, "B", 0.5, 1.0),
+        ChartLeg("B", 0.5, 1.0, "B", 0.0, 0.5),
+        ChartLeg("A", 0.0, 0.5, "B", 0.5, 0.5),
+        ChartLeg("A", 0.5, 1.0, "B", 0.5, 0.5),
+        ChartLeg("A", 0.5, 0.5, "B", 0.0, 0.5),
+        ChartLeg("A", 0.5, 0.5, "B", 0.5, 1.0),
+        ChartLeg("B", 0.0, 0.5, "A", 0.5, 0.5),
+        ChartLeg("B", 0.5, 1.0, "A", 0.5, 0.5),
+        ChartLeg("B", 0.5, 0.5, "A", 0.0, 0.5),
+        ChartLeg("B", 0.5, 0.5, "A", 0.5, 1.0),
     ]
-    for step, leg in HALF_ARC_LEGS.items():
-        assert step.direction == 1
-        assert leg == step_to_leg(step)
-    steps = make_steps("R", 0.2, 0.1, -1) + make_steps("V2", 0.0, 0.7, 1)
-    assert [s in HALF_ARC_LEGS for s in steps] == [False, True, False]
-    assert steps_to_legs(steps) == [step_to_leg(s) for s in steps]
 
 
 def test_step_straddling_a_vertex_is_refused():
-    # A step across theta = 1/2 would need two chart legs (R switches branch
+    # An arc across theta = 1/2 would need two chart legs (R switches branch
     # there); it used to come back as one leg with b running 0.9 -> 1.1.
-    for step in (ChainStep("R", 0.4, 0.6, 1), ChainStep("H1", 0.6, 0.4, -1)):
+    for circle, t0, t1 in (("R", 0.4, 0.6), ("H1", 0.6, 0.4)):
         with pytest.raises(ContractError, match="straddles"):
-            step_to_leg(step)
+            arc_leg(circle, t0, t1)
+    with pytest.raises(DomainError, match="outside"):
+        arc_leg("R", 0.2, 1.2)
     # Ending on the vertex is no straddle.
-    assert step_to_leg(ChainStep("R", 0.4, 0.5, 1)) == ChartLeg("A", 0.4, 0.5, "A", 0.9, 1.0)
-    assert step_to_leg(ChainStep("R", 1.0, 0.5, -1)) == ChartLeg("A", 1.0, 0.5, "A", 0.5, 0.0)
+    assert arc_leg("R", 0.4, 0.5) == ChartLeg("A", 0.4, 0.5, "A", 0.9, 1.0)
+    assert arc_leg("R", 1.0, 0.5) == ChartLeg("A", 1.0, 0.5, "A", 0.5, 0.0)
 
 
 def test_vertex_theta_on():
@@ -276,8 +297,6 @@ def test_vertex_theta_on():
 
 def test_antipodal_slide_legs():
     # A half-turn sweep on a sub-diagonal keeps both robots moving in lockstep.
-    steps = make_steps("R", 0.2, 0.7, 1)
-    legs = steps_to_legs(steps)
-    path = path_from_legs(legs)
+    path = path_from_legs(arc_legs("R", 0.2, 0.7, 1))
     assert dist_gamma(*configuration(*path.chart_at(0.0))) == pytest.approx(0.5)
     assert dist_gamma(*configuration(*path.chart_at(1.0))) == pytest.approx(0.5)

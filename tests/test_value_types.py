@@ -11,7 +11,7 @@ from fig8plan.geometry import ChartLeg, CirclePoint, Configuration, PathSegment,
 from fig8plan.planner import InstructionDomain, Plan
 from fig8plan.render import RenderSpec
 from fig8plan.retraction import RetractResult
-from fig8plan.spine import ChainPoint, ChainStep
+from fig8plan.spine import ChainPoint
 from fig8plan.verify import SuiteReport
 
 POINT = "CirclePoint(circle='A', s=0.3)"
@@ -20,7 +20,7 @@ SEGMENT = "PathSegment(t0=0.0, t1=1.0, circle1='A', a0=0.3, a1=0.3, circle2='B',
 PATH = f"PhysPath(segments=({SEGMENT},))"
 LEG = "ChartLeg(circle1='A', a0=0.3, a1=0.5, circle2='B', b0=0.7, b1=0.7)"
 CHAIN_POINT = "ChainPoint(circle='V1', theta=0.7)"
-STEP = "ChainStep(circle='R', t_from=0.1, t_to=0.2, direction=1)"
+SPINE_LEG = "ChartLeg(circle1='A', a0=0.1, a1=0.2, circle2='A', b0=0.6, b1=0.7)"
 
 
 def _config():
@@ -39,7 +39,6 @@ CASES = [
     (_path, PATH),
     (lambda: ChartLeg("A", 0.3, 0.5, "B", 0.7, 0.7), LEG),
     (lambda: ChainPoint("V1", 0.7), CHAIN_POINT),
-    (lambda: ChainStep("R", 0.1, 0.2, 1), STEP),
     (
         lambda: RetractResult(ChainPoint("V1", 0.7), 0.5, ChartLeg("A", 0.3, 0.5, "B", 0.7, 0.7)),
         f"RetractResult(point={CHAIN_POINT}, scale=0.5, leg={LEG})",
@@ -48,11 +47,11 @@ CASES = [
         lambda: Plan(
             start=_config(), goal=_config(), domain=InstructionDomain.U1,
             chain_start=ChainPoint("V1", 0.7), chain_goal=ChainPoint("V1", 0.7),
-            steps=(ChainStep("R", 0.1, 0.2, 1),), hop_count=1, path=_path(),
+            steps=(ChartLeg("A", 0.1, 0.2, "A", 0.6, 0.7),), hop_count=1, path=_path(),
             spine_interval=(0.0, 1.0), trace_in=(), trace_out=(ChartLeg("A", 0.3, 0.5, "B", 0.7, 0.7),),
         ),
         f"Plan(start={CONFIG}, goal={CONFIG}, domain=<InstructionDomain.U1: 1>,"
-        f" chain_start={CHAIN_POINT}, chain_goal={CHAIN_POINT}, steps=({STEP},), hop_count=1,"
+        f" chain_start={CHAIN_POINT}, chain_goal={CHAIN_POINT}, steps=({SPINE_LEG},), hop_count=1,"
         f" path={PATH}, spine_interval=(0.0, 1.0), trace_in=(), trace_out=({LEG},))",
     ),
     (lambda: RenderSpec(), "RenderSpec(size=720.0)"),

@@ -110,6 +110,15 @@ def test_cycle_rank_rejects_an_edge_off_the_vertex_list():
             cycle_rank(["a"], edges)
 
 
+def test_cycle_rank_rejects_a_repeated_vertex():
+    # a repeated name would count as a component of its own, so a connected
+    # graph would be reported as disconnected
+    for verts, edges in ((("a", "a"), []), (("HA", "HA", "VA"), [("HA", "VA")] * 2)):
+        with pytest.raises(DomainError, match="listed twice") as info:
+            cycle_rank(verts, edges)
+        assert repr(verts[0]) in str(info.value)
+
+
 def test_tc_wedge_table():
     assert tc_wedge(1) == 2
     assert tc_wedge(2) == 3
