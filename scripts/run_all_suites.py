@@ -3,8 +3,12 @@
 Usage: python scripts/run_all_suites.py [--seed S] [--full]
 
 --full uses the acceptance-sized sample counts instead of the quick defaults,
-which takes about 3 s on a shared 2-vCPU Xeon machine (2.68-3.19 s wall
+which takes about 3 s on a shared 2-vCPU Xeon machine (2.44-3.90 s wall
 time over three runs, Python 3.11.7).
+
+Each report goes to stdout as one JSON line.  For each failing suite, stderr
+also gets the command that replays it exactly, with the sample count it ran:
+fig8plan verify --suite NAME --seed S --n N.
 """
 
 import argparse
@@ -36,6 +40,8 @@ def main() -> int:
         print(json.dumps(report.to_json()))
         if not report.passed:
             failures += 1
+            replay = f"fig8plan verify --suite {name} --seed {report.seed} --n {report.n}"
+            print(f"{name} failed; replay with: {replay}", file=sys.stderr)
     if failures:
         print(f"{failures} suite(s) failed", file=sys.stderr)
     return 1 if failures else 0

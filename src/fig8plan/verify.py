@@ -5,8 +5,10 @@ private ``random.Random(seed)`` and reports a worst-case witness, so a failure
 can be replayed exactly.  The distance oracles share no code with the
 analytic track metric they check: each query splices its two points into the
 track (center plus the points) or into the twelve half arcs of the spine
-(spine.NECKLACE), and runs Dijkstra on that graph of at most eight nodes.  No
-discretisation is involved, so the oracles are exact up to rounding.
+(spine.NECKLACE), and runs Dijkstra on that graph of at most eight nodes.
+The separation oracle reads each segment's robot distance at its ends and
+kinks (kink_min_separation).  No discretisation is involved, so the oracles
+are exact up to rounding; all of them use only the standard library.
 """
 
 from __future__ import annotations
@@ -53,16 +55,9 @@ SUITE_NAMES = ("collision", "partition", "retraction", "continuity", "terminatio
 # lengths, possibly in another order, so only rounding differs.
 METRIC_TOL = 1e-12
 
-# Density of the sampled separation oracle, and how far the exact minimum may
-# sit from it: sampling includes both waypoints of every segment, so the two
-# differ only by rounding of the endpoint samples.
-SEPARATION_SAMPLES = 64
+# How far the exact minimum separation may sit from its kink oracle: both
+# read the same segment ends, so only rounding differs.
 SEPARATION_TOL = 1e-12
-
-# Paths the collision and retraction suites build before one oracle call
-# samples them all: enough to spread numpy's per-call cost thin, few enough
-# that the sample arrays stay a few MB at any n.
-BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -280,58 +275,62 @@ def _probe_path_pairs(domain: InstructionDomain, seed: int, samples: int):
 
 
 # ---------------------------------------------------------------------------
-# sampled separation oracle
+# kink separation oracle
+
+# Where the one-circle distance bends, as values of d = x - y, and where the
+# two-circle distance bends, as a value of x or y.
+_SAME_CIRCLE_KINKS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+_POLE = (0.5,)
 
 
-def sampled_min_separations(paths: list[PhysPath], n: int) -> list[float]:
-    """Smallest sampled distance between the robots along each trajectory.
+def kink_min_separation(path: PhysPath) -> float:
+    """Exact smallest distance between the robots along a trajectory, read at
+    the ends of each segment and at the kinks of its distance.
 
-    Samples n uniformly spaced times per segment, endpoints included, over
-    every segment of every path in one numpy pass per kind of segment (both
-    robots on one circle, or on two).  It shares no code with
-    the exact geometry.path_min_separation; the two agree up to rounding
-    unless the robots meet strictly between two samples.
+    On a segment both chart values are affine in u in [0, 1], x = a0 + u (a1
+    - a0) and y = b0 + u (b1 - b0), with x and y in [0, 1].  The robot
+    distance is therefore continuous and piecewise affine in u:
+
+    * on one circle it is min(|d|, 1 - |d|), the circle distance of the
+      affine d = x - y, which bends only where d is 0, +-1/2 or +-1;
+    * on two circles it is min(x, 1 - x) + min(y, 1 - y), which bends only
+      where x or y is 1/2.
+
+    Between two consecutive points of {0, 1, kinks} the distance is affine,
+    so it is smallest at one of them, and the minimum over the segment is the
+    smallest value of the formula at u = 0, u = 1 and every kink u in
+    [0, 1].  The argument needs no concavity and does not assume that the
+    segment is split at the pole; no code is shared with
+    geometry.path_min_separation, so the two agree only up to rounding.
     """
-    if n < 2:
-        raise DomainError("need at least 2 samples per segment")
-    if not paths:
-        return []
-    import numpy as np
-
-    segments = [seg for path in paths for seg in path.segments]
-    _, _, circle1, a0, a1, circle2, b0, b1 = zip(*segments)
-    a0, a1, b0, b1 = (np.array(v) for v in (a0, a1, b0, b1))
-    same = np.array(circle1) == np.array(circle2)
-    u = np.arange(n) * (1.0 / (n - 1))
-    lowest = np.empty(len(segments))
-    # each sample's distance by the formula of its segment's circles only
-    for rows in (same, ~same):
-        x0, x1, y0, y1 = (v[rows][:, None] for v in (a0, a1, b0, b1))
-        x = x0 + u * (x1 - x0)
-        y = y0 + u * (y1 - y0)
-        if rows is same:
-            d = np.abs(x - y)
-            d = np.minimum(d, 1.0 - d)
+    best = math.inf
+    for _, _, c1, a0, a1, c2, b0, b1 in path.segments:
+        da, db = a1 - a0, b1 - b0
+        same = c1 == c2
+        # each affine quantity the distance bends along: its values at u = 0
+        # and u = 1, and the values at which it bends
+        if same:
+            bends = ((a0 - b0, a1 - b1, _SAME_CIRCLE_KINKS),)
         else:
-            d = np.minimum(x, 1.0 - x) + np.minimum(y, 1.0 - y)
-        lowest[rows] = d.min(axis=1)
-    starts = np.cumsum([0] + [len(path.segments) for path in paths[:-1]])
-    return np.minimum.reduceat(lowest, starts).tolist()
-
-
-def _separation_gaps(n: int, make):
-    """Yield (i, made, low) for i in range(n): made = make() ends in a path
-    and low is its minimum separation by the sampled oracle.
-
-    Items are made BLOCK at a time, in order, and the oracle samples each
-    block in one call, so its arrays stay small at any n; the caller checks
-    the items one by one against its own exact separation, so a failure
-    still names the first failing index.
-    """
-    for first in range(0, n, BLOCK):
-        made = [make() for _ in range(min(BLOCK, n - first))]
-        sampled = sampled_min_separations([m[-1] for m in made], SEPARATION_SAMPLES)
-        yield from zip(range(first, n), made, sampled)
+            bends = ((a0, a1, _POLE), (b0, b1, _POLE))
+        us = [0.0, 1.0]
+        for v0, v1, marks in bends:
+            if v0 != v1:
+                for m in marks:
+                    u = (m - v0) / (v1 - v0)
+                    if 0.0 <= u <= 1.0:
+                        us.append(u)
+        for u in us:
+            x = a0 + u * da
+            y = b0 + u * db
+            if same:
+                d = abs(x - y)
+                d = min(d, 1.0 - d)
+            else:
+                d = min(x, 1.0 - x) + min(y, 1.0 - y)
+            if d < best:
+                best = d
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +429,11 @@ def _suite_collision(rng: Random, n: int) -> tuple[bool, str]:
     max_hops = 0
     max_len = 0.0
 
-    def make():
+    for i in range(n):
         p = plan(random_config(rng), random_config(rng))
-        return p, p.path
-
-    for i, (p, _), low in _separation_gaps(n, make):
         try:
             err, sep = validate_plan(p)
-            gap = abs(low - sep)
+            gap = abs(kink_min_separation(p.path) - sep)
             if gap > SEPARATION_TOL:
                 raise ContractError(f"endpoint err {err:.3e} min sep {sep:.3e} oracle gap {gap:.3e}")
         except ContractError as exc:
@@ -508,12 +504,10 @@ def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
     worst_trace = 0.0
     worst_gap = 0.0
 
-    def make():
+    for i in range(n):
         c = random_config(rng)
         r = retract(c)
-        return c, r, path_from_legs([r.leg])
-
-    for i, (c, r, trace), low in _separation_gaps(n, make):
+        trace = path_from_legs([r.leg])
         if not chart_on_spine(r.leg.circle1 == r.leg.circle2, r.leg.a1, r.leg.b1):
             return False, f"sample {i}: leg of {_format_config(c)} ends off the spine"
         image_config = chain_to_config(r.point)
@@ -528,7 +522,7 @@ def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
         if end_err > EPS:
             return False, f"sample {i}: trace endpoint error {end_err:.3e}"
         sep = path_min_separation(trace)
-        gap = abs(low - sep)
+        gap = abs(kink_min_separation(trace) - sep)
         worst_gap = max(worst_gap, gap)
         if sep <= 0.0:
             return False, f"sample {i}: trace of {_format_config(c)} collides"

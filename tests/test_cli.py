@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, and byte-stable JSON output."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -183,16 +184,22 @@ def test_cold_import_leaves_suites_unloaded():
     assert _loaded_after("import fig8plan.cli", names) == []
 
 
-def test_suites_import_leaves_numpy_unloaded():
-    # tc imports the suites; the separation oracle loads numpy only when run
-    assert _loaded_after("import fig8plan.verify", ("numpy", "scipy")) == []
-
-
 def test_roundtrip_suite_runs_on_the_standard_library():
-    # the distance oracles are heapq Dijkstra on spliced graphs
+    # every suite, at a small n: the distance oracles are heapq Dijkstra on
+    # spliced graphs, and the separation oracle reads each segment's kinks
+    sizes = {
+        "collision": 20,
+        "partition": 50,
+        "retraction": 20,
+        "continuity": 2,
+        "termination": 20,
+        "roundtrip": 20,
+    }
     statement = (
-        "from fig8plan.verify import run_suite; "
-        "assert run_suite('roundtrip', n=20).passed"
+        "from fig8plan.verify import SUITE_NAMES, run_suite; "
+        f"sizes = {sizes!r}; "
+        "assert sorted(sizes) == sorted(SUITE_NAMES); "
+        "assert all(run_suite(name, n=n).passed for name, n in sizes.items())"
     )
     assert _loaded_after(statement, ("numpy", "scipy")) == []
 
@@ -254,3 +261,39 @@ def test_boundary_replays_plan(capsys, argv):
     ts = [w["t"] for w in json.loads(out)["waypoints"]]
     assert ts[0] == 0.0 and ts[-1] == 1.0
     assert all(b > a for a, b in zip(ts, ts[1:]))
+
+
+def test_run_all_suites_prints_the_replay_of_a_failing_suite(monkeypatch, capsys):
+    # a failing suite's exact replay goes to stderr, with the n it ran at
+    # quick and at --full size; the stdout report lines stay as they are
+    from fig8plan.verify import SuiteReport
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_suites.py"
+    spec = importlib.util.spec_from_file_location("run_all_suites", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    defaults = {
+        "collision": 1000,
+        "partition": 20000,
+        "retraction": 1000,
+        "continuity": 12,
+        "termination": 1000,
+        "roundtrip": 500,
+    }
+
+    def fake_run_suite(name, seed=0, n=None):
+        n = defaults[name] if n is None else n
+        return SuiteReport(name, seed, n, name != "retraction", "witness", 0.0)
+
+    monkeypatch.setattr(script, "run_suite", fake_run_suite)
+    for argv, n in ((["--seed", "7"], 1000), (["--seed", "7", "--full"], 10_000)):
+        monkeypatch.setattr(sys, "argv", ["run_all_suites.py", *argv])
+        assert script.main() == 1
+        out, err = capsys.readouterr()
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert [r["suite"] for r in reports] == list(defaults)
+        assert [r["pass"] for r in reports] == [r["suite"] != "retraction" for r in reports]
+        assert err.splitlines() == [
+            f"retraction failed; replay with: fig8plan verify --suite retraction --seed 7 --n {n}",
+            "1 suite(s) failed",
+        ]

@@ -25,7 +25,7 @@ from fig8plan.geometry import (
 )
 from fig8plan.planner import InstructionDomain, plan
 from fig8plan.spine import CHAIN_VERTICES, VERTEX_CONFIG
-from fig8plan.verify import _probe_path_pairs, sampled_min_separations
+from fig8plan.verify import _probe_path_pairs, kink_min_separation
 
 circles = st.sampled_from(("A", "B"))
 arcs = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -197,7 +197,7 @@ def test_min_separation_frozen_values():
     path = path_from_legs([ChartLeg("A", 0.2, 0.8, "B", 0.25, 0.25)])
     # Robot 1 sweeps through its pole while robot 2 parks a quarter turn into B.
     assert path_min_separation(path) == pytest.approx(0.45)
-    assert sampled_min_separations([path], 64) == pytest.approx([0.45])
+    assert kink_min_separation(path) == pytest.approx(0.45)
     apart = constant_path(configuration("A", 0.1, "A", 0.6))
     assert path_min_separation(apart) == pytest.approx(0.5)
 
@@ -206,14 +206,15 @@ def test_min_separation_worst_case_interior():
     # Head-on approach that stops short: closest at the final waypoint.
     path = path_from_legs([ChartLeg("A", 0.2, 0.4, "A", 0.6, 0.45)])
     assert path_min_separation(path) == pytest.approx(0.05)
-    assert sampled_min_separations([path], 129) == pytest.approx([0.05])
+    assert kink_min_separation(path) == pytest.approx(0.05)
 
 
 def test_min_separation_sees_crossing_between_samples():
     # Robot 2 passes robot 1 at u ~ 7e-14, inside SNAP_EPS of the segment's
-    # start, so the segment is accepted; no sample lands before the crossing.
+    # start, so the segment is accepted; no evenly spaced sample lands before
+    # the crossing, but the kink oracle reads the distance where d = 0.
     path = PhysPath((PathSegment(0.0, 1.0, "A", 0.3, 0.3, "A", 0.3 - 1e-14, 0.45),))
-    assert sampled_min_separations([path], 64) == pytest.approx([1e-14])
+    assert kink_min_separation(path) == 0.0
     assert path_min_separation(path) == 0.0
 
 

@@ -10,11 +10,11 @@ from fig8plan import planner, spine, verify
 from fig8plan.errors import DomainError
 from fig8plan.geometry import (
     Configuration,
+    PathSegment,
     PhysPath,
     circle_point,
     config_dist,
     configuration,
-    constant_path,
     dist_gamma,
     path_from_legs,
     path_min_separation,
@@ -31,17 +31,16 @@ from fig8plan.spine import (
     vertex_point,
 )
 from fig8plan.verify import (
-    BLOCK,
     SUITE_NAMES,
     SuiteReport,
     chain_oracle,
     continuity_probe,
     cycle_rank,
     gamma_oracle,
+    kink_min_separation,
     random_chain_point,
     random_config,
     run_suite,
-    sampled_min_separations,
     tc_wedge,
 )
 
@@ -303,7 +302,8 @@ def _boundary_config(rng):
 
 
 def _loop_min_separation(path: PhysPath, n: int) -> float:
-    """Reference for sampled_min_separations: one path, one sample at a time."""
+    """Sampled reference for kink_min_separation: n evenly spaced times per
+    segment, ends included, one sample at a time."""
     best = float("inf")
     step = 1.0 / (n - 1)
     for seg in path.segments:
@@ -336,30 +336,33 @@ def _oracle_paths() -> list[PhysPath]:
 
 
 def test_exact_separation_matches_sampled_oracle():
-    paths = _oracle_paths()
-    for path, sampled in zip(paths, sampled_min_separations(paths, 64), strict=True):
+    for path in _oracle_paths():
         exact = path_min_separation(path)
+        kinks = kink_min_separation(path)
         assert exact > 0.0
-        assert abs(sampled - exact) <= 1e-12
+        assert abs(kinks - exact) <= 1e-12
+        assert abs(kinks - _loop_min_separation(path, 64)) <= 1e-12
 
 
-def test_batched_oracle_equals_loop_reference():
-    # the same IEEE operations in the same order, so equal, not approximately
-    paths = _oracle_paths()
-    for n in (2, 64):
-        assert sampled_min_separations(paths, n) == [_loop_min_separation(p, n) for p in paths]
+_unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
-def test_batched_oracle_inputs():
-    path = constant_path(configuration("A", 0.1, "B", 0.3))
-    with pytest.raises(DomainError):
-        sampled_min_separations([path], 1)
-    assert sampled_min_separations([], 64) == []
+@given(st.sampled_from(["AA", "AB"]), _unit, _unit, _unit, _unit)
+def test_kink_oracle_brackets_a_dense_sample_on_unsplit_segments(square, a0, a1, b0, b1):
+    # _make skips PathSegment's checks, so the segment may cross the pole or
+    # pass a collision inside; the distance moves at most |a1 - a0| + |b1 - b0|
+    # <= 2 per unit of u, so the true minimum lies within one sample step
+    # below the sampled one
+    n = 1025
+    path = PhysPath._make(((PathSegment._make((0.0, 1.0, square[0], a0, a1, square[1], b0, b1)),),))
+    sampled = _loop_min_separation(path, n)
+    assert sampled - 1.0 / (n - 1) - 1e-12 <= kink_min_separation(path) <= sampled + 1e-12
 
 
-# n = 600 crosses the block boundaries at 256 and 512; the witnesses are the
-# ones the per-pair loop reported before the suites sampled in blocks (the
-# collision suite's since extended by the hop and chain-length bounds).
+# The witnesses are the ones the per-pair loop reported when the suites
+# sampled the separation (the collision suite's since extended by the hop
+# and chain-length bounds); only rounding of the ends separates the oracle
+# from the exact minimum.
 @pytest.mark.parametrize(
     "suite, witness",
     [
@@ -375,8 +378,7 @@ def test_batched_oracle_inputs():
         ),
     ],
 )
-def test_blocked_suites_keep_their_witnesses(suite, witness):
-    assert BLOCK == 256
+def test_separation_suites_keep_their_witnesses(suite, witness):
     report = run_suite(suite, seed=0, n=600)
     assert report.passed
     assert report.witness == witness
@@ -393,10 +395,9 @@ def test_blocked_suites_keep_their_witnesses(suite, witness):
         ("retraction", "sample 299: trace of (B:0.159713, B:0.75) collides"),
     ],
 )
-def test_blocked_suites_name_the_failing_index(monkeypatch, suite, witness):
-    # a collision forced on the 300th path, in the second block, where the
-    # suite reads its exact separation: validate_plan's for a plan, its own
-    # for a retraction trace
+def test_separation_suites_name_the_failing_index(monkeypatch, suite, witness):
+    # a collision forced on the 300th path, where the suite reads its exact
+    # separation: validate_plan's for a plan, its own for a retraction trace
     module = planner if suite == "collision" else verify
     real = module.path_min_separation
     calls = []
@@ -412,19 +413,16 @@ def test_blocked_suites_name_the_failing_index(monkeypatch, suite, witness):
 
 
 def test_collision_suite_reports_an_oracle_gap(monkeypatch):
-    # the sampled oracle pushed 0.5 off validate_plan's exact separation on
-    # the 300th plan, index 43 of the second block
-    real = verify.sampled_min_separations
-    blocks = []
+    # the kink oracle pushed 0.5 off validate_plan's exact separation on the
+    # 300th plan
+    real = verify.kink_min_separation
+    calls = []
 
-    def shifted(paths, n):
-        lows = real(paths, n)
-        blocks.append(lows)
-        if len(blocks) == 2:
-            lows[43] += 0.5
-        return lows
+    def shifted(path):
+        calls.append(path)
+        return real(path) + (0.5 if len(calls) == 300 else 0.0)
 
-    monkeypatch.setattr(verify, "sampled_min_separations", shifted)
+    monkeypatch.setattr(verify, "kink_min_separation", shifted)
     report = run_suite("collision", seed=0, n=600)
     assert not report.passed
     assert report.witness == (
