@@ -25,9 +25,14 @@ sizes (run_suite's default n) for seeds 0 and 1, each report's JSON without
 its elapsed_ms on one line.  So a change to the hot path shows that the
 suites draw the same samples and reach the same verdicts and witnesses.
 
+Last, one svg digest hashes render_svg(plan(start, goal)) for the first
+1500 requests of each stream and for the 36 ordered pairs of spine vertices,
+one SVG document per line, so a change to the renderer shows that it draws
+the same picture byte for byte.
+
 It prints each digest and exits 1 unless every one equals the frozen value
-below.  A change that must alter plans or suite reports on purpose updates
-these values in the same change and says why.
+below.  A change that must alter plans, suite reports or pictures on purpose
+updates these values in the same change and says why.
 """
 
 import hashlib
@@ -42,6 +47,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402
 from fig8plan.geometry import configuration  # noqa: E402
 from fig8plan.planner import plan, plan_to_json, validate_plan  # noqa: E402
+from fig8plan.render import render_svg  # noqa: E402
+from fig8plan.spine import CHAIN_VERTICES, VERTEX_CONFIG  # noqa: E402
 from fig8plan.verify import SUITE_NAMES, run_suite  # noqa: E402
 
 SEED = 7
@@ -63,6 +70,8 @@ DIGESTS = {
 STREAMS = {"uniform": gen.uniform_pairs, "cli": gen.cli_pairs, "boundary": gen.boundary_pairs}
 SUITE_SEEDS = (0, 1)
 SUITE_DIGEST = "5b559b97b432f33c4b103d4724405092944d0f11bab7889a0d204cbd01494f73"
+SVG_REQUESTS = 1500
+SVG_DIGEST = "320e93e0862318e72257887701ae22274295bea13ec516adab0d01c11e807dec"
 
 
 def stream_digests(pairs) -> dict[str, str]:
@@ -88,19 +97,33 @@ def suite_digest() -> str:
     return reports.hexdigest()
 
 
+def svg_digest() -> str:
+    pictures = hashlib.sha256()
+    requests = [
+        (configuration(*s1, *s2), configuration(*g1, *g2))
+        for stream in STREAMS.values()
+        for _, ((s1, s2), (g1, g2)) in zip(range(SVG_REQUESTS), stream(SEED))
+    ]
+    requests += [(VERTEX_CONFIG[v], VERTEX_CONFIG[w]) for v in CHAIN_VERTICES
+                 for w in CHAIN_VERTICES]
+    for start, goal in requests:
+        pictures.update(render_svg(plan(start, goal)).encode() + b"\n")
+    return pictures.hexdigest()
+
+
+def check(name: str, kind: str, digest: str, expected: str) -> bool:
+    ok = digest == expected
+    print(f"{name:9} {kind:6} {digest} {'ok' if ok else 'CHANGED, expected ' + expected}")
+    return ok
+
+
 def main() -> int:
     failures = 0
     for name, stream in STREAMS.items():
         for kind, digest in stream_digests(stream(SEED)).items():
-            expected = DIGESTS[name, kind]
-            ok = digest == expected
-            print(f"{name:9} {kind:6} {digest} {'ok' if ok else 'CHANGED, expected ' + expected}")
-            failures += not ok
-    digest = suite_digest()
-    ok = digest == SUITE_DIGEST
-    verdict = "ok" if ok else "CHANGED, expected " + SUITE_DIGEST
-    print(f"{'suites':9} {'report':6} {digest} {verdict}")
-    failures += not ok
+            failures += not check(name, kind, digest, DIGESTS[name, kind])
+    failures += not check("suites", "report", suite_digest(), SUITE_DIGEST)
+    failures += not check("svg", "render", svg_digest(), SVG_DIGEST)
     return 1 if failures else 0
 
 

@@ -57,6 +57,7 @@ from .spine import (
     arc_legs,
     chart_on_spine,
     is_antipodal,
+    is_half_turn,
     shortest_arc,
     theta_on,
 )
@@ -93,7 +94,7 @@ _RING_AT = {c: (i, t) for i, (c, t) in enumerate(VERTEX_CANONICAL[v] for v in CH
 def _final_arc(circle: str, theta: float, goal_theta: float, positive_ties: bool) -> list[list[ChartLeg]]:
     """The arc move from theta to goal_theta on one circle; none for a move
     of at most SNAP_EPS."""
-    if positive_ties and abs(arc_dist(theta, goal_theta) - 0.5) <= EPS:
+    if positive_ties and is_half_turn(theta, goal_theta):
         direction = 1
     else:
         direction, _ = shortest_arc(theta, goal_theta)

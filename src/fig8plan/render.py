@@ -15,11 +15,16 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError
-from .geometry import PhysPath, chart, configuration
+from .geometry import SAME_CIRCLE_SQUARES, ChartLeg, chart, configuration
 from .planner import Plan
-from .spine import CHAIN_CIRCLES, CHAIN_VERTICES, VERTEX_CONFIG, arc_leg
+from .spine import CHAIN_VERTICES, HALF_ARCS, VERTEX_CONFIG, arc_leg
 
 _SQUARE_CELL = {"AA": (0, 0), "AB": (1, 0), "BA": (0, 1), "BB": (1, 1)}
+# Glued-edge ticks per circle; the horizontal edges add two (see _square).
+_TICK_COUNT = {"A": 1, "B": 2}
+# The removed collision diagonals, and the spine as its twelve half arcs.
+_DIAGONALS = [ChartLeg(c1, 0.0, 1.0, c2, 0.0, 1.0) for c1, c2 in SAME_CIRCLE_SQUARES]
+_SPINE = [arc_leg(circle, t0, t1) for circle, t0, _, t1, _ in HALF_ARCS]
 
 # Canvas border and the space between squares, in px.
 _MARGIN = 40.0
@@ -70,115 +75,58 @@ def _f(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _line(spec: RenderSpec, square: str, p0, p1, cls: str) -> str:
-    x1, y1 = spec.to_xy(square, *p0)
-    x2, y2 = spec.to_xy(square, *p1)
-    return f'<line class="{cls}" x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}"/>'
+def _lines(spec: RenderSpec, legs, cls: str) -> list[str]:
+    """Draw chart legs or path segments: both carry circle1, a0, a1, circle2, b0, b1."""
+    out = []
+    for leg in legs:
+        square = leg.circle1 + leg.circle2
+        x1, y1 = spec.to_xy(square, leg.a0, leg.b0)
+        x2, y2 = spec.to_xy(square, leg.a1, leg.b1)
+        out.append(f'<line class="{cls}" x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}"/>')
+    return out
 
 
-def _leg_line(spec: RenderSpec, leg, cls: str) -> str:
-    """Draw a chart leg or path segment: both carry circle1, a0, a1, circle2, b0, b1."""
-    return _line(spec, leg.circle1 + leg.circle2, (leg.a0, leg.b0), (leg.a1, leg.b1), cls)
+def _group(name: str, items) -> list[str]:
+    """One layer of the picture: its items wrapped in a <g> element."""
+    return [f'<g id="{name}">', *items, "</g>"]
 
 
-def _squares_layer(spec: RenderSpec) -> list[str]:
-    parts = ['<g id="squares">']
-    for square in _SQUARE_CELL:
-        ox, oy = spec.origin(square)
-        parts.append(
-            f'<rect class="square-outline" x="{_f(ox)}" y="{_f(oy)}"'
-            f' width="{_f(spec.side)}" height="{_f(spec.side)}"/>'
-        )
-        parts.append(
-            f'<text class="square-label" x="{_f(ox + 6)}" y="{_f(oy + 16)}">{square}</text>'
-        )
-        parts.extend(_edge_ticks(spec, square))
-    parts.append("</g>")
-    return parts
+def _square(spec: RenderSpec, square: str) -> list[str]:
+    """A square's outline, label and glued-edge ticks.
 
-
-def _edge_ticks(spec: RenderSpec, square: str) -> list[str]:
-    # Edge identification classes: all four vertical edges whose off-axis
-    # robot shares a circle are glued at the track center, likewise the
-    # horizontal ones.  The tick count (1..4) names the class.
-    counts = {"A": 1, "B": 2}
-    a_class = counts[square[1]]
-    b_class = counts[square[0]] + 2
+    Glued edges carry the same number of ticks: the vertical edges a = 0, 1
+    of every square with robot 2 on one circle are glued at the track center
+    (one tick for circle A, two for B), likewise the horizontal edges b = 1, 0
+    by robot 1's circle (three or four ticks).
+    """
     ox, oy = spec.origin(square)
-    side = spec.side
-    ticks = []
-    span = 7.0
-    pitch = 10.0
-
-    def run(n, mid_x, mid_y, along_x):
-        out = []
-        start = -(n - 1) / 2.0
+    parts = [
+        f'<rect class="square-outline" x="{_f(ox)}" y="{_f(oy)}"'
+        f' width="{_f(spec.side)}" height="{_f(spec.side)}"/>',
+        f'<text class="square-label" x="{_f(ox + 6)}" y="{_f(oy + 16)}">{square}</text>',
+    ]
+    for a, b in ((0.0, 0.5), (1.0, 0.5), (0.5, 1.0), (0.5, 0.0)):
+        # ticks spread along their edge, each crossing it over 7 px either side
+        along_x = a == 0.5
+        n = _TICK_COUNT[square[0]] + 2 if along_x else _TICK_COUNT[square[1]]
+        mid_x, mid_y = spec.to_xy(square, a, b)
+        dx, dy = (0.0, 7.0) if along_x else (7.0, 0.0)
         for i in range(n):
-            off = (start + i) * pitch
-            if along_x:
-                x, y = mid_x + off, mid_y
-                out.append(
-                    f'<line class="tick" x1="{_f(x)}" y1="{_f(y - span)}"'
-                    f' x2="{_f(x)}" y2="{_f(y + span)}"/>'
-                )
-            else:
-                x, y = mid_x, mid_y + off
-                out.append(
-                    f'<line class="tick" x1="{_f(x - span)}" y1="{_f(y)}"'
-                    f' x2="{_f(x + span)}" y2="{_f(y)}"/>'
-                )
-        return out
-
-    ticks += run(a_class, ox, oy + side / 2.0, along_x=False)
-    ticks += run(a_class, ox + side, oy + side / 2.0, along_x=False)
-    ticks += run(b_class, ox + side / 2.0, oy, along_x=True)
-    ticks += run(b_class, ox + side / 2.0, oy + side, along_x=True)
-    return ticks
-
-
-def _diagonal_layer(spec: RenderSpec) -> list[str]:
-    parts = ['<g id="diagonal">']
-    for square in ("AA", "BB"):
-        parts.append(_line(spec, square, (0.0, 0.0), (1.0, 1.0), "removed"))
-    parts.append("</g>")
+            off = (-(n - 1) / 2.0 + i) * 10.0
+            x, y = (mid_x + off, mid_y) if along_x else (mid_x, mid_y + off)
+            parts.append(
+                f'<line class="tick" x1="{_f(x - dx)}" y1="{_f(y - dy)}"'
+                f' x2="{_f(x + dx)}" y2="{_f(y + dy)}"/>'
+            )
     return parts
 
 
-def _spine_layer(spec: RenderSpec) -> list[str]:
-    parts = ['<g id="spine">']
-    parts.extend(
-        _leg_line(spec, arc_leg(c, t, t + 0.5), "spine-arc") for c in CHAIN_CIRCLES for t in (0.0, 0.5)
-    )
-    parts.append("</g>")
-    return parts
-
-
-def _vertices_layer(spec: RenderSpec) -> list[str]:
-    parts = ['<g id="vertices">']
-    for name in CHAIN_VERTICES:
-        x, y = spec.to_xy(*chart(VERTEX_CONFIG[name]))
-        parts.append(f'<circle class="vertex" cx="{_f(x)}" cy="{_f(y)}" r="4.5"/>')
-        parts.append(
-            f'<text class="vertex-label" x="{_f(x + 7)}" y="{_f(y - 6)}">{name}</text>'
-        )
-    parts.append("</g>")
-    return parts
-
-
-def _path_lines(spec: RenderSpec, path: PhysPath, cls: str) -> list[str]:
-    lines = []
-    for seg in path.segments:
-        if seg.a0 == seg.a1 and seg.b0 == seg.b1:
-            continue
-        lines.append(_leg_line(spec, seg, cls))
-    return lines
-
-
-def _traces_layer(spec: RenderSpec, plan: Plan) -> list[str]:
-    parts = ['<g id="traces">']
-    parts.extend(_leg_line(spec, leg, "trace") for leg in plan.trace_in + plan.trace_out)
-    parts.append("</g>")
-    return parts
+def _vertex(spec: RenderSpec, name: str) -> list[str]:
+    x, y = spec.to_xy(*chart(VERTEX_CONFIG[name]))
+    return [
+        f'<circle class="vertex" cx="{_f(x)}" cy="{_f(y)}" r="4.5"/>',
+        f'<text class="vertex-label" x="{_f(x + 7)}" y="{_f(y - 6)}">{name}</text>',
+    ]
 
 
 def _marker_pair(spec: RenderSpec, plan: Plan) -> list[str]:
@@ -196,14 +144,6 @@ def _marker_pair(spec: RenderSpec, plan: Plan) -> list[str]:
     return [triangle, square]
 
 
-def _path_layer(spec: RenderSpec, plan: Plan) -> list[str]:
-    parts = ['<g id="path">']
-    parts.extend(_path_lines(spec, plan.path, "plan-path"))
-    parts.extend(_marker_pair(spec, plan))
-    parts.append("</g>")
-    return parts
-
-
 def render_svg(plan: Plan | None = None, spec: RenderSpec | None = None) -> str:
     """Render the four-square picture, optionally with a plan, as SVG text."""
     if spec is None:
@@ -215,12 +155,13 @@ def render_svg(plan: Plan | None = None, spec: RenderSpec | None = None) -> str:
         f"<style>{_STYLE}</style>",
         f'<rect x="0" y="0" width="{s}" height="{s}" fill="#ffffff"/>',
     ]
-    parts.extend(_squares_layer(spec))
-    parts.extend(_diagonal_layer(spec))
-    parts.extend(_spine_layer(spec))
+    parts += _group("squares", [item for square in _SQUARE_CELL for item in _square(spec, square)])
+    parts += _group("diagonal", _lines(spec, _DIAGONALS, "removed"))
+    parts += _group("spine", _lines(spec, _SPINE, "spine-arc"))
     if plan is not None:
-        parts.extend(_traces_layer(spec, plan))
-        parts.extend(_path_layer(spec, plan))
-    parts.extend(_vertices_layer(spec))
+        parts += _group("traces", _lines(spec, plan.trace_in + plan.trace_out, "trace"))
+        moves = [seg for seg in plan.path.segments if seg.a0 != seg.a1 or seg.b0 != seg.b1]
+        parts += _group("path", _lines(spec, moves, "plan-path") + _marker_pair(spec, plan))
+    parts += _group("vertices", [item for name in CHAIN_VERTICES for item in _vertex(spec, name)])
     parts.append("</svg>")
     return "\n".join(parts)

@@ -47,6 +47,13 @@ CIRCLE_VERTICES = {circle: (v0, v1) for circle, _, _, v0, v1 in NECKLACE}
 # Each circle's (square, line), and the circle on each (square, line).
 _CIRCLE_CHART = {circle: (square, line) for circle, square, line, _, _ in NECKLACE}
 LINE_CIRCLE = {(square, line): circle for circle, square, line, _, _ in NECKLACE}
+# The twelve half arcs, (circle, theta0, from, theta1, to): each circle runs
+# from its first vertex to its second on [0, 1/2] and back on [1/2, 1].
+HALF_ARCS = tuple(
+    half
+    for circle, _, _, v0, v1 in NECKLACE
+    for half in ((circle, 0.0, v0, 0.5, v1), (circle, 0.5, v1, 1.0, v0))
+)
 
 # Canonical storage of each vertex: on its designated circle, the one a
 # positive traversal leaves it along.  CHAIN_VERTICES lists the vertices in
@@ -164,11 +171,12 @@ def chain_to_config(p: ChainPoint) -> Configuration:
 def chart_on_spine(same_circle: bool, a: float, b: float) -> bool:
     """Whether raw chart values a, b in [0, 1] lie within EPS of a spine line,
     without building a configuration: same_circle picks the sub-diagonals
-    |b - a| = 1/2, else the cross lines a = 1/2 and b = 1/2.  The lines agree
-    across the square gluings, so a center robot (0 or 1) is tested as in the
-    mixed square chart() puts it in."""
+    |b - a| = 1/2, where the robots are half a turn apart, else the cross
+    lines a = 1/2 and b = 1/2.  The lines agree across the square gluings, so
+    a center robot (0 or 1) is tested as in the mixed square chart() puts it
+    in."""
     if same_circle and not (reads_as_center(a) or reads_as_center(b)):
-        return abs(abs(b - a) - 0.5) <= EPS
+        return is_half_turn(a, b)
     return abs(a - 0.5) <= EPS or abs(b - 0.5) <= EPS
 
 
@@ -182,11 +190,16 @@ def arc_dist(theta0: float, theta1: float) -> float:
     return min(d, 1.0 - d)
 
 
+def is_half_turn(theta0: float, theta1: float) -> bool:
+    """True when two angles on one circle lie half a turn apart, to EPS."""
+    return abs(arc_dist(theta0, theta1) - 0.5) <= EPS
+
+
 def is_antipodal(x: ChainPoint, y: ChainPoint) -> bool:
     """True when two interior points face each other across one circle."""
     if x.circle != y.circle or x.is_vertex or y.is_vertex:
         return False
-    return abs(arc_dist(x.theta, y.theta) - 0.5) <= EPS
+    return is_half_turn(x.theta, y.theta)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ private ``random.Random(seed)`` and reports a worst-case witness, so a failure
 can be replayed exactly.  The distance oracles share no code with the
 analytic track metric they check: each query splices its two points into the
 track (center plus the points) or into the twelve half arcs of the spine
-(spine.NECKLACE), and runs Dijkstra on that graph of at most eight nodes.
+(spine.HALF_ARCS), and runs Dijkstra on that graph of at most eight nodes.
 The separation oracle reads each segment's robot distance at its ends and
 kinks (kink_min_separation).  No discretisation is involved, so the oracles
 are exact up to rounding; all of them use only the standard library.
@@ -40,7 +40,7 @@ from .retraction import retract
 from .spine import (
     CHAIN_CIRCLES,
     CHAIN_VERTICES,
-    NECKLACE,
+    HALF_ARCS,
     ChainPoint,
     chain_point,
     chain_to_config,
@@ -376,16 +376,6 @@ def gamma_oracle(pairs: list[tuple[CirclePoint, CirclePoint]]) -> list[float]:
     return out
 
 
-# The twelve half arcs of the spine, (circle, theta0, from, theta1, to): each
-# NECKLACE circle runs from its first vertex to its second on [0, 1/2] and
-# back on [1/2, 1].
-_HALF_ARCS = [
-    half
-    for circle, _, _, v0, v1 in NECKLACE
-    for half in ((circle, 0.0, v0, 0.5, v1), (circle, 0.5, v1, 1.0, v0))
-]
-
-
 def chain_oracle(pairs: list[tuple[ChainPoint, ChainPoint]]) -> list[float]:
     """Spine distances by Dijkstra on the twelve half arcs, each cut at any
     query point strictly inside it."""
@@ -393,7 +383,7 @@ def chain_oracle(pairs: list[tuple[ChainPoint, ChainPoint]]) -> list[float]:
     for p, q in pairs:
         ends = (("p", p), ("q", q))
         edges = []
-        for circle, theta0, u, theta1, v in _HALF_ARCS:
+        for circle, theta0, u, theta1, v in HALF_ARCS:
             inner = sorted(
                 (x.theta, name) for name, x in ends if x.circle == circle and theta0 < x.theta < theta1
             )

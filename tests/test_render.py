@@ -43,11 +43,23 @@ def test_spine_only_render_counts():
     assert '<g id="traces">' not in svg
 
 
-def test_spine_only_render_is_frozen():
+# sha256 of render_svg() per canvas size: the default, the smallest legal
+# canvas (size - 2 * 40 - 56 = 40 px for the two squares), a size whose
+# coordinates do not round evenly, and a large one.
+SPINE_RENDERS = {
+    720.0: "ad282500df05a18e96212257bc8c228961a22a479144ff2ceafdc4ca134884b0",
+    176.0: "060beee7e82d0930d028404a882242a125ed2799388ab9a379fb5b32a787f0cf",
+    333.3: "2d9a9b75604f8ae88c9eb666cda34cf53921351fad224e1841f0e225a8bbfd71",
+    1500.0: "922541be6022bd3b38da4e65b3c1abe09f99ebdaa17364220a7b1417bbb5cb85",
+}
+
+
+@pytest.mark.parametrize("size", SPINE_RENDERS)
+def test_spine_only_render_is_frozen(size):
     # The spine layer draws the twelve half arcs, one arc_leg each; the
     # digest pins the picture byte for byte.
-    digest = hashlib.sha256(render_svg().encode()).hexdigest()
-    assert digest == "ad282500df05a18e96212257bc8c228961a22a479144ff2ceafdc4ca134884b0"
+    digest = hashlib.sha256(render_svg(spec=RenderSpec(size)).encode()).hexdigest()
+    assert digest == SPINE_RENDERS[size]
 
 
 # sha256 of render_svg(plan(start, goal)): the README pair (also the
@@ -132,6 +144,7 @@ def test_empty_plan_renders_marker_pair_only():
     assert svg.count('<rect class="end-marker"') == 1
 
 
-def test_canvas_too_small_rejected():
+@pytest.mark.parametrize("size", [100.0, 175.99])
+def test_canvas_too_small_rejected(size):
     with pytest.raises(ValueError):
-        RenderSpec(size=100.0)
+        RenderSpec(size=size)
