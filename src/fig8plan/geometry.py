@@ -19,10 +19,10 @@ Trajectories are piecewise linear: between consecutive waypoints each robot
 stays on one circle and its arc coordinate is affine in time.  Chart values
 lie in [0, 1], so the center (0 or 1) can only be a segment's end; builders
 split segments only at the pole, where a robot crosses 1/2, and every
-segment lives in a single square chart.  A trajectory stores only its
-segments, and is assembled and certified on their chart values: its ends
-are measured against configurations with chart_config_dist, so neither
-builds a configuration.
+segment lives in a single square chart.  PathSegment and PhysPath are plain
+records: certify_path is the one check of a trajectory's form, and
+path_min_separation > 0 its one collision rule.  Both read chart values
+only, so certifying a path builds no configuration.
 
 Two constants bound the admissible inputs (README, "Admissible inputs"):
 EPS is the spine snap (spine.chain_point) and the endpoint and junction
@@ -176,87 +176,20 @@ def parse_position(text: str) -> CirclePoint:
 # ---------------------------------------------------------------------------
 
 class PathSegment(namedtuple("PathSegment", "t0 t1 circle1 a0 a1 circle2 b0 b1")):
-    """One affine leg of a trajectory.
+    """One affine leg of a trajectory, a plain record (certify_path checks it).
 
     Chart values lie in [0, 1]; a value of 1 is the center seen from
-    the far side of a circle, so a single segment never wraps.  The open
-    interior of a leg must avoid the center and the pole: crossings force a
-    waypoint split.  In [0, 1] only the pole can lie strictly inside.
+    the far side of a circle, so a single segment never wraps.
     """
 
     __slots__ = ()
-
-    def __new__(cls, t0, t1, circle1, a0, a1, circle2, b0, b1):
-        if not t1 > t0:
-            raise ContractError("segment times must strictly increase")
-        if circle1 not in CIRCLES:
-            raise DomainError(f"unknown circle {circle1!r}")
-        if not 0.0 <= a0 <= 1.0:
-            raise DomainError(f"chart value {a0!r} outside [0, 1]")
-        if not 0.0 <= a1 <= 1.0:
-            raise DomainError(f"chart value {a1!r} outside [0, 1]")
-        if a0 < 0.5 < a1 or a1 < 0.5 < a0:
-            raise ContractError("segment interior crosses arc value 0.5; split required")
-        if circle2 not in CIRCLES:
-            raise DomainError(f"unknown circle {circle2!r}")
-        if not 0.0 <= b0 <= 1.0:
-            raise DomainError(f"chart value {b0!r} outside [0, 1]")
-        if not 0.0 <= b1 <= 1.0:
-            raise DomainError(f"chart value {b1!r} outside [0, 1]")
-        if b0 < 0.5 < b1 or b1 < 0.5 < b0:
-            raise ContractError("segment interior crosses arc value 0.5; split required")
-        # Cross-circle collisions need both robots at the center, which the
-        # no-interior-crossing rule confines to segment endpoints; endpoint
-        # configurations are validated separately.  On one circle the robots
-        # meet where d = a - b passes -1, 0 or 1; chart values lie in [0, 1],
-        # so the linear d reaches -1 or 1 only at an end, and an interior
-        # meeting needs d to change sign strictly.
-        if circle1 == circle2:
-            d0 = a0 - b0
-            d1 = a1 - b1
-            if d0 < 0.0 < d1 or d1 < 0.0 < d0:
-                u = -d0 / (d1 - d0)
-                if SNAP_EPS < u < 1.0 - SNAP_EPS:
-                    raise CollisionError("trajectory segment passes through a collision")
-        return tuple.__new__(cls, (t0, t1, circle1, a0, a1, circle2, b0, b1))
 
 
 class PhysPath(namedtuple("PhysPath", "segments")):
-    """A validated piecewise-linear trajectory over t in [0, 1].
-
-    Only the segments are stored; configuration(*path.chart_at(t)) reads
-    the configuration at time t.  __new__ checks the waypoints, at t = 0
-    and at each segment's end time, on their chart values, so each reads as
-    a valid configuration.
-    """
+    """A piecewise-linear trajectory over t in [0, 1], a plain record of its
+    segments (certify_path checks it)."""
 
     __slots__ = ()
-
-    def __new__(cls, segments):
-        if not segments:
-            raise DomainError("a trajectory needs at least one segment")
-        first = segments[0]
-        if first.t0 != 0.0 or segments[-1].t1 != 1.0:
-            raise ContractError("trajectory must span t in [0, 1]")
-        # the previous segment's end: time, then circle and chart value per robot
-        _, pt, pc1, _, pa, pc2, _, pb = first
-        for t, t1, c1, a, a1, c2, b, b1 in segments[1:]:
-            if t != pt:
-                raise ContractError("trajectory segments must be contiguous in t")
-            # a junction at one chart point is validated as prev's end below; at
-            # any other, the start side is checked on chart values (config_dist's metric)
-            if a != pa or b != pb or c1 != pc1 or c2 != pc2:
-                if _coincide(c1, a, c2, b):
-                    raise CollisionError(f"robots coincide at t={t}")
-                if max(_chart_dist(c1 == pc1, a, pa), _chart_dist(c2 == pc2, b, pb)) > EPS:
-                    raise ContractError("trajectory waypoints disagree across a junction")
-            pt, pc1, pa, pc2, pb = t1, c1, a1, c2, b1
-        if _coincide(first.circle1, first.a0, first.circle2, first.b0):
-            raise CollisionError("robots coincide at t=0.0")
-        for _, t1, c1, _, a1, c2, _, b1 in segments:
-            if _coincide(c1, a1, c2, b1):
-                raise CollisionError(f"robots coincide at t={t1}")
-        return tuple.__new__(cls, (segments,))
 
     def chart_at(self, t: float) -> tuple[str, float, str, float]:
         """Circle and chart value of each robot, (circle1, a, circle2, b), at
@@ -268,10 +201,41 @@ class PhysPath(namedtuple("PhysPath", "segments")):
         return seg.circle1, a, seg.circle2, b
 
 
-def _coincide(c1: str, a: float, c2: str, b: float) -> bool:
-    """Whether two robots at chart values a, b on circles c1, c2 are at one
-    place: one circle and one value, or both reading as the center."""
-    return (c1 == c2 and a == b) or (reads_as_center(a) and reads_as_center(b))
+def certify_path(path: PhysPath) -> None:
+    """Check a trajectory's form, segment by segment; raises ContractError
+    naming the first defect.
+
+    Times start at 0, run contiguously and strictly increase to 1.  Circles
+    are known, chart values lie in [0, 1], and no coordinate crosses the
+    pole inside a segment.  Consecutive segments meet within EPS
+    (config_dist's metric), and no waypoint has both robots reading as the
+    center, the only place robots on two circles meet.  A meeting on one
+    circle is path_min_separation's to find: a certified path is
+    collision-free exactly when its separation is positive.
+    """
+    t, end = 0.0, None  # the previous segment's end time and (circle1, a1, circle2, b1)
+    for t0, t1, c1, a0, a1, c2, b0, b1 in path.segments:
+        if not t1 > t0:
+            raise ContractError(f"segment times must strictly increase, not run {t0} -> {t1}")
+        if t0 != t:
+            raise ContractError(f"trajectory times must run contiguously from 0: t={t0} follows t={t}")
+        for c, v0, v1 in ((c1, a0, a1), (c2, b0, b1)):
+            if c not in CIRCLES:
+                raise ContractError(f"unknown circle {c!r}")
+            if not (0.0 <= v0 <= 1.0 and 0.0 <= v1 <= 1.0):
+                raise ContractError(f"chart values {v0!r} -> {v1!r} outside [0, 1]")
+            if v0 < 0.5 < v1 or v1 < 0.5 < v0:
+                raise ContractError("segment interior crosses arc value 0.5; split required")
+        if end and end != (c1, a0, c2, b0):
+            e1, ea, e2, eb = end
+            if max(_chart_dist(c1 == e1, a0, ea), _chart_dist(c2 == e2, b0, eb)) > EPS:
+                raise ContractError(f"trajectory waypoints disagree across a junction at t={t0}")
+        for w, a, b in ((t0, a0, b0), (t1, a1, b1)):
+            if reads_as_center(a) and reads_as_center(b):
+                raise ContractError(f"robots coincide at the center at t={w}")
+        t, end = t1, (c1, a1, c2, b1)
+    if t != 1.0:
+        raise ContractError(f"trajectory times must run to 1, not stop at t={t}")
 
 
 class ChartLeg(namedtuple("ChartLeg", "circle1 a0 a1 circle2 b0 b1")):
@@ -344,13 +308,8 @@ def _cut_at_pole(pieces: list, sweeps: list, c1, a0, a1, c2, b0, b1) -> None:
 
 def constant_path(c: Configuration) -> PhysPath:
     """The trajectory that parks both robots at a configuration."""
-    return PhysPath(
-        (
-            PathSegment(
-                0.0, 1.0, c.p1.circle, c.p1.s, c.p1.s, c.p2.circle, c.p2.s, c.p2.s
-            ),
-        )
-    )
+    (c1, s1), (c2, s2) = c
+    return PhysPath((PathSegment(0.0, 1.0, c1, s1, s1, c2, s2, s2),))
 
 
 def path_min_separation(path: PhysPath) -> float:

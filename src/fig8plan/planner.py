@@ -39,6 +39,7 @@ from .geometry import (
     SNAP_EPS,
     ChartLeg,
     Configuration,
+    certify_path,
     chart_config_dist,
     circle_point,
     configuration,
@@ -165,7 +166,8 @@ class Plan(
 
 
 def plan(start: Configuration, goal: Configuration) -> Plan:
-    """Plan a collision-free trajectory from start to goal."""
+    """Plan a collision-free trajectory from start to goal; validate_plan
+    certifies it."""
     r_in = retract(start)
     r_out = retract(goal)
     domain, moves = plan_steps(r_in.point, r_out.point)
@@ -234,26 +236,28 @@ def plan_to_json(p: Plan) -> dict:
 def validate_plan(p: Plan) -> tuple[float, float]:
     """Check a plan's contract; raises ContractError with a witness on failure.
 
-    Endpoints must match to EPS, measured on the chart values of the path's
-    first and last waypoints (chart_config_dist); separation and spine
-    membership are certified exactly from the segments.  Each spine segment
-    (one whose midpoint time lies in spine_interval) is straight in its
-    square, and a square holds at most two straight spine lines, so a
-    segment whose start, midpoint and end are on the spine lies on one of
-    those lines throughout.  The three points are tested on the segment's
-    own chart values (chart_on_spine).  A passing plan builds no
+    The path must pass certify_path and have a positive separation, both
+    certified exactly from the segments, so its ends read as
+    configurations.  Endpoints must match to EPS, measured on the chart
+    values of the path's first and last waypoints (chart_config_dist).
+    Each spine segment (one whose midpoint time lies in spine_interval) is
+    straight in its square, and a square holds at most two straight spine
+    lines, so a segment whose start, midpoint and end are on the spine lies
+    on one of those lines throughout.  The three points are tested on the
+    segment's own chart values (chart_on_spine).  A passing plan builds no
     configuration.
     Returns the certified (endpoint error, minimum separation).
     """
+    certify_path(p.path)
+    sep = path_min_separation(p.path)
+    if sep <= 0.0:
+        raise ContractError(f"plan separation dropped to {sep}")
     _, _, c1, a0, _, c2, b0, _ = p.path.segments[0]
     _, _, d1, _, a1, d2, _, b1 = p.path.segments[-1]
     err = max(chart_config_dist(c1, a0, c2, b0, p.start), chart_config_dist(d1, a1, d2, b1, p.goal))
     if err > EPS:
         ends = configuration(c1, a0, c2, b0), configuration(d1, a1, d2, b1)
         raise ContractError(f"endpoint err {err:.3e}: the path runs {ends[0]} -> {ends[1]}")
-    sep = path_min_separation(p.path)
-    if sep <= 0.0:
-        raise ContractError(f"plan separation dropped to {sep}")
     t0, t1 = p.spine_interval
     if t1 > t0:
         for s0, s1, c1, a0, a1, c2, b0, b1 in p.path.segments:

@@ -27,6 +27,7 @@ from .geometry import (
     CirclePoint,
     Configuration,
     PhysPath,
+    certify_path,
     chart_config_dist,
     circle_point,
     config_dist,
@@ -238,8 +239,9 @@ def continuity_probe(domain: InstructionDomain, seed: int, samples: int = 16) ->
     of 10*delta from the domain boundary, and for U2 the perturbation moves
     along the antipodal stratum (both points slide together) or holds the
     vertex fixed.  Each path is the one plan() returns for the two spine
-    points.  U3 is refused: its domain is the 36 isolated vertex pairs, on
-    which every rule is continuous, so there is nothing to perturb.
+    points, certified on its own (_certified).  U3 is refused: its domain
+    is the 36 isolated vertex pairs, on which every rule is continuous, so
+    there is nothing to perturb.
     """
     worst = dict.fromkeys(_LADDER, 0.0)
     for delta, p, q in _probe_path_pairs(domain, seed, samples):
@@ -265,13 +267,22 @@ def _probe_path_pairs(domain: InstructionDomain, seed: int, samples: int):
             else:
                 x, y, slide = _sample_u2_pair(rng, margin)
                 perturbed = _u2_perturbations(x, y, slide, delta)
-            base = plan(chain_to_config(x), chain_to_config(y)).path
+            base = _certified(plan(chain_to_config(x), chain_to_config(y)).path)
             for x2, y2 in perturbed:
                 if classify_domain(x2, y2) is not domain:
                     raise DomainError(
                         f"perturbation left {domain}: {_format_chain(x2)}, {_format_chain(y2)}"
                     )
-                yield delta, base, plan(chain_to_config(x2), chain_to_config(y2)).path
+                yield delta, base, _certified(plan(chain_to_config(x2), chain_to_config(y2)).path)
+
+
+def _certified(path: PhysPath) -> PhysPath:
+    """A path checked on its own: certify_path, then an exact separation > 0; raises ContractError."""
+    certify_path(path)
+    sep = path_min_separation(path)
+    if sep <= 0.0:
+        raise ContractError(f"path separation dropped to {sep}")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +522,10 @@ def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
         worst_trace = max(worst_trace, end_err)
         if end_err > EPS:
             return False, f"sample {i}: trace endpoint error {end_err:.3e}"
+        try:
+            certify_path(trace)
+        except ContractError as exc:
+            return False, f"sample {i}: trace of {_format_config(c)} {exc}"
         sep = path_min_separation(trace)
         gap = abs(kink_min_separation(trace) - sep)
         worst_gap = max(worst_gap, gap)
@@ -589,11 +604,12 @@ def _suite_termination(rng: Random, n: int) -> tuple[bool, str]:
         hops, length = p.hop_count, p.chain_length
         max_hops = max(max_hops, hops)
         max_len = max(max_len, length)
-        if hops > MAX_HOPS or length > MAX_CHAIN_LENGTH:
-            return False, (
-                f"pair {i}: {_format_chain(x)} -> {_format_chain(y)}"
-                f" hops {hops} length {length:.3f}"
-            )
+        try:
+            _certified(p.path)
+            if hops > MAX_HOPS or length > MAX_CHAIN_LENGTH:
+                raise ContractError(f"hops {hops} length {length:.3f}")
+        except ContractError as exc:
+            return False, f"pair {i}: {_format_chain(x)} -> {_format_chain(y)} {exc}"
     return True, _bounds_witness(max_hops, max_len)
 
 

@@ -1,11 +1,12 @@
 """Checks that run on raw chart floats, against the configuration-built oracles.
 
-Path assembly, junction checks and plan certification read a segment's chart
-values directly instead of building and charting a Configuration for every
-point.  Each test here draws seeded chart values, with a heavy share of the
-places where the two can part (raw 0 and 1 at the center, values within
-SNAP_EPS of it, points within EPS of a spine line, legs ending exactly on 0,
-1/2 or 1), and compares with the computation the chart-value form replaced.
+Path assembly, certify_path's junction check and plan certification read a
+segment's chart values directly instead of building and charting a
+Configuration for every point.  Each test here draws seeded chart values,
+with a heavy share of the places where the two can part (raw 0 and 1 at the
+center, values within SNAP_EPS of it, points within EPS of a spine line, legs
+ending exactly on 0, 1/2 or 1), and compares with the computation the
+chart-value form replaced.
 """
 
 from random import Random
@@ -19,12 +20,15 @@ from fig8plan.geometry import (
     ChartLeg,
     PathSegment,
     PhysPath,
+    certify_path,
     chart,
     config_dist,
     configuration,
     path_from_legs,
+    reads_as_center,
 )
 from fig8plan.spine import chart_on_spine
+from fig8plan.verify import _certified
 
 from spine_reference import on_spine
 
@@ -116,13 +120,13 @@ def test_junction_check_matches_config_dist():
         if abs(gap - EPS) <= 4 * SNAP_EPS:
             continue  # the snap to the center moves a distance by up to SNAP_EPS
         first = PathSegment(0.0, 0.5, c1, a, a, c2, b, b)
-        second = PathSegment(0.5, 1.0, d1, x, x, d2, y, y)
+        path = PhysPath((first, PathSegment(0.5, 1.0, d1, x, x, d2, y, y)))
         if gap > EPS:
             with pytest.raises(ContractError, match="disagree across a junction"):
-                PhysPath((first, second))
+                certify_path(path)
             rejected += 1
         else:
-            path = PhysPath((first, second))
+            certify_path(path)
             assert configuration(*path.chart_at(0.25)) == end
         checked += 1
     assert checked > 15_000 and 1000 < rejected < checked - 1000
@@ -139,14 +143,18 @@ def test_junction_check_matches_config_dist():
 )
 def test_junction_start_side_keeps_its_collision_check(end, start, goal):
     # The start side of the junction is within EPS of a valid end side, so
-    # only its own collision check can refuse it; the oracle refuses it too.
+    # only a check of the start side itself can refuse it: certify_path's
+    # center check for two robots at the center, else the exact separation.
+    # The oracle refuses it too.
     with pytest.raises(CollisionError):
         configuration(*start)
     (c1, a, c2, b), (d1, x, d2, y), (_, x1, _, y1) = end, start, goal
     first = PathSegment(0.0, 0.5, c1, a, a, c2, b, b)
     second = PathSegment(0.5, 1.0, d1, x, x1, d2, y, y1)
-    with pytest.raises(CollisionError, match="robots coincide"):
-        PhysPath((first, second))
+    at_center = reads_as_center(x) and reads_as_center(y)
+    message = "robots coincide at the center at t=0.5" if at_center else "separation dropped to 0.0"
+    with pytest.raises(ContractError, match=message):
+        _certified(PhysPath((first, second)))
 
 
 # The cut of path assembly before it was reduced to the pole: every critical

@@ -1,10 +1,14 @@
-"""The constructor checks at their edges: the error type, or the value built.
+"""The value checks at their edges: the error raised, or the value built.
 
-configuration, PathSegment and PhysPath make their checks one at a time
-with no per-call loop, and PathSegment skips the collision solve when a - b
-cannot reach -1, 0 or 1, so each table below probes both sides of every
-boundary those checks draw.  A row names the exception its input must raise,
-or None (or the chart) when the input is valid.
+configuration checks its positions as it builds them.  PathSegment and
+PhysPath are plain records: certify_path checks a path's form segment by
+segment, and the exact separation (path_min_separation > 0) is its one
+collision rule, so each table below probes both sides of every boundary
+those checks draw.  A configuration row names the exception its input must
+raise, or None (or the chart) when the input is valid.  A path row names the
+kind of defect it probes in the package's error vocabulary (CollisionError,
+DomainError or ContractError; None for a valid path) and the message of the
+check that must refuse it: every path defect is a ContractError.
 """
 
 import math
@@ -23,6 +27,7 @@ from fig8plan.geometry import (
     configuration,
 )
 from fig8plan.spine import chain_point, vertex_point
+from fig8plan.verify import _certified
 
 LO, HI = SNAP_EPS, 1.0 - SNAP_EPS
 BELOW_LO, ABOVE_LO = math.nextafter(LO, 0.0), math.nextafter(LO, 1.0)
@@ -111,51 +116,71 @@ def _meeting_at(u: float) -> tuple:
     return (0.0, 1.0, "A", 0.3 - u * length, 0.3 + (1.0 - u) * length, "A", 0.3, 0.3)
 
 
+def _ids(rows: list) -> list[str]:
+    """pytest's own ids for a table's first two columns, the input (its name,
+    or args and its index) and the kind, whatever the message column holds;
+    pytest numbers the ids that repeat."""
+    return [
+        f"{getattr(x, '__name__', f'args{i}')}-{getattr(kind, '__name__', kind)}"
+        for i, (x, kind, _) in enumerate(rows)
+    ]
+
+
+STRICT = "times must strictly increase"
+SPLIT = "split required"
+OUTSIDE = r"outside \[0, 1\]"
+CIRCLE = "unknown circle"
+MEET = "path separation dropped to 0.0"
+
 SEGMENT_EDGES = [
-    ((0.0, 1.0, "A", 0.2, 0.4, "B", 0.1, 0.2), None),
+    ((0.0, 1.0, "A", 0.2, 0.4, "B", 0.1, 0.2), None, None),
     # times
-    ((0.5, 0.5, "A", 0.2, 0.4, "B", 0.1, 0.2), ContractError),
-    ((0.6, 0.5, "A", 0.2, 0.4, "B", 0.1, 0.2), ContractError),
-    ((NAN, 1.0, "A", 0.2, 0.4, "B", 0.1, 0.2), ContractError),
+    ((0.5, 0.5, "A", 0.2, 0.4, "B", 0.1, 0.2), ContractError, STRICT),
+    ((0.6, 0.5, "A", 0.2, 0.4, "B", 0.1, 0.2), ContractError, STRICT),
+    ((NAN, 1.0, "A", 0.2, 0.4, "B", 0.1, 0.2), ContractError, STRICT),
     # circles and chart values in [0, 1], 1 being the center seen from the far side
-    ((0.0, 1.0, "C", 0.2, 0.4, "B", 0.1, 0.2), DomainError),
-    ((0.0, 1.0, "A", 0.2, 0.4, "C", 0.1, 0.2), DomainError),
-    ((0.0, 1.0, "A", 0.0, 0.4, "B", 0.6, 1.0), None),
-    ((0.0, 1.0, "A", math.nextafter(0.0, -1.0), 0.4, "B", 0.1, 0.2), DomainError),
-    ((0.0, 1.0, "A", 0.6, math.nextafter(1.0, 2.0), "B", 0.1, 0.2), DomainError),
-    ((0.0, 1.0, "A", 0.2, 0.4, "B", 0.1, NAN), DomainError),
+    ((0.0, 1.0, "C", 0.2, 0.4, "B", 0.1, 0.2), DomainError, CIRCLE),
+    ((0.0, 1.0, "A", 0.2, 0.4, "C", 0.1, 0.2), DomainError, CIRCLE),
+    ((0.0, 1.0, "A", 0.0, 0.4, "B", 0.6, 1.0), None, None),
+    ((0.0, 1.0, "A", math.nextafter(0.0, -1.0), 0.4, "B", 0.1, 0.2), DomainError, OUTSIDE),
+    ((0.0, 1.0, "A", 0.6, math.nextafter(1.0, 2.0), "B", 0.1, 0.2), DomainError, OUTSIDE),
+    ((0.0, 1.0, "A", 0.2, 0.4, "B", 0.1, NAN), DomainError, OUTSIDE),
     # a leg that crosses the pole must be cut; one that ends on it need not be
-    ((0.0, 1.0, "A", 0.4, 0.6, "B", 0.1, 0.2), ContractError),
-    ((0.0, 1.0, "A", 0.1, 0.2, "B", 0.6, 0.4), ContractError),
-    ((0.0, 1.0, "A", math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), "B", 0.1, 0.2), ContractError),
-    ((0.0, 1.0, "A", 0.4, 0.5, "B", 0.5, 0.7), None),
-    # the first failed check names the error: the time check comes first
-    ((0.5, 0.5, "C", 0.4, 0.6, "B", 0.1, 0.2), ContractError),
-    ((0.0, 1.0, "C", 0.4, 0.6, "B", 0.1, 0.2), DomainError),
-    ((0.0, 1.0, "A", 0.4, 0.6, "C", 0.1, 0.2), ContractError),
-    # a collision strictly inside (SNAP_EPS, 1 - SNAP_EPS) of the segment's time
-    (_meeting_at(0.5), CollisionError),
-    (_meeting_at(1.5e-12), CollisionError),
-    (_meeting_at(0.5e-12), None),
-    (_meeting_at(1.0 - 1.5e-12), CollisionError),
-    (_meeting_at(1.0 - 0.5e-12), None),
+    ((0.0, 1.0, "A", 0.4, 0.6, "B", 0.1, 0.2), ContractError, SPLIT),
+    ((0.0, 1.0, "A", 0.1, 0.2, "B", 0.6, 0.4), ContractError, SPLIT),
+    ((0.0, 1.0, "A", math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), "B", 0.1, 0.2),
+     ContractError, SPLIT),
+    ((0.0, 1.0, "A", 0.4, 0.5, "B", 0.5, 0.7), None, None),
+    # the first failed check names the defect: times, then robot 1's circle,
+    # values and pole, then robot 2's
+    ((0.5, 0.5, "C", 0.4, 0.6, "B", 0.1, 0.2), ContractError, STRICT),
+    ((0.0, 1.0, "C", 0.4, 0.6, "B", 0.1, 0.2), DomainError, CIRCLE),
+    ((0.0, 1.0, "A", 0.4, 0.6, "C", 0.1, 0.2), ContractError, SPLIT),
+    # a collision anywhere in the segment's time, however close to an end
+    (_meeting_at(0.5), CollisionError, MEET),
+    (_meeting_at(1.5e-12), CollisionError, MEET),
+    (_meeting_at(0.5e-12), CollisionError, MEET),
+    (_meeting_at(1.0 - 1.5e-12), CollisionError, MEET),
+    (_meeting_at(1.0 - 0.5e-12), CollisionError, MEET),
     # robots meeting only at an end, or never
-    ((0.0, 1.0, "A", 0.2, 0.3, "A", 0.4, 0.3), None),
-    ((0.0, 1.0, "A", 0.9, 1.0, "A", 0.1, 0.0), None),
-    ((0.0, 1.0, "B", 0.1, 0.2, "B", 0.9, 0.8), None),
-    ((0.0, 1.0, "A", 0.2, 0.4, "A", 0.2, 0.4), None),
+    ((0.0, 1.0, "A", 0.2, 0.3, "A", 0.4, 0.3), CollisionError, MEET),
+    ((0.0, 1.0, "A", 0.9, 1.0, "A", 0.1, 0.0), CollisionError, "robots coincide at the center at t=1.0"),
+    ((0.0, 1.0, "B", 0.1, 0.2, "B", 0.9, 0.8), None, None),
+    ((0.0, 1.0, "A", 0.2, 0.4, "A", 0.2, 0.4), CollisionError, MEET),
     # the two robots crossing at the antipode is no collision
-    ((0.0, 1.0, "A", 0.1, 0.2, "A", 0.6, 0.7), None),
+    ((0.0, 1.0, "A", 0.1, 0.2, "A", 0.6, 0.7), None, None),
 ]
 
 
-@pytest.mark.parametrize("args, error", SEGMENT_EDGES)
-def test_path_segment_edges(args, error):
-    if error is None:
-        assert tuple(PathSegment(*args)) == args
+@pytest.mark.parametrize("args, kind, message", SEGMENT_EDGES, ids=_ids(SEGMENT_EDGES))
+def test_path_segment_edges(args, kind, message):
+    path = PhysPath((PathSegment(*args),))
+    if kind is None:
+        assert _certified(path) is path
+        assert tuple(path.segments[0]) == args
     else:
-        with pytest.raises(error):
-            PathSegment(*args)
+        with pytest.raises(ContractError, match=message):
+            _certified(path)
 
 
 def _junction(a_start: float, t_join: float = 0.5) -> tuple:
@@ -167,47 +192,51 @@ def _junction(a_start: float, t_join: float = 0.5) -> tuple:
     )
 
 
+JUMP = "disagree across a junction"
+CONTIGUOUS = "times must run contiguously from 0"
+TO_ONE = "times must run to 1"
+
 PHYSPATH_EDGES = [
-    (lambda: _junction(0.3), None),
+    (lambda: _junction(0.3), None, None),
     # a junction jump just within, and just over, EPS
-    (lambda: _junction(0.3 + 0.99 * EPS), None),
-    (lambda: _junction(0.3 + 1.01 * EPS), ContractError),
-    (lambda: _junction(0.3 - 1.01 * EPS), ContractError),
+    (lambda: _junction(0.3 + 0.99 * EPS), None, None),
+    (lambda: _junction(0.3 + 1.01 * EPS), ContractError, JUMP),
+    (lambda: _junction(0.3 - 1.01 * EPS), ContractError, JUMP),
     # the center read as 0 on one side and as 1 on the other is no jump
     (lambda: (PathSegment(0.0, 0.5, "A", 0.3, 0.0, "B", 0.2, 0.1),
-              PathSegment(0.5, 1.0, "B", 1.0, 0.9, "B", 0.1, 0.3)), None),
+              PathSegment(0.5, 1.0, "B", 1.0, 0.9, "B", 0.1, 0.3)), None, None),
     # the other circle at the same arc value is a jump of twice the distance
     (lambda: (PathSegment(0.0, 0.5, "A", 0.3, 0.2, "B", 0.2, 0.1),
-              PathSegment(0.5, 1.0, "B", 0.2, 0.3, "B", 0.1, 0.3)), ContractError),
+              PathSegment(0.5, 1.0, "B", 0.2, 0.3, "B", 0.1, 0.3)), ContractError, JUMP),
     # times that do not join or do not span [0, 1]
-    (lambda: _junction(0.3, t_join=math.nextafter(0.5, 1.0)), ContractError),
-    (lambda: (PathSegment(0.0, 0.5, "A", 0.3, 0.2, "B", 0.2, 0.1),), ContractError),
-    (lambda: (PathSegment(0.25, 1.0, "A", 0.3, 0.2, "B", 0.2, 0.1),), ContractError),
-    (lambda: (), DomainError),
+    (lambda: _junction(0.3, t_join=math.nextafter(0.5, 1.0)), ContractError, CONTIGUOUS),
+    (lambda: (PathSegment(0.0, 0.5, "A", 0.3, 0.2, "B", 0.2, 0.1),), ContractError, TO_ONE),
+    (lambda: (PathSegment(0.25, 1.0, "A", 0.3, 0.2, "B", 0.2, 0.1),), ContractError, CONTIGUOUS),
+    (lambda: (), DomainError, TO_ONE),
     # a junction at two chart points: its start side must be no collision
     (lambda: (PathSegment(0.0, 0.5, "A", 0.3, 0.2, "A", 0.1, 0.1),
-              PathSegment(0.5, 1.0, "A", 0.2 + 0.5 * EPS, 0.3, "A", 0.1, 0.05)), None),
+              PathSegment(0.5, 1.0, "A", 0.2 + 0.5 * EPS, 0.3, "A", 0.1, 0.05)), None, None),
     (lambda: (PathSegment(0.0, 0.5, "A", 0.3, 0.2, "A", 0.1, 0.2 - 0.5 * EPS),
-              PathSegment(0.5, 1.0, "A", 0.2, 0.3, "A", 0.2, 0.1)), CollisionError),
+              PathSegment(0.5, 1.0, "A", 0.2, 0.3, "A", 0.2, 0.1)), CollisionError, MEET),
     # an end that is a collision, alone and behind a failed junction check
-    (lambda: (PathSegment(0.0, 1.0, "A", 0.2, 0.3, "A", 0.4, 0.3),), CollisionError),
+    (lambda: (PathSegment(0.0, 1.0, "A", 0.2, 0.3, "A", 0.4, 0.3),), CollisionError, MEET),
     (lambda: (PathSegment(0.0, 0.5, "A", 0.2, 0.3, "A", 0.4, 0.3),
-              PathSegment(0.5, 1.0, "A", 0.4, 0.45, "A", 0.3, 0.35)), ContractError),
+              PathSegment(0.5, 1.0, "A", 0.4, 0.45, "A", 0.3, 0.35)), ContractError, JUMP),
 ]
 
 
-@pytest.mark.parametrize("build, error", PHYSPATH_EDGES)
-def test_phys_path_edges(build, error):
+@pytest.mark.parametrize("build, kind, message", PHYSPATH_EDGES, ids=_ids(PHYSPATH_EDGES))
+def test_phys_path_edges(build, kind, message):
     segments = build()
-    if error is None:
-        path = PhysPath(segments)
-        assert path.segments == segments
+    path = PhysPath(segments)
+    if kind is None:
+        assert _certified(path).segments == segments
         # every segment end reads as a valid configuration
         ends = [configuration(s.circle1, s.a1, s.circle2, s.b1) for s in segments]
         assert configuration(*path.chart_at(1.0)) == ends[-1]
     else:
-        with pytest.raises(error):
-            PhysPath(segments)
+        with pytest.raises(ContractError, match=message):
+            _certified(path)
 
 
 def test_vertex_and_center_points_stay_shared_objects():

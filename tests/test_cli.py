@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from fig8plan import cli
 from fig8plan.cli import main
+from fig8plan.geometry import constant_path
 
 
 def run(capsys, *argv):
@@ -91,6 +93,22 @@ def test_exit_code_collision(capsys):
     )
     assert code == 3
     assert "error" in err
+
+
+def test_exit_code_broken_plan(monkeypatch, capsys):
+    # plan() returns an uncertified plan; the CLI certifies it before it
+    # writes anything, so a path that misses its goal is exit 1
+    real = cli.plan
+    monkeypatch.setattr(
+        cli, "plan", lambda start, goal: real(start, goal)._replace(path=constant_path(start))
+    )
+    code, out, err = run(
+        capsys, "plan", "--from-r1", "A:0.3", "--from-r2", "B:0.7",
+        "--to-r1", "B:0.25", "--to-r2", "A:0.6",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal contract violation: endpoint err")
 
 
 def test_exit_code_parse(capsys):

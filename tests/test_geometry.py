@@ -12,6 +12,7 @@ from fig8plan.geometry import (
     Configuration,
     PathSegment,
     PhysPath,
+    certify_path,
     chart,
     circle_point,
     config_dist,
@@ -25,7 +26,7 @@ from fig8plan.geometry import (
 )
 from fig8plan.planner import InstructionDomain, plan
 from fig8plan.spine import CHAIN_VERTICES, VERTEX_CONFIG
-from fig8plan.verify import _probe_path_pairs, kink_min_separation
+from fig8plan.verify import _certified, _probe_path_pairs, kink_min_separation
 
 circles = st.sampled_from(("A", "B"))
 arcs = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -133,15 +134,18 @@ def test_parse_position():
 
 
 def test_segment_rejects_interior_critical_crossing():
-    with pytest.raises(ContractError):
-        PathSegment(0.0, 1.0, "A", 0.2, 0.8, "B", 0.3, 0.3)
+    with pytest.raises(ContractError, match="split required"):
+        certify_path(PhysPath((PathSegment(0.0, 1.0, "A", 0.2, 0.8, "B", 0.3, 0.3),)))
     # Touching the pole at an endpoint is fine.
-    PathSegment(0.0, 1.0, "A", 0.2, 0.5, "B", 0.3, 0.3)
+    certify_path(PhysPath((PathSegment(0.0, 1.0, "A", 0.2, 0.5, "B", 0.3, 0.3),)))
 
 
 def test_segment_rejects_diagonal_crossing():
-    with pytest.raises(CollisionError):
-        PathSegment(0.0, 1.0, "A", 0.2, 0.4, "A", 0.45, 0.25)
+    # The form is sound; the exact separation finds the robots passing.
+    path = PhysPath((PathSegment(0.0, 1.0, "A", 0.2, 0.4, "A", 0.45, 0.25),))
+    certify_path(path)
+    with pytest.raises(ContractError, match="separation dropped to 0.0"):
+        _certified(path)
 
 
 def test_path_from_legs_splits_at_pole():
@@ -211,9 +215,10 @@ def test_min_separation_worst_case_interior():
 
 def test_min_separation_sees_crossing_between_samples():
     # Robot 2 passes robot 1 at u ~ 7e-14, inside SNAP_EPS of the segment's
-    # start, so the segment is accepted; no evenly spaced sample lands before
-    # the crossing, but the kink oracle reads the distance where d = 0.
+    # start, and the path's form is sound; no evenly spaced sample lands
+    # before the crossing, but the kink oracle reads the distance where d = 0.
     path = PhysPath((PathSegment(0.0, 1.0, "A", 0.3, 0.3, "A", 0.3 - 1e-14, 0.45),))
+    certify_path(path)
     assert kink_min_separation(path) == 0.0
     assert path_min_separation(path) == 0.0
 
@@ -247,8 +252,8 @@ def test_concat_rejects_junction_mismatch():
         ChartLeg("A", 0.1, 0.2, "B", 0.25, 0.25),
         ChartLeg("A", 0.21, 0.3, "B", 0.25, 0.25),
     ]
-    with pytest.raises(ContractError):
-        path_from_legs(legs)
+    with pytest.raises(ContractError, match="disagree across a junction"):
+        certify_path(path_from_legs(legs))
 
 
 def test_concat_joins_at_pole_waypoint():
@@ -389,8 +394,8 @@ def test_config_at_rejects_times_outside_the_unit_interval():
 
 def test_physpath_requires_unit_interval():
     seg = PathSegment(0.0, 0.5, "A", 0.2, 0.3, "B", 0.25, 0.25)
-    with pytest.raises(ContractError):
-        PhysPath((seg,))
+    with pytest.raises(ContractError, match="times must run to 1"):
+        certify_path(PhysPath((seg,)))
 
 
 def test_sweep_totals():

@@ -379,6 +379,16 @@ def test_validate_rejects_crossing_between_samples():
         validate_plan(_with_path(path, (0.5, 0.5)))
 
 
+def test_validate_reports_a_colliding_end_as_a_broken_contract():
+    # A path that ends where both robots meet, away from the plan's goal, is
+    # a broken plan contract: the separation refuses it before the endpoint
+    # message would read its end as a configuration.
+    path = PhysPath((PathSegment(0.0, 1.0, "A", 0.2, 0.3, "A", 0.4, 0.3),))
+    base = plan(configuration("A", 0.2, "A", 0.4), configuration("A", 0.1, "B", 0.3))
+    with pytest.raises(ContractError, match="separation dropped to 0.0"):
+        validate_plan(base._replace(path=path))
+
+
 def test_validate_rejects_chord_between_spine_points():
     # Both ends lie on the spine lines of AB (a = 1/2, then b = 1/2), but the
     # straight move between them cuts the corner through (0.35, 0.35).

@@ -1,5 +1,7 @@
 """Contract of the package's value types: immutable, hashable, picklable
-validated tuples whose repr and checks do not depend on how they are built."""
+tuples whose repr and checks do not depend on how they are built.  Most
+check themselves as they are built; PathSegment and PhysPath are plain
+records, checked by certify_path and the exact separation (verify._certified)."""
 
 import pickle
 from pathlib import Path
@@ -7,12 +9,12 @@ from pathlib import Path
 import pytest
 
 from fig8plan.errors import CollisionError, ContractError, DomainError
-from fig8plan.geometry import ChartLeg, CirclePoint, Configuration, PathSegment, PhysPath
+from fig8plan.geometry import ChartLeg, CirclePoint, Configuration, PathSegment, PhysPath, certify_path
 from fig8plan.planner import InstructionDomain, Plan
 from fig8plan.render import RenderSpec
 from fig8plan.retraction import RetractResult
 from fig8plan.spine import ChainPoint
-from fig8plan.verify import SuiteReport
+from fig8plan.verify import SuiteReport, _certified
 
 POINT = "CirclePoint(circle='A', s=0.3)"
 CONFIG = f"Configuration(p1={POINT}, p2=CirclePoint(circle='B', s=0.7))"
@@ -93,31 +95,42 @@ def test_pickle_round_trip(make, golden):
     assert back == value
 
 
+# (build, the kind of defect, the error raised and its message): a path's
+# defect of any kind is a ContractError, raised by certify_path or by the
+# exact separation (_certified) on a path built with keywords.
+KEYWORD_ROWS = [
+    (lambda: CirclePoint(circle="C", s=0.3), DomainError, DomainError, "unknown circle"),
+    (lambda: CirclePoint(circle="A", s=1e-13), DomainError, DomainError, "reads as the center"),
+    (
+        lambda: Configuration(p1=CirclePoint("A", 0.3), p2=CirclePoint("A", 0.3)),
+        CollisionError, CollisionError, "robots coincide",
+    ),
+    (
+        lambda: certify_path(PhysPath(segments=(PathSegment(
+            t0=0.5, t1=0.5, circle1="A", a0=0.1, a1=0.1, circle2="B", b0=0.2, b1=0.2
+        ),))),
+        ContractError, ContractError, "times must strictly increase",
+    ),
+    (
+        lambda: _certified(PhysPath(segments=(PathSegment(
+            t0=0.0, t1=1.0, circle1="A", a0=0.1, a1=0.3, circle2="A", b0=0.2, b1=0.2
+        ),))),
+        CollisionError, ContractError, "separation dropped to 0.0",
+    ),
+    (lambda: certify_path(PhysPath(segments=())), DomainError, ContractError, "times must run to 1"),
+    (lambda: ChainPoint(circle="Q", theta=0.1), DomainError, DomainError, "unknown spine circle"),
+    (lambda: RenderSpec(size=100.0), DomainError, DomainError, "canvas size"),
+]
+
+
 @pytest.mark.parametrize(
-    "build, error",
-    [
-        (lambda: CirclePoint(circle="C", s=0.3), DomainError),
-        (lambda: CirclePoint(circle="A", s=1e-13), DomainError),
-        (lambda: Configuration(p1=CirclePoint("A", 0.3), p2=CirclePoint("A", 0.3)), CollisionError),
-        (
-            lambda: PathSegment(
-                t0=0.5, t1=0.5, circle1="A", a0=0.1, a1=0.1, circle2="B", b0=0.2, b1=0.2
-            ),
-            ContractError,
-        ),
-        (
-            lambda: PathSegment(
-                t0=0.0, t1=1.0, circle1="A", a0=0.1, a1=0.3, circle2="A", b0=0.2, b1=0.2
-            ),
-            CollisionError,
-        ),
-        (lambda: PhysPath(segments=()), DomainError),
-        (lambda: ChainPoint(circle="Q", theta=0.1), DomainError),
-        (lambda: RenderSpec(size=100.0), DomainError),
-    ],
+    "build, error, message",
+    [(build, error, message) for build, _, error, message in KEYWORD_ROWS],
+    # pytest's ids for the build and the kind alone: each row keeps its name
+    ids=[f"{build.__name__}-{kind.__name__}" for build, kind, _, _ in KEYWORD_ROWS],
 )
-def test_keyword_construction_validates(build, error):
-    with pytest.raises(error):
+def test_keyword_construction_validates(build, error, message):
+    with pytest.raises(error, match=message):
         build()
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fig8plan import planner, spine, verify
-from fig8plan.errors import DomainError
+from fig8plan.errors import ContractError, DomainError
 from fig8plan.geometry import (
     Configuration,
     PathSegment,
@@ -349,12 +349,12 @@ _unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 @given(st.sampled_from(["AA", "AB"]), _unit, _unit, _unit, _unit)
 def test_kink_oracle_brackets_a_dense_sample_on_unsplit_segments(square, a0, a1, b0, b1):
-    # _make skips PathSegment's checks, so the segment may cross the pole or
+    # PathSegment is a plain record, so the segment may cross the pole or
     # pass a collision inside; the distance moves at most |a1 - a0| + |b1 - b0|
     # <= 2 per unit of u, so the true minimum lies within one sample step
     # below the sampled one
     n = 1025
-    path = PhysPath._make(((PathSegment._make((0.0, 1.0, square[0], a0, a1, square[1], b0, b1)),),))
+    path = PhysPath((PathSegment(0.0, 1.0, square[0], a0, a1, square[1], b0, b1),))
     sampled = _loop_min_separation(path, n)
     assert sampled - 1.0 / (n - 1) - 1e-12 <= kink_min_separation(path) <= sampled + 1e-12
 
@@ -393,11 +393,13 @@ def test_separation_suites_keep_their_witnesses(suite, witness):
             " plan separation dropped to 0.0",
         ),
         ("retraction", "sample 299: trace of (B:0.159713, B:0.75) collides"),
+        ("termination", "pair 299: (H1,0.858448) -> (H1,0.358448) path separation dropped to 0.0"),
     ],
 )
 def test_separation_suites_name_the_failing_index(monkeypatch, suite, witness):
     # a collision forced on the 300th path, where the suite reads its exact
-    # separation: validate_plan's for a plan, its own for a retraction trace
+    # separation: validate_plan's for a collision plan, its own for a
+    # retraction trace, _certified's for a termination plan
     module = planner if suite == "collision" else verify
     real = module.path_min_separation
     calls = []
@@ -410,6 +412,38 @@ def test_separation_suites_name_the_failing_index(monkeypatch, suite, witness):
     report = run_suite(suite, seed=0, n=600)
     assert not report.passed
     assert report.witness == witness
+
+
+@pytest.mark.parametrize("suite, n", [("retraction", 50), ("termination", 50), ("continuity", 1)])
+def test_suites_certify_every_path_they_build(monkeypatch, suite, n):
+    # each plan or trace a suite builds outside validate_plan is certified
+    built, certified = [], []
+    for name, log in (("plan", built), ("path_from_legs", built), ("certify_path", certified)):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, real=real, log=log: log.append(1) or real(*args))
+    assert run_suite(suite, seed=0, n=n).passed
+    assert len(certified) == len(built) > 0
+
+
+def test_retraction_suite_names_an_uncertified_trace(monkeypatch):
+    real, calls = verify.certify_path, []
+
+    def broken(path):
+        calls.append(path)
+        if len(calls) == 300:
+            raise ContractError("forced defect")
+        real(path)
+
+    monkeypatch.setattr(verify, "certify_path", broken)
+    report = run_suite("retraction", seed=0, n=600)
+    assert not report.passed
+    assert report.witness == "sample 299: trace of (B:0.159713, B:0.75) forced defect"
+
+
+def test_continuity_probe_refuses_an_uncertified_path(monkeypatch):
+    monkeypatch.setattr(verify, "path_min_separation", lambda path: 0.0)
+    with pytest.raises(ContractError, match="path separation dropped to 0.0"):
+        continuity_probe(InstructionDomain.U1, seed=0, samples=1)
 
 
 def test_collision_suite_reports_an_oracle_gap(monkeypatch):
