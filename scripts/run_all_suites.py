@@ -3,11 +3,13 @@
 Usage: python scripts/run_all_suites.py [--seed S] [--full]
 
 --full uses the acceptance-sized sample counts instead of the quick defaults,
-which takes about 3 s on a shared 2-vCPU Xeon machine (2.44-3.90 s wall
+which takes about 2.5 s on a shared 2-vCPU Xeon machine (2.28-2.71 s wall
 time over three runs, Python 3.11.7).
 
-Each report goes to stdout as one JSON line.  For each failing suite, stderr
-also gets the command that replays it exactly, with the sample count it ran:
+Every suite runs and gets its report, whatever fails inside an earlier one:
+run_suite turns a failure into a report.  Each report goes to stdout as one
+JSON line.  For each failing suite, stderr also gets the command that
+replays it exactly, with the sample count it ran:
 fig8plan verify --suite NAME --seed S --n N.
 """
 

@@ -1,8 +1,9 @@
 """Command line front end: plan, verify, tc, render.
 
-Exit codes are part of the contract: 0 success, 1 failing verification suite,
-broken plan contract or an output file that cannot be written, 2 usage or
-parse errors (including unknown suites), 3 colliding input configurations.
+Exit codes are part of the contract: 0 success, 1 failing verification suite
+(whatever failed inside it; its report is still printed), broken plan
+contract or an output file that cannot be written, 2 usage or parse errors
+(including unknown suites), 3 colliding input configurations.
 Code 4 is retired: every valid input plans, so it is never emitted, and it
 is not reused.  Emitted JSON is byte-stable for fixed inputs, on Python 3.10
 to 3.13 alike: floats carry 12 significant digits, except a waypoint whose

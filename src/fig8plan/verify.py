@@ -50,8 +50,6 @@ from .spine import (
     vertex_point,
 )
 
-SUITE_NAMES = ("collision", "partition", "retraction", "continuity", "termination", "roundtrip")
-
 # How far dist_gamma may sit from its Dijkstra oracle: both sum the same arc
 # lengths, possibly in another order, so only rounding differs.
 METRIC_TOL = 1e-12
@@ -192,7 +190,8 @@ def _interior_theta(rng: Random, margin: float) -> float:
     return half + rng.uniform(margin, 0.5 - margin)
 
 
-def _sample_u1_pair(rng: Random, margin: float) -> tuple[ChainPoint, ChainPoint]:
+def _u1_sample(rng: Random, margin: float, delta: float):
+    """A U1 pair `margin` inside its domain, and its four diagonal moves by delta."""
     while True:
         x = chain_point(rng.choice(CHAIN_CIRCLES), _interior_theta(rng, margin))
         y = chain_point(rng.choice(CHAIN_CIRCLES), _interior_theta(rng, margin))
@@ -202,32 +201,28 @@ def _sample_u1_pair(rng: Random, margin: float) -> tuple[ChainPoint, ChainPoint]
             if arc < margin or abs(arc - 0.5) < margin:
                 continue
         if classify_domain(x, y) is InstructionDomain.U1:
-            return x, y
+            steps = (delta, -delta)
+            return x, y, [
+                (chain_point(x.circle, x.theta + dx), chain_point(y.circle, y.theta + dy))
+                for dx in steps
+                for dy in steps
+            ]
 
 
-def _sample_u2_pair(rng: Random, margin: float) -> tuple[ChainPoint, ChainPoint, bool]:
-    """Returns (x, y, slide) where slide marks the antipodal family."""
+def _u2_sample(rng: Random, margin: float, delta: float):
+    """A U2 pair and its two moves by delta: an antipodal pair slides
+    together, or a vertex holds while the other point moves."""
+    steps = (delta, -delta)
     if rng.random() < 0.5:
         circle = rng.choice(CHAIN_CIRCLES)
         theta = _interior_theta(rng, margin)
         x = chain_point(circle, theta)
         y = chain_point(circle, (theta + 0.5) % 1.0)
-        return x, y, True
+        slid = [(x.theta + d) % 1.0 for d in steps]
+        return x, y, [(chain_point(x.circle, t), chain_point(x.circle, (t + 0.5) % 1.0)) for t in slid]
     x = vertex_point(rng.choice(CHAIN_VERTICES))
     y = chain_point(rng.choice(CHAIN_CIRCLES), _interior_theta(rng, margin))
-    return x, y, False
-
-
-def _u2_perturbations(x, y, slide, delta):
-    out = []
-    if slide:
-        for sign in (+1.0, -1.0):
-            t = (x.theta + sign * delta) % 1.0
-            out.append((chain_point(x.circle, t), chain_point(x.circle, (t + 0.5) % 1.0)))
-    else:
-        for sign in (+1.0, -1.0):
-            out.append((x, chain_point(y.circle, (y.theta + sign * delta) % 1.0)))
-    return out
+    return x, y, [(x, chain_point(y.circle, (y.theta + d) % 1.0)) for d in steps]
 
 
 def continuity_probe(domain: InstructionDomain, seed: int, samples: int = 16) -> list[tuple[float, float]]:
@@ -238,10 +233,11 @@ def continuity_probe(domain: InstructionDomain, seed: int, samples: int = 16) ->
     stay strictly inside the instruction's domain: base pairs keep a margin
     of 10*delta from the domain boundary, and for U2 the perturbation moves
     along the antipodal stratum (both points slide together) or holds the
-    vertex fixed.  Each path is the one plan() returns for the two spine
-    points, certified on its own (_certified).  U3 is refused: its domain
-    is the 36 isolated vertex pairs, on which every rule is continuous, so
-    there is nothing to perturb.
+    vertex fixed; one that leaves the domain raises ContractError.  Each
+    path is the one plan() returns for the two spine points, certified on
+    its own (_certified); a failure is named by domain, delta and sample.
+    U3 is refused: its domain is the 36 isolated vertex pairs, on which
+    every rule is continuous, so there is nothing to perturb.
     """
     worst = dict.fromkeys(_LADDER, 0.0)
     for delta, p, q in _probe_path_pairs(domain, seed, samples):
@@ -253,27 +249,25 @@ def _probe_path_pairs(domain: InstructionDomain, seed: int, samples: int):
     """Yield (delta, path, nearby path) for every comparison the probe makes."""
     if domain is InstructionDomain.U3:
         raise DomainError("U3 is 36 isolated vertex pairs: every rule is continuous there")
+    sample = _u1_sample if domain is InstructionDomain.U1 else _u2_sample
     rng = Random(seed)
     for delta in _LADDER:
-        margin = 10.0 * delta
-        for _ in range(samples):
-            if domain is InstructionDomain.U1:
-                x, y = _sample_u1_pair(rng, margin)
-                perturbed = [
-                    (chain_point(x.circle, x.theta + dx), chain_point(y.circle, y.theta + dy))
-                    for dx in (delta, -delta)
-                    for dy in (delta, -delta)
-                ]
-            else:
-                x, y, slide = _sample_u2_pair(rng, margin)
-                perturbed = _u2_perturbations(x, y, slide, delta)
-            base = _certified(plan(chain_to_config(x), chain_to_config(y)).path)
-            for x2, y2 in perturbed:
-                if classify_domain(x2, y2) is not domain:
-                    raise DomainError(
-                        f"perturbation left {domain}: {_format_chain(x2)}, {_format_chain(y2)}"
+        for k in range(samples):
+            x, y, moved = sample(rng, 10.0 * delta, delta)
+            for a, b in moved:
+                if classify_domain(a, b) is not domain:
+                    raise ContractError(
+                        f"perturbation left {domain}: {_format_chain(a)}, {_format_chain(b)}"
                     )
-                yield delta, base, _certified(plan(chain_to_config(x2), chain_to_config(y2)).path)
+            try:
+                base, *nearby = [
+                    _certified(plan(chain_to_config(a), chain_to_config(b)).path)
+                    for a, b in [(x, y), *moved]
+                ]
+            except (ContractError, DomainError) as exc:
+                raise ContractError(f"{domain.name} delta {delta:g} sample {k}: {exc}") from exc
+            for path in nearby:
+                yield delta, base, path
 
 
 def _certified(path: PhysPath) -> PhysPath:
@@ -423,30 +417,24 @@ class SuiteReport(namedtuple("SuiteReport", "suite seed n passed witness elapsed
         }
 
 
-def _suite_collision(rng: Random, n: int) -> tuple[bool, str]:
-    worst_end = 0.0
-    worst_sep = float("inf")
-    worst_gap = 0.0
-    max_hops = 0
-    max_len = 0.0
-
+def _suite_collision(rng: Random, n: int) -> str:
+    rows = []
     for i in range(n):
-        p = plan(random_config(rng), random_config(rng))
+        start, goal = random_config(rng), random_config(rng)
         try:
+            p = plan(start, goal)
             err, sep = validate_plan(p)
             gap = abs(kink_min_separation(p.path) - sep)
             if gap > SEPARATION_TOL:
                 raise ContractError(f"endpoint err {err:.3e} min sep {sep:.3e} oracle gap {gap:.3e}")
-        except ContractError as exc:
-            return False, f"pair {i}: start {_format_config(p.start)} goal {_format_config(p.goal)} {exc}"
-        worst_end = max(worst_end, err)
-        worst_sep = min(worst_sep, sep)
-        worst_gap = max(worst_gap, gap)
-        max_hops = max(max_hops, p.hop_count)
-        max_len = max(max_len, p.chain_length)
-    return True, (
-        f"worst endpoint err {worst_end:.3e}, min separation {worst_sep:.3e},"
-        f" worst oracle gap {worst_gap:.3e}; {_bounds_witness(max_hops, max_len)}"
+        except (ContractError, DomainError) as exc:
+            case = f"pair {i}: start {_format_config(start)} goal {_format_config(goal)}"
+            raise ContractError(f"{case} {exc}") from exc
+        rows.append((err, sep, gap, p.hop_count, p.chain_length))
+    errs, seps, gaps, hops, lengths = zip(*rows)
+    return (
+        f"worst endpoint err {max(errs):.3e}, min separation {min(seps):.3e},"
+        f" worst oracle gap {max(gaps):.3e}; {_bounds_witness(max(hops), max(lengths))}"
     )
 
 
@@ -479,80 +467,78 @@ def _random_chain_pair(rng: Random) -> tuple[ChainPoint, ChainPoint]:
     return x, chain_point(x.circle, (x.theta + 0.5) % 1.0)
 
 
-def _suite_partition(rng: Random, n: int) -> tuple[bool, str]:
+def _suite_partition(rng: Random, n: int) -> str:
     domains = (InstructionDomain.U1, InstructionDomain.U2, InstructionDomain.U3)
     counts = [0, 0, 0]  # per domain, in the order of the predicates' flags
     for i in range(n):
         x, y = _random_chain_pair(rng)
         flags = _domain_flags(x, y)
         if sum(flags) != 1:
-            return False, f"pair {i}: {_format_chain(x)},{_format_chain(y)} flags {flags}"
+            raise ContractError(f"pair {i}: {_format_chain(x)},{_format_chain(y)} flags {flags}")
         k = flags.index(True)
         tag = classify_domain(x, y)
         if tag is not domains[k]:
-            return False, (
+            raise ContractError(
                 f"pair {i}: {_format_chain(x)},{_format_chain(y)}"
                 f" classified {tag.name}, predicates say {domains[k].name}"
             )
         counts[k] += 1
     for x, y in _VERTEX_PAIRS:
         if classify_domain(x, y) is not InstructionDomain.U3:
-            return False, f"vertex pair ({x.vertex},{y.vertex}) not U3"
-    return True, f"counts U1={counts[0]} U2={counts[1]} U3={counts[2]}, 36 vertex pairs all U3"
+            raise ContractError(f"vertex pair ({x.vertex},{y.vertex}) not U3")
+    return f"counts U1={counts[0]} U2={counts[1]} U3={counts[2]}, 36 vertex pairs all U3"
 
 
-def _suite_retraction(rng: Random, n: int) -> tuple[bool, str]:
-    worst_trace = 0.0
-    worst_gap = 0.0
-
+def _suite_retraction(rng: Random, n: int) -> str:
+    rows = []
     for i in range(n):
         c = random_config(rng)
-        r = retract(c)
-        trace = path_from_legs([r.leg])
-        if not chart_on_spine(r.leg.circle1 == r.leg.circle2, r.leg.a1, r.leg.b1):
-            return False, f"sample {i}: leg of {_format_config(c)} ends off the spine"
-        image_config = chain_to_config(r.point)
-        if retract(image_config).point != r.point:
-            return False, f"sample {i}: image {_format_chain(r.point)} of {_format_config(c)} is not fixed"
-        _, _, c1, a0, _, c2, b0, _ = trace.segments[0]
-        _, _, d1, _, a1, d2, _, b1 = trace.segments[-1]
-        end_err = max(
-            chart_config_dist(c1, a0, c2, b0, c), chart_config_dist(d1, a1, d2, b1, image_config)
-        )
-        worst_trace = max(worst_trace, end_err)
-        if end_err > EPS:
-            return False, f"sample {i}: trace endpoint error {end_err:.3e}"
         try:
-            certify_path(trace)
-        except ContractError as exc:
-            return False, f"sample {i}: trace of {_format_config(c)} {exc}"
-        sep = path_min_separation(trace)
-        gap = abs(kink_min_separation(trace) - sep)
-        worst_gap = max(worst_gap, gap)
-        if sep <= 0.0:
-            return False, f"sample {i}: trace of {_format_config(c)} collides"
-        if gap > SEPARATION_TOL:
-            return False, f"sample {i}: trace of {_format_config(c)} oracle gap {gap:.3e}"
-    ok, witness = _gluing_probe(rng, max(n // 10, 100))
-    if not ok:
-        return False, witness
-    return True, (
-        f"idempotence exact, worst trace endpoint {worst_trace:.3e},"
-        f" worst oracle gap {worst_gap:.3e}; {witness}"
+            r = retract(c)
+            trace = path_from_legs([r.leg])
+            if not chart_on_spine(r.leg.circle1 == r.leg.circle2, r.leg.a1, r.leg.b1):
+                raise ContractError(f"leg of {_format_config(c)} ends off the spine")
+            image_config = chain_to_config(r.point)
+            if retract(image_config).point != r.point:
+                raise ContractError(f"image {_format_chain(r.point)} of {_format_config(c)} is not fixed")
+            _, _, c1, a0, _, c2, b0, _ = trace.segments[0]
+            _, _, d1, _, a1, d2, _, b1 = trace.segments[-1]
+            end_err = max(
+                chart_config_dist(c1, a0, c2, b0, c), chart_config_dist(d1, a1, d2, b1, image_config)
+            )
+            if end_err > EPS:
+                raise ContractError(f"trace endpoint error {end_err:.3e}")
+            try:
+                certify_path(trace)
+                sep = path_min_separation(trace)
+                gap = abs(kink_min_separation(trace) - sep)
+                if sep <= 0.0:
+                    raise ContractError("collides")
+                if gap > SEPARATION_TOL:
+                    raise ContractError(f"oracle gap {gap:.3e}")
+            except ContractError as exc:
+                raise ContractError(f"trace of {_format_config(c)} {exc}") from exc
+        except (ContractError, DomainError) as exc:
+            raise ContractError(f"sample {i}: {exc}") from exc
+        rows.append((end_err, gap))
+    end_errs, gaps = zip(*rows)
+    return (
+        f"idempotence exact, worst trace endpoint {max(end_errs):.3e},"
+        f" worst oracle gap {max(gaps):.3e}; {_gluing_probe(rng, max(n // 10, 100))}"
     )
 
 
-def _gluing_probe(rng: Random, n: int) -> tuple[bool, str]:
+def _gluing_probe(rng: Random, n: int) -> str:
     """Retraction images of center-straddling twins stay 50-Lipschitz close.
 
     A twin pair puts one robot 5e-5 off the center on two different branches
     (1e-4 apart on the track) while the other robot sits at least 0.05 away
     from the center, and compares the spine distance of the two images, by
     the exact Dijkstra oracle (chain_oracle), against 50x the configuration
-    distance.
+    distance.  Returns a witness naming the worst ratio; raises ContractError past 50x.
     """
     branches = [("A", False), ("A", True), ("B", False), ("B", True)]
-    worst_ratio = 0.0
+    ratios = []
     for i in range(n):
         circle_a, far_a = branches[rng.randrange(4)]
         circle_b, far_b = branches[rng.randrange(4)]
@@ -568,52 +554,49 @@ def _gluing_probe(rng: Random, n: int) -> tuple[bool, str]:
             ca, cb = Configuration(other, moving_a), Configuration(other, moving_b)
         gap = config_dist(ca, cb)
         (image_gap,) = chain_oracle([(retract(ca).point, retract(cb).point)])
-        ratio = image_gap / gap
-        worst_ratio = max(worst_ratio, ratio)
         if image_gap > 50.0 * gap:
-            return False, (
+            raise ContractError(
                 f"gluing pair {i}: {_format_config(ca)} vs {_format_config(cb)}"
                 f" image gap {image_gap:.3e} exceeds 50x {gap:.3e}"
             )
-    return True, f"gluing probe worst ratio {worst_ratio:.2f} (bound 50)"
+        ratios.append(image_gap / gap)
+    return f"gluing probe worst ratio {max(ratios):.2f} (bound 50)"
 
 
-def _suite_continuity(rng: Random, n: int) -> tuple[bool, str]:
+def _suite_continuity(rng: Random, n: int) -> str:
     summary = []
     for domain in (InstructionDomain.U1, InstructionDomain.U2):
         rows = continuity_probe(domain, seed=rng.randrange(2**32), samples=n)
         values = [v for _, v in rows]
         if any(b >= a for a, b in zip(values, values[1:])):
-            return False, f"{domain.name} ladder not strictly decreasing: {rows}"
+            raise ContractError(f"{domain.name} ladder not strictly decreasing: {rows}")
         at_1e3 = dict(rows)[1e-3]
         if at_1e3 >= 0.05:
-            return False, f"{domain.name} sup distance {at_1e3:.3f} at delta 1e-3"
+            raise ContractError(f"{domain.name} sup distance {at_1e3:.3f} at delta 1e-3")
         summary.append(f"{domain.name}:" + "/".join(f"{v:.2e}" for v in values))
     summary.append(f"U3: {len(_VERTEX_PAIRS)} isolated vertex pairs")
-    return True, " ".join(summary)
+    return " ".join(summary)
 
 
-def _suite_termination(rng: Random, n: int) -> tuple[bool, str]:
+def _suite_termination(rng: Random, n: int) -> str:
     # Spine pairs, vertex and antipodal images included, then all 36 vertex
     # pairs; the collision suite checks the same bounds on its random_config plans.
     pairs = itertools.chain((_random_chain_pair(rng) for _ in range(n)), _VERTEX_PAIRS)
-    max_hops = 0
-    max_len = 0.0
+    rows = []
     for i, (x, y) in enumerate(pairs):
-        p = plan(chain_to_config(x), chain_to_config(y))
-        hops, length = p.hop_count, p.chain_length
-        max_hops = max(max_hops, hops)
-        max_len = max(max_len, length)
         try:
+            p = plan(chain_to_config(x), chain_to_config(y))
             _certified(p.path)
-            if hops > MAX_HOPS or length > MAX_CHAIN_LENGTH:
-                raise ContractError(f"hops {hops} length {length:.3f}")
-        except ContractError as exc:
-            return False, f"pair {i}: {_format_chain(x)} -> {_format_chain(y)} {exc}"
-    return True, _bounds_witness(max_hops, max_len)
+            if p.hop_count > MAX_HOPS or p.chain_length > MAX_CHAIN_LENGTH:
+                raise ContractError(f"hops {p.hop_count} length {p.chain_length:.3f}")
+        except (ContractError, DomainError) as exc:
+            raise ContractError(f"pair {i}: {_format_chain(x)} -> {_format_chain(y)} {exc}") from exc
+        rows.append((p.hop_count, p.chain_length))
+    hops, lengths = zip(*rows)
+    return _bounds_witness(max(hops), max(lengths))
 
 
-def _suite_roundtrip(rng: Random, n: int) -> tuple[bool, str]:
+def _suite_roundtrip(rng: Random, n: int) -> str:
     # The retraction fixes the spine exactly, so a pass has drift 0.  Half
     # the spine points sit on knife edges, where the snaps are decided.
     for i in range(n):
@@ -623,20 +606,20 @@ def _suite_roundtrip(rng: Random, n: int) -> tuple[bool, str]:
             p = random_chain_point(rng, vertex_prob=0.1)
         p2 = retract(chain_to_config(p)).point
         if p2 != p:
-            return False, f"sample {i}: {_format_chain(p)} came back as {_format_chain(p2)}"
+            raise ContractError(f"sample {i}: {_format_chain(p)} came back as {_format_chain(p2)}")
     gamma_pairs = [(_random_position(rng), _random_position(rng)) for _ in range(n)]
-    worst_gamma = 0.0
+    gaps = []
     for (p, q), ov in zip(gamma_pairs, gamma_oracle(gamma_pairs)):
-        diff = abs(dist_gamma(p, q) - ov)
-        worst_gamma = max(worst_gamma, diff)
-        if diff > METRIC_TOL:
-            return False, (
-                f"dist_gamma({p.circle}:{p.s:.6g},{q.circle}:{q.s:.6g})"
-                f" off oracle by {diff:.3e}"
+        gap = abs(dist_gamma(p, q) - ov)
+        if gap > METRIC_TOL:
+            raise ContractError(
+                f"dist_gamma({p.circle}:{p.s:.6g},{q.circle}:{q.s:.6g}) off oracle by {gap:.3e}"
             )
-    return True, f"roundtrip drift 0.0e+00, gamma oracle gap {worst_gamma:.1e} (tol {METRIC_TOL:.0e})"
+        gaps.append(gap)
+    return f"roundtrip drift 0.0e+00, gamma oracle gap {max(gaps):.1e} (tol {METRIC_TOL:.0e})"
 
 
+# name -> (suite, default n); a suite returns its pass witness or raises ContractError
 _SUITES = {
     "collision": (_suite_collision, 1000),
     "partition": (_suite_partition, 20000),
@@ -645,10 +628,15 @@ _SUITES = {
     "termination": (_suite_termination, 1000),
     "roundtrip": (_suite_roundtrip, 500),
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int = 0, n: int | None = None) -> SuiteReport:
-    """Run one named suite; deterministic for a fixed (seed, n)."""
+    """Run one named suite; deterministic for a fixed (seed, n).
+
+    An unknown name or n < 1 raises DomainError.  A ContractError or DomainError
+    raised in the run fails the suite, its message the witness; others propagate.
+    """
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}, expected one of {', '.join(SUITE_NAMES)}")
     fn, default_n = _SUITES[name]
@@ -658,6 +646,9 @@ def run_suite(name: str, seed: int = 0, n: int | None = None) -> SuiteReport:
         raise DomainError("n must be positive")
     rng = Random(seed)
     t0 = time.perf_counter()
-    passed, witness = fn(rng, n)
+    try:
+        passed, witness = True, fn(rng, n)
+    except (ContractError, DomainError) as exc:
+        passed, witness = False, str(exc)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return SuiteReport(suite=name, seed=seed, n=n, passed=passed, witness=witness, elapsed_ms=elapsed)

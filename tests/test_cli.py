@@ -233,6 +233,27 @@ def test_verify_passing_suite(capsys):
     assert "witness" in report and "elapsed_ms" in report
 
 
+def test_verify_failing_suite_is_exit_1_with_its_report(monkeypatch, capsys):
+    # a perturbation that leaves its domain fails the suite: exit 1 and the
+    # report, not the exit 2 of a usage error
+    from fig8plan import verify
+    from fig8plan.planner import InstructionDomain
+
+    real, calls = verify.classify_domain, []
+
+    def misclassify(x, y):
+        calls.append(1)
+        return InstructionDomain.U3 if len(calls) == 40 else real(x, y)
+
+    monkeypatch.setattr(verify, "classify_domain", misclassify)
+    code, out, err = run(capsys, "verify", "--suite", "continuity", "--n", "4")
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)
+    assert report["suite"] == "continuity" and report["pass"] is False
+    assert report["witness"].startswith("perturbation left InstructionDomain.U1: ")
+
+
 def test_render_subcommand(tmp_path, capsys):
     target = tmp_path / "spine.svg"
     code, _, _ = run(capsys, "render", "--svg", str(target))
@@ -315,3 +336,27 @@ def test_run_all_suites_prints_the_replay_of_a_failing_suite(monkeypatch, capsys
             f"retraction failed; replay with: fig8plan verify --suite retraction --seed 7 --n {n}",
             "1 suite(s) failed",
         ]
+
+
+def test_run_all_suites_reports_every_suite_when_one_raises(monkeypatch, capsys):
+    # with every path the suites certify themselves colliding, three suites
+    # fail; each still gets its report and its replay, and the later suites run
+    from fig8plan import verify
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_suites.py"
+    spec = importlib.util.spec_from_file_location("run_all_suites", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(verify, "path_min_separation", lambda path: 0.0)
+    monkeypatch.setattr(sys, "argv", ["run_all_suites.py", "--seed", "3"])
+    assert script.main() == 1
+    out, err = capsys.readouterr()
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["suite"] for r in reports] == list(verify.SUITE_NAMES)
+    failed = ["retraction", "continuity", "termination"]
+    assert [r["suite"] for r in reports if not r["pass"]] == failed
+    assert err.splitlines() == [
+        *(f"{name} failed; replay with: fig8plan verify --suite {name} --seed 3 --n {n}"
+          for name, n in zip(failed, (1000, 12, 1000))),
+        "3 suite(s) failed",
+    ]

@@ -446,6 +446,39 @@ def test_continuity_probe_refuses_an_uncertified_path(monkeypatch):
         continuity_probe(InstructionDomain.U1, seed=0, samples=1)
 
 
+@pytest.mark.parametrize(
+    "suite, n, call, witness",
+    [
+        ("collision", 600, 300, "pair 299: start (B:0.25, A:0.75) goal (B:0.75, A:0.911631) forced defect"),
+        ("termination", 600, 300, "pair 299: (H1,0.858448) -> (H1,0.358448) forced defect"),
+        # five plans per U1 sample, three per U2 sample, two samples per delta
+        ("continuity", 2, 8, "U1 delta 0.01 sample 1: forced defect"),
+        ("continuity", 2, 35, "U2 delta 0.01 sample 1: forced defect"),
+    ],
+)
+def test_every_failure_names_its_case(monkeypatch, suite, n, call, witness):
+    # an error from the planner itself fails the suite and names the case
+    real, calls = verify.plan, []
+
+    def broken(start, goal):
+        calls.append(1)
+        if len(calls) == call:
+            raise ContractError("forced defect")
+        return real(start, goal)
+
+    monkeypatch.setattr(verify, "plan", broken)
+    report = run_suite(suite, seed=0, n=n)
+    assert not report.passed
+    assert report.witness == witness
+
+
+def test_continuity_suite_names_an_uncertified_path(monkeypatch):
+    monkeypatch.setattr(verify, "path_min_separation", lambda path: 0.0)
+    report = run_suite("continuity", seed=0, n=1)
+    assert not report.passed
+    assert report.witness == "U1 delta 0.01 sample 0: path separation dropped to 0.0"
+
+
 def test_collision_suite_reports_an_oracle_gap(monkeypatch):
     # the kink oracle pushed 0.5 off validate_plan's exact separation on the
     # 300th plan
