@@ -8,11 +8,11 @@ cli_pairs(7) and boundary_pairs(7), the script feeds four sha256 digests per
 stream:
 
 * json: json.dumps(plan_to_json(plan(start, goal))), one line per request;
-* path: the repr of the trajectory fields the JSON does not show in full
-  (domain, hop_count, path.segments, spine_interval, trace_in and
-  trace_out), one line per request.  repr writes every float exactly, so
-  this digest also sees a change in the last bit of a value, such as
-  spine_interval, that the 12-digit JSON rounds away;
+* path: the repr of the trajectory fields (domain, hop_count,
+  path.segments, spine_interval, trace_in and trace_out), one line per
+  request.  repr writes every float exactly, so this digest also sees a
+  change in the last bit of what the JSON leaves out: the segment starts,
+  spine_interval and the retraction legs;
 * walk: the repr of the walk's chart legs (Plan.steps), one line per
   request, so a change to how the walk is represented shows apart from
   the trajectory it yields;
@@ -54,9 +54,9 @@ from fig8plan.verify import SUITE_NAMES, run_suite  # noqa: E402
 SEED = 7
 REQUESTS = 20_000
 DIGESTS = {
-    ("uniform", "json"): "988cc6656e61d09b935e017c5a4834e8e5b9a4221bcf1b1e0b6fddc90c0a428c",
-    ("cli", "json"): "bb05002ae58c66bc40abc21cf23c91fbc24d7bd16b016a361eb1c578df3a749e",
-    ("boundary", "json"): "ee71fb21e1e53dc2a47a3a6ba1766d8a8c038c66823a9071c8a5ad7cdb56170f",
+    ("uniform", "json"): "724bcdf2d5b98bd3e0c7bbc131aeadc566ea6e1cac3cc5eaa9024d99a18ce60b",
+    ("cli", "json"): "73656f5f09df5bb39231b2125ec52bf485cfa4dfc08172e8baa0181780e1af6a",
+    ("boundary", "json"): "9a8aac60bb530bd70cefc11a10a0cd7ae370cc8b5fecb21405303a0bc7468495",
     ("uniform", "path"): "71894263f8db8eca5fc07daf25b57d0cc1f1ec18c073f5dc33e9a8392214e072",
     ("cli", "path"): "2dd0bec0d5d143fd7a83c4970f1801a8a96fc5309650d46ae66d99e06e2c6593",
     ("boundary", "path"): "0e18bf6aeeaa074fd02159aa28f9f73284d0641bbc829279a46404278a3d62e2",

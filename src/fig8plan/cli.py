@@ -6,8 +6,8 @@ contract or an output file that cannot be written, 2 usage or parse errors
 (including unknown suites), 3 colliding input configurations.
 Code 4 is retired: every valid input plans, so it is never emitted, and it
 is not reused.  Emitted JSON is byte-stable for fixed inputs, on Python 3.10
-to 3.13 alike: floats carry 12 significant digits, except a waypoint whose
-two robots would round to one place, which carries their s values exactly;
+to 3.13 alike: floats are written by json's repr, the shortest text that
+reads back as the same float, so the waypoints are the path's own values;
 key order never changes.
 """
 

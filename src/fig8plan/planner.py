@@ -201,15 +201,11 @@ def plan(start: Configuration, goal: Configuration) -> Plan:
 def plan_to_json(p: Plan) -> dict:
     """JSON-ready summary: instruction number, hop count, timed waypoints.
 
-    The waypoints are read straight off the path's segment ends, each
-    robot's chart value as the position (circle, s) it stands for: a value
-    that reads as the center is written as circle_point writes it, A:0
-    (other values need no canonical form, so no position is built).
-    Values carry 12 significant digits, at which times still strictly
-    increase: every segment lasts more than SNAP_EPS = 1e-12 (path_from_legs).
-    Where two robots on one circle would round to the same s, that
-    waypoint's two s values are written exactly (repr precision), so the
-    JSON never shows distinct robots at one place.
+    The waypoints are the path's segment ends, the floats themselves: t is
+    0.0 and then each segment's end time, and each robot's chart value is
+    written as the position (circle, s) it stands for.  A value that reads
+    as the center is written as circle_point writes it, A:0 (other values
+    need no canonical form, so no position is built).
     """
     first = p.path.segments[0]
     ends = [(0.0, first.circle1, first.a0, first.circle2, first.b0)]
@@ -220,16 +216,7 @@ def plan_to_json(p: Plan) -> dict:
             c1, s1 = circle_point(c1, s1)
         if reads_as_center(s2):
             c2, s2 = circle_point(c2, s2)
-        w1, w2 = float(f"{s1:.12g}"), float(f"{s2:.12g}")
-        if w1 == w2 and c1 == c2:
-            w1, w2 = s1, s2
-        waypoints.append(
-            {
-                "t": float(f"{t:.12g}"),
-                "r1": {"circle": c1, "s": w1},
-                "r2": {"circle": c2, "s": w2},
-            }
-        )
+        waypoints.append({"t": t, "r1": {"circle": c1, "s": s1}, "r2": {"circle": c2, "s": s2}})
     return {"instruction": p.instruction, "hops": p.hop_count, "waypoints": waypoints}
 
 

@@ -46,7 +46,9 @@ def retract_flat(square: str, a: float, b: float) -> tuple[float, float, float]:
     exactly when the input already lies on the spine, and then it is its own
     image.  A same-circle input is returned as it is, since rebuilding it
     from the corner would move it by rounding; in a mixed square the corner
-    is 0 or 1, and the rebuilt image is exact.
+    is 0 or 1, and the rebuilt image is exact.  A same-circle input must not
+    read 0 or 1 (a robot at the center), where the formula leaves the square;
+    chart() puts such a configuration in a mixed square.
     """
     ca, cb = region_corner(square, a, b)
     ua, ub = a - ca, b - cb

@@ -168,7 +168,9 @@ def test_near_diagonal_input_plans(capsys):
 
 
 def test_near_collision_json_keeps_robots_apart(capsys):
-    # At 12 digits both robots would print as A:0.3 at t = 0.
+    # The robots start 1e-16 apart; the JSON writes each s as the shortest
+    # text that reads back as the same float, so distinct robots never
+    # print at one place.
     code, out, err = run(
         capsys, "plan", "--from-r1", "A:0.3", "--from-r2", "A:0.3000000000000001",
         "--to-r1", "B:0.1", "--to-r2", "A:0.6",

@@ -425,11 +425,11 @@ def test_plan_json_shape():
 
 _MIXED_WAYPOINTS = [
     (0.0, "A", 0.3, "B", 0.7),
-    (0.100628930818, "A", 0.5, "B", 0.5),
-    (0.352201257862, "A", 0.0, "B", 0.5),
-    (0.603773584906, "B", 0.5, "A", 0.0),
-    (0.85534591195, "B", 0.5, "A", 0.5),
-    (0.949685534591, "B", 0.3125, "A", 0.5),
+    (0.10062893081761008, "A", 0.5, "B", 0.5),
+    (0.35220125786163525, "A", 0.0, "B", 0.5),
+    (0.6037735849056604, "B", 0.5, "A", 0.0),
+    (0.8553459119496856, "B", 0.5, "A", 0.5),
+    (0.949685534591195, "B", 0.3125, "A", 0.5),
     (1.0, "B", 0.25, "A", 0.6),
 ]
 
@@ -446,8 +446,8 @@ GOLDEN_PLANS = {
         1,
         [
             (0.0, "A", 0.12, "A", 0.62),
-            (0.375, "A", 0.0, "A", 0.5),
-            (1.0, "A", 0.8, "A", 0.3),
+            (0.37500000000000006, "A", 0.0, "A", 0.5),
+            (1.0, "A", 0.8, "A", 0.30000000000000004),
         ],
     ),
     "mixed_circles": (
@@ -464,8 +464,8 @@ GOLDEN_PLANS = {
         3,
         [
             (0.0, "A", 0.5, "B", 0.5),
-            (0.333333333333, "A", 0.0, "B", 0.5),
-            (0.666666666667, "B", 0.5, "A", 0.0),
+            (0.3333333333333333, "A", 0.0, "B", 0.5),
+            (0.6666666666666666, "B", 0.5, "A", 0.0),
             (1.0, "B", 0.5, "A", 0.5),
         ],
     ),
@@ -519,12 +519,7 @@ def _json_from_waypoints(p) -> dict:
     """Oracle: plan_to_json as it read the path's waypoint configurations."""
     waypoints = []
     for t, ((c1, s1), (c2, s2)) in _waypoints(p.path):
-        w1, w2 = float(f"{s1:.12g}"), float(f"{s2:.12g}")
-        if w1 == w2 and c1 == c2:
-            w1, w2 = s1, s2
-        waypoints.append(
-            {"t": float(f"{t:.12g}"), "r1": {"circle": c1, "s": w1}, "r2": {"circle": c2, "s": w2}}
-        )
+        waypoints.append({"t": t, "r1": {"circle": c1, "s": s1}, "r2": {"circle": c2, "s": s2}})
     return {"instruction": p.instruction, "hops": p.hop_count, "waypoints": waypoints}
 
 
@@ -560,6 +555,34 @@ def test_plan_builds_no_configuration(monkeypatch):
         assert not built, (start, goal)
         assert json.dumps(doc) == json.dumps(_json_from_waypoints(p)), (start, goal)
         built.clear()
+
+
+def test_plan_json_text_is_the_path():
+    # The text fig8plan plan writes reads back as the path's own floats: the
+    # segment end times, and each robot's segment-end chart value, or A:0
+    # where that value reads as the center.
+    def position(circle, s):
+        return ("A", 0.0) if reads_as_center(s) else (circle, s)
+
+    def exact(values):
+        return [(c, s.hex()) if isinstance(s, float) else s for c, s in values]
+
+    rng = Random(5)
+    pairs = [(VERTEX_CONFIG[u], VERTEX_CONFIG[v]) for u in CHAIN_VERTICES for v in CHAIN_VERTICES]
+    pairs += [(random_config(rng), random_config(rng)) for _ in range(2000)]
+    pairs.append((configuration("A", 0.3, "A", 0.3000000000000001), configuration("B", 0.1, "A", 0.6)))
+    for start, goal in pairs:
+        p = plan(start, goal)
+        waypoints = json.loads(json.dumps(plan_to_json(p), indent=2))["waypoints"]
+        segments = p.path.segments
+        times = [0.0] + [seg.t1 for seg in segments]
+        assert [w["t"].hex() for w in waypoints] == [t.hex() for t in times], (start, goal)
+        first = segments[0]
+        ends = [(first.circle1, first.a0, first.circle2, first.b0)]
+        ends += [(seg.circle1, seg.a1, seg.circle2, seg.b1) for seg in segments]
+        want = [(position(c1, a), position(c2, b)) for c1, a, c2, b in ends]
+        got = [((w["r1"]["circle"], w["r1"]["s"]), (w["r2"]["circle"], w["r2"]["s"])) for w in waypoints]
+        assert [exact(w) for w in got] == [exact(w) for w in want], (start, goal)
 
 
 def test_chart_config_dist_matches_config_dist():

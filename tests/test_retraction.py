@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from fig8plan import retraction
 from fig8plan.errors import CollisionError, DomainError
 from fig8plan.geometry import (
     SNAP_EPS,
@@ -297,3 +298,37 @@ def test_gluing_continuity_across_diagonal_band():
 def test_spine_config_matches_point():
     r = retract(configuration("A", 0.1, "A", 0.3))
     assert _leg_end(r) == chain_to_config(r.point)
+
+
+def test_retract_never_hands_retract_flat_a_glued_same_circle_edge(monkeypatch):
+    # chart() puts a robot at the center in a mixed square, so retract never
+    # evaluates a same-circle chart at 0 or 1, where the formula leaves the
+    # square: retract_flat("AA", 1e-12, 1.0) lies outside it, at scale 5e11.
+    # Every center/other-robot combination, on one circle and across, and the
+    # points of the edge_coords grid.
+    calls = []
+    original = retraction.retract_flat
+
+    def spy(square, a, b):
+        calls.append((square, a, b))
+        return original(square, a, b)
+
+    monkeypatch.setattr(retraction, "retract_flat", spy)
+    grid = {0.0, 5e-324, 1e-13, 1e-12, 2e-12, 0.25, 0.5, 0.75, 1.0 - 2e-12, 1.0 - 1e-16}
+    grid |= {base + k * 1e-12 for base in (0.0, 0.5, 1.0) for k in range(-3, 4)}
+    grid |= {k / 37 for k in range(37)}
+    grid = sorted(v for v in grid if 0.0 <= v < 1.0)
+    n = 0
+    for c1, c2 in itertools.product("AB", repeat=2):
+        for x, y in itertools.product(grid, repeat=2):
+            try:
+                c = configuration(c1, x, c2, y)
+            except (DomainError, CollisionError):
+                continue
+            retract(c)
+            n += 1
+    assert n > 5000
+    centers = [c for c in calls if 0.0 in c[1:]]
+    assert {square for square, _, _ in centers} == {"AB", "BA"}
+    glued = [c for c in calls if c[0] in ("AA", "BB") and {0.0, 1.0} & set(c[1:])]
+    assert not glued, glued[:5]
