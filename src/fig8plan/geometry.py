@@ -20,9 +20,10 @@ stays on one circle and its arc coordinate is affine in time.  Chart values
 lie in [0, 1], so the center (0 or 1) can only be a segment's end; builders
 split segments only at the pole, where a robot crosses 1/2, and every
 segment lives in a single square chart.  PathSegment and PhysPath are plain
-records: certify_path is the one check of a trajectory's form, and
-path_min_separation > 0 its one collision rule.  Both read chart values
-only, so certifying a path builds no configuration.
+records: certify_path(path, start, goal) is the one trajectory
+certificate.  It checks the form, the one collision rule
+path_min_separation > 0, and both ends, all on chart values, so certifying
+a path builds no configuration.
 
 Two constants bound the admissible inputs (README, "Admissible inputs"):
 EPS is the spine snap (spine.chain_point) and the endpoint and junction
@@ -201,17 +202,21 @@ class PhysPath(namedtuple("PhysPath", "segments")):
         return seg.circle1, a, seg.circle2, b
 
 
-def certify_path(path: PhysPath) -> None:
-    """Check a trajectory's form, segment by segment; raises ContractError
-    naming the first defect.
+def certify_path(path: PhysPath, start: Configuration, goal: Configuration) -> tuple[float, float]:
+    """Certify a trajectory from start to goal; raises ContractError naming
+    the first defect, else returns (endpoint error, minimum separation).
 
-    Times start at 0, run contiguously and strictly increase to 1.  Circles
-    are known, chart values lie in [0, 1], and no coordinate crosses the
-    pole inside a segment.  Consecutive segments meet within EPS
-    (config_dist's metric), and no waypoint has both robots reading as the
-    center, the only place robots on two circles meet.  A meeting on one
-    circle is path_min_separation's to find: a certified path is
-    collision-free exactly when its separation is positive.
+    Three checks, in this order.  First the form, segment by segment: times
+    start at 0, run contiguously and strictly increase to 1; circles are
+    known, chart values lie in [0, 1], and no coordinate crosses the pole
+    inside a segment; consecutive segments meet within EPS (config_dist's
+    metric), and no waypoint has both robots reading as the center, the
+    only place robots on two circles meet.  Then the one collision rule: a
+    meeting on one circle is path_min_separation's to find, and a path of
+    sound form is collision-free exactly when its separation is positive,
+    so its ends read as configurations.  Last, the first and last waypoints
+    lie within EPS of start and goal, measured on their chart values
+    (chart_config_dist).
     """
     t, end = 0.0, None  # the previous segment's end time and (circle1, a1, circle2, b1)
     for t0, t1, c1, a0, a1, c2, b0, b1 in path.segments:
@@ -236,6 +241,16 @@ def certify_path(path: PhysPath) -> None:
         t, end = t1, (c1, a1, c2, b1)
     if t != 1.0:
         raise ContractError(f"trajectory times must run to 1, not stop at t={t}")
+    sep = path_min_separation(path)
+    if sep <= 0.0:
+        raise ContractError(f"path separation dropped to {sep}")
+    _, _, c1, a0, _, c2, b0, _ = path.segments[0]
+    d1, a1, d2, b1 = end
+    err = max(chart_config_dist(c1, a0, c2, b0, start), chart_config_dist(d1, a1, d2, b1, goal))
+    if err > EPS:
+        ends = configuration(c1, a0, c2, b0), configuration(d1, a1, d2, b1)
+        raise ContractError(f"endpoint err {err:.3e}: the path runs {ends[0]} -> {ends[1]}")
+    return err, sep
 
 
 class ChartLeg(namedtuple("ChartLeg", "circle1 a0 a1 circle2 b0 b1")):

@@ -23,17 +23,14 @@ from random import Random
 from .errors import ContractError, DomainError
 from .geometry import (
     CIRCLES,
-    EPS,
     CirclePoint,
     Configuration,
     PhysPath,
     certify_path,
-    chart_config_dist,
     circle_point,
     config_dist,
     dist_gamma,
     path_from_legs,
-    path_min_separation,
     path_sup_distance,
 )
 from .planner import MAX_CHAIN_LENGTH, MAX_HOPS, InstructionDomain, classify_domain, plan, validate_plan
@@ -234,8 +231,9 @@ def continuity_probe(domain: InstructionDomain, seed: int, samples: int = 16) ->
     of 10*delta from the domain boundary, and for U2 the perturbation moves
     along the antipodal stratum (both points slide together) or holds the
     vertex fixed; one that leaves the domain raises ContractError.  Each
-    path is the one plan() returns for the two spine points, certified on
-    its own (_certified); a failure is named by domain, delta and sample.
+    path is the one plan() returns for the two spine points, certified
+    between its start and goal (certify_path); a failure is named by
+    domain, delta and sample.
     U3 is refused: its domain is the 36 isolated vertex pairs, on which
     every rule is continuous, so there is nothing to perturb.
     """
@@ -259,24 +257,17 @@ def _probe_path_pairs(domain: InstructionDomain, seed: int, samples: int):
                     raise ContractError(
                         f"perturbation left {domain}: {_format_chain(a)}, {_format_chain(b)}"
                     )
+            paths = []
             try:
-                base, *nearby = [
-                    _certified(plan(chain_to_config(a), chain_to_config(b)).path)
-                    for a, b in [(x, y), *moved]
-                ]
+                for a, b in [(x, y), *moved]:
+                    p = plan(chain_to_config(a), chain_to_config(b))
+                    certify_path(p.path, p.start, p.goal)
+                    paths.append(p.path)
             except (ContractError, DomainError) as exc:
                 raise ContractError(f"{domain.name} delta {delta:g} sample {k}: {exc}") from exc
+            base, *nearby = paths
             for path in nearby:
                 yield delta, base, path
-
-
-def _certified(path: PhysPath) -> PhysPath:
-    """A path checked on its own: certify_path, then an exact separation > 0; raises ContractError."""
-    certify_path(path)
-    sep = path_min_separation(path)
-    if sep <= 0.0:
-        raise ContractError(f"path separation dropped to {sep}")
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -501,19 +492,9 @@ def _suite_retraction(rng: Random, n: int) -> str:
             image_config = chain_to_config(r.point)
             if retract(image_config).point != r.point:
                 raise ContractError(f"image {_format_chain(r.point)} of {_format_config(c)} is not fixed")
-            _, _, c1, a0, _, c2, b0, _ = trace.segments[0]
-            _, _, d1, _, a1, d2, _, b1 = trace.segments[-1]
-            end_err = max(
-                chart_config_dist(c1, a0, c2, b0, c), chart_config_dist(d1, a1, d2, b1, image_config)
-            )
-            if end_err > EPS:
-                raise ContractError(f"trace endpoint error {end_err:.3e}")
             try:
-                certify_path(trace)
-                sep = path_min_separation(trace)
+                end_err, sep = certify_path(trace, c, image_config)
                 gap = abs(kink_min_separation(trace) - sep)
-                if sep <= 0.0:
-                    raise ContractError("collides")
                 if gap > SEPARATION_TOL:
                     raise ContractError(f"oracle gap {gap:.3e}")
             except ContractError as exc:
@@ -586,12 +567,13 @@ def _suite_termination(rng: Random, n: int) -> str:
     for i, (x, y) in enumerate(pairs):
         try:
             p = plan(chain_to_config(x), chain_to_config(y))
-            _certified(p.path)
-            if p.hop_count > MAX_HOPS or p.chain_length > MAX_CHAIN_LENGTH:
-                raise ContractError(f"hops {p.hop_count} length {p.chain_length:.3f}")
+            certify_path(p.path, p.start, p.goal)
+            length = p.chain_length
+            if p.hop_count > MAX_HOPS or length > MAX_CHAIN_LENGTH:
+                raise ContractError(f"hops {p.hop_count} length {length:.3f}")
         except (ContractError, DomainError) as exc:
             raise ContractError(f"pair {i}: {_format_chain(x)} -> {_format_chain(y)} {exc}") from exc
-        rows.append((p.hop_count, p.chain_length))
+        rows.append((p.hop_count, length))
     hops, lengths = zip(*rows)
     return _bounds_witness(max(hops), max(lengths))
 

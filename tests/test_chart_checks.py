@@ -20,7 +20,6 @@ from fig8plan.geometry import (
     ChartLeg,
     PathSegment,
     PhysPath,
-    certify_path,
     chart,
     config_dist,
     configuration,
@@ -28,8 +27,8 @@ from fig8plan.geometry import (
     reads_as_center,
 )
 from fig8plan.spine import chart_on_spine
-from fig8plan.verify import _certified
 
+from certify_alone import certify_alone
 from spine_reference import on_spine
 
 # Raw chart values at the center, around it, and at the pole.
@@ -123,10 +122,10 @@ def test_junction_check_matches_config_dist():
         path = PhysPath((first, PathSegment(0.5, 1.0, d1, x, x, d2, y, y)))
         if gap > EPS:
             with pytest.raises(ContractError, match="disagree across a junction"):
-                certify_path(path)
+                certify_alone(path)
             rejected += 1
         else:
-            certify_path(path)
+            certify_alone(path)
             assert configuration(*path.chart_at(0.25)) == end
         checked += 1
     assert checked > 15_000 and 1000 < rejected < checked - 1000
@@ -154,7 +153,7 @@ def test_junction_start_side_keeps_its_collision_check(end, start, goal):
     at_center = reads_as_center(x) and reads_as_center(y)
     message = "robots coincide at the center at t=0.5" if at_center else "separation dropped to 0.0"
     with pytest.raises(ContractError, match=message):
-        _certified(PhysPath((first, second)))
+        certify_alone(PhysPath((first, second)))
 
 
 # The cut of path assembly before it was reduced to the pole: every critical

@@ -2,10 +2,12 @@
 
 configuration checks its positions as it builds them.  PathSegment and
 PhysPath are plain records: certify_path checks a path's form segment by
-segment, and the exact separation (path_min_separation > 0) is its one
-collision rule, so each table below probes both sides of every boundary
-those checks draw.  A configuration row names the exception its input must
-raise, or None (or the chart) when the input is valid.  A path row names the
+segment, then its one collision rule, the exact separation
+(path_min_separation > 0), then its ends.  Each path here is certified
+against its own ends (certify_alone), so each table below probes both sides
+of every boundary the form and separation checks draw.  A configuration row
+names the exception its input must raise, or None (or the chart) when the
+input is valid.  A path row names the
 kind of defect it probes in the package's error vocabulary (CollisionError,
 DomainError or ContractError; None for a valid path) and the message of the
 check that must refuse it: every path defect is a ContractError.
@@ -27,7 +29,8 @@ from fig8plan.geometry import (
     configuration,
 )
 from fig8plan.spine import chain_point, vertex_point
-from fig8plan.verify import _certified
+
+from certify_alone import certify_alone
 
 LO, HI = SNAP_EPS, 1.0 - SNAP_EPS
 BELOW_LO, ABOVE_LO = math.nextafter(LO, 0.0), math.nextafter(LO, 1.0)
@@ -176,11 +179,11 @@ SEGMENT_EDGES = [
 def test_path_segment_edges(args, kind, message):
     path = PhysPath((PathSegment(*args),))
     if kind is None:
-        assert _certified(path) is path
+        assert certify_alone(path)[0] == 0.0
         assert tuple(path.segments[0]) == args
     else:
         with pytest.raises(ContractError, match=message):
-            _certified(path)
+            certify_alone(path)
 
 
 def _junction(a_start: float, t_join: float = 0.5) -> tuple:
@@ -230,13 +233,14 @@ def test_phys_path_edges(build, kind, message):
     segments = build()
     path = PhysPath(segments)
     if kind is None:
-        assert _certified(path).segments == segments
+        assert certify_alone(path)[0] == 0.0
+        assert path.segments == segments
         # every segment end reads as a valid configuration
         ends = [configuration(s.circle1, s.a1, s.circle2, s.b1) for s in segments]
         assert configuration(*path.chart_at(1.0)) == ends[-1]
     else:
         with pytest.raises(ContractError, match=message):
-            _certified(path)
+            certify_alone(path)
 
 
 def test_vertex_and_center_points_stay_shared_objects():

@@ -341,24 +341,24 @@ def test_run_all_suites_prints_the_replay_of_a_failing_suite(monkeypatch, capsys
 
 
 def test_run_all_suites_reports_every_suite_when_one_raises(monkeypatch, capsys):
-    # with every path the suites certify themselves colliding, three suites
+    # with every certified path colliding, the four suites that build paths
     # fail; each still gets its report and its replay, and the later suites run
-    from fig8plan import verify
+    from fig8plan import geometry, verify
 
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_suites.py"
     spec = importlib.util.spec_from_file_location("run_all_suites", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    monkeypatch.setattr(verify, "path_min_separation", lambda path: 0.0)
+    monkeypatch.setattr(geometry, "path_min_separation", lambda path: 0.0)
     monkeypatch.setattr(sys, "argv", ["run_all_suites.py", "--seed", "3"])
     assert script.main() == 1
     out, err = capsys.readouterr()
     reports = [json.loads(line) for line in out.splitlines()]
     assert [r["suite"] for r in reports] == list(verify.SUITE_NAMES)
-    failed = ["retraction", "continuity", "termination"]
+    failed = ["collision", "retraction", "continuity", "termination"]
     assert [r["suite"] for r in reports if not r["pass"]] == failed
     assert err.splitlines() == [
         *(f"{name} failed; replay with: fig8plan verify --suite {name} --seed 3 --n {n}"
-          for name, n in zip(failed, (1000, 12, 1000))),
-        "3 suite(s) failed",
+          for name, n in zip(failed, (1000, 1000, 12, 1000))),
+        "4 suite(s) failed",
     ]

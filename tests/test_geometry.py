@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from fig8plan.errors import CollisionError, ContractError, DomainError
 from fig8plan.geometry import (
+    EPS,
     ChartLeg,
     CirclePoint,
     Configuration,
@@ -24,9 +25,11 @@ from fig8plan.geometry import (
     path_min_separation,
     path_sup_distance,
 )
-from fig8plan.planner import InstructionDomain, plan
+from fig8plan.planner import InstructionDomain, plan, validate_plan
 from fig8plan.spine import CHAIN_VERTICES, VERTEX_CONFIG
-from fig8plan.verify import _certified, _probe_path_pairs, kink_min_separation
+from fig8plan.verify import _probe_path_pairs, kink_min_separation
+
+from certify_alone import certify_alone
 
 circles = st.sampled_from(("A", "B"))
 arcs = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -135,17 +138,45 @@ def test_parse_position():
 
 def test_segment_rejects_interior_critical_crossing():
     with pytest.raises(ContractError, match="split required"):
-        certify_path(PhysPath((PathSegment(0.0, 1.0, "A", 0.2, 0.8, "B", 0.3, 0.3),)))
+        certify_alone(PhysPath((PathSegment(0.0, 1.0, "A", 0.2, 0.8, "B", 0.3, 0.3),)))
     # Touching the pole at an endpoint is fine.
-    certify_path(PhysPath((PathSegment(0.0, 1.0, "A", 0.2, 0.5, "B", 0.3, 0.3),)))
+    certify_alone(PhysPath((PathSegment(0.0, 1.0, "A", 0.2, 0.5, "B", 0.3, 0.3),)))
 
 
 def test_segment_rejects_diagonal_crossing():
-    # The form is sound; the exact separation finds the robots passing.
+    # The form is sound and both ends are right; the exact separation finds
+    # the robots passing.
     path = PhysPath((PathSegment(0.0, 1.0, "A", 0.2, 0.4, "A", 0.45, 0.25),))
-    certify_path(path)
-    with pytest.raises(ContractError, match="separation dropped to 0.0"):
-        _certified(path)
+    with pytest.raises(ContractError, match=r"^path separation dropped to 0\.0$"):
+        certify_path(path, configuration("A", 0.2, "A", 0.45), configuration("A", 0.4, "A", 0.25))
+
+
+def _readme_and_vertex_plans():
+    yield plan(configuration("A", 0.3, "B", 0.7), configuration("B", 0.25, "A", 0.6))
+    for u in CHAIN_VERTICES:
+        for v in CHAIN_VERTICES:
+            yield plan(VERTEX_CONFIG[u], VERTEX_CONFIG[v])
+
+
+def test_certify_path_is_validate_plans_certificate():
+    # validate_plan returns certify_path's (endpoint error, separation) bit
+    # for bit, on the README plan and the 36 vertex pairs
+    for p in _readme_and_vertex_plans():
+        got = certify_path(p.path, p.start, p.goal)
+        assert [x.hex() for x in got] == [x.hex() for x in validate_plan(p)]
+
+
+def test_certify_path_refuses_a_missed_goal():
+    # the last waypoint EPS / 2 or 2 EPS short of the goal: form and
+    # separation pass, and the end check refuses the miss past EPS
+    p = plan(configuration("A", 0.3, "B", 0.7), configuration("B", 0.25, "A", 0.6))
+    *rest, last = p.path.segments
+    near = PhysPath((*rest, last._replace(b1=last.b1 - 0.5 * EPS)))
+    assert certify_path(near, p.start, p.goal)[0] == pytest.approx(0.5 * EPS)
+    short = PhysPath((*rest, last._replace(b1=last.b1 - 2 * EPS)))
+    with pytest.raises(ContractError, match=r"^endpoint err 2\.000e-09: the path runs "):
+        certify_path(short, p.start, p.goal)
+    assert certify_path(short, p.start, configuration(*short.chart_at(1.0)))[0] == 0.0
 
 
 def test_path_from_legs_splits_at_pole():
@@ -218,9 +249,10 @@ def test_min_separation_sees_crossing_between_samples():
     # start, and the path's form is sound; no evenly spaced sample lands
     # before the crossing, but the kink oracle reads the distance where d = 0.
     path = PhysPath((PathSegment(0.0, 1.0, "A", 0.3, 0.3, "A", 0.3 - 1e-14, 0.45),))
-    certify_path(path)
     assert kink_min_separation(path) == 0.0
     assert path_min_separation(path) == 0.0
+    with pytest.raises(ContractError, match="path separation dropped to 0.0"):
+        certify_alone(path)
 
 
 def test_waypoints_are_derived_from_the_segments():
@@ -253,7 +285,7 @@ def test_concat_rejects_junction_mismatch():
         ChartLeg("A", 0.21, 0.3, "B", 0.25, 0.25),
     ]
     with pytest.raises(ContractError, match="disagree across a junction"):
-        certify_path(path_from_legs(legs))
+        certify_alone(path_from_legs(legs))
 
 
 def test_concat_joins_at_pole_waypoint():
@@ -395,7 +427,7 @@ def test_config_at_rejects_times_outside_the_unit_interval():
 def test_physpath_requires_unit_interval():
     seg = PathSegment(0.0, 0.5, "A", 0.2, 0.3, "B", 0.25, 0.25)
     with pytest.raises(ContractError, match="times must run to 1"):
-        certify_path(PhysPath((seg,)))
+        certify_alone(PhysPath((seg,)))
 
 
 def test_sweep_totals():

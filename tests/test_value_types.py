@@ -1,7 +1,7 @@
 """Contract of the package's value types: immutable, hashable, picklable
 tuples whose repr and checks do not depend on how they are built.  Most
 check themselves as they are built; PathSegment and PhysPath are plain
-records, checked by certify_path and the exact separation (verify._certified)."""
+records, checked by geometry.certify_path (form, exact separation, ends)."""
 
 import pickle
 from pathlib import Path
@@ -9,12 +9,14 @@ from pathlib import Path
 import pytest
 
 from fig8plan.errors import CollisionError, ContractError, DomainError
-from fig8plan.geometry import ChartLeg, CirclePoint, Configuration, PathSegment, PhysPath, certify_path
+from fig8plan.geometry import ChartLeg, CirclePoint, Configuration, PathSegment, PhysPath
 from fig8plan.planner import InstructionDomain, Plan
 from fig8plan.render import RenderSpec
 from fig8plan.retraction import RetractResult
 from fig8plan.spine import ChainPoint
-from fig8plan.verify import SuiteReport, _certified
+from fig8plan.verify import SuiteReport
+
+from certify_alone import certify_alone
 
 POINT = "CirclePoint(circle='A', s=0.3)"
 CONFIG = f"Configuration(p1={POINT}, p2=CirclePoint(circle='B', s=0.7))"
@@ -96,8 +98,8 @@ def test_pickle_round_trip(make, golden):
 
 
 # (build, the kind of defect, the error raised and its message): a path's
-# defect of any kind is a ContractError, raised by certify_path or by the
-# exact separation (_certified) on a path built with keywords.
+# defect of any kind is a ContractError, raised by certify_path's form or
+# exact separation check on a path built with keywords.
 KEYWORD_ROWS = [
     (lambda: CirclePoint(circle="C", s=0.3), DomainError, DomainError, "unknown circle"),
     (lambda: CirclePoint(circle="A", s=1e-13), DomainError, DomainError, "reads as the center"),
@@ -106,18 +108,18 @@ KEYWORD_ROWS = [
         CollisionError, CollisionError, "robots coincide",
     ),
     (
-        lambda: certify_path(PhysPath(segments=(PathSegment(
+        lambda: certify_alone(PhysPath(segments=(PathSegment(
             t0=0.5, t1=0.5, circle1="A", a0=0.1, a1=0.1, circle2="B", b0=0.2, b1=0.2
         ),))),
         ContractError, ContractError, "times must strictly increase",
     ),
     (
-        lambda: _certified(PhysPath(segments=(PathSegment(
+        lambda: certify_alone(PhysPath(segments=(PathSegment(
             t0=0.0, t1=1.0, circle1="A", a0=0.1, a1=0.3, circle2="A", b0=0.2, b1=0.2
         ),))),
         CollisionError, ContractError, "separation dropped to 0.0",
     ),
-    (lambda: certify_path(PhysPath(segments=())), DomainError, ContractError, "times must run to 1"),
+    (lambda: certify_alone(PhysPath(segments=())), DomainError, ContractError, "times must run to 1"),
     (lambda: ChainPoint(circle="Q", theta=0.1), DomainError, DomainError, "unknown spine circle"),
     (lambda: RenderSpec(size=100.0), DomainError, DomainError, "canvas size"),
 ]

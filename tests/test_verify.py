@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from fig8plan import planner, spine, verify
+from fig8plan import geometry, spine, verify
 from fig8plan.errors import ContractError, DomainError
 from fig8plan.geometry import (
     Configuration,
@@ -390,25 +390,24 @@ def test_separation_suites_keep_their_witnesses(suite, witness):
         (
             "collision",
             "pair 299: start (B:0.25, A:0.75) goal (B:0.75, A:0.911631)"
-            " plan separation dropped to 0.0",
+            " path separation dropped to 0.0",
         ),
-        ("retraction", "sample 299: trace of (B:0.159713, B:0.75) collides"),
+        ("retraction", "sample 299: trace of (B:0.159713, B:0.75) path separation dropped to 0.0"),
         ("termination", "pair 299: (H1,0.858448) -> (H1,0.358448) path separation dropped to 0.0"),
     ],
 )
 def test_separation_suites_name_the_failing_index(monkeypatch, suite, witness):
-    # a collision forced on the 300th path, where the suite reads its exact
-    # separation: validate_plan's for a collision plan, its own for a
-    # retraction trace, _certified's for a termination plan
-    module = planner if suite == "collision" else verify
-    real = module.path_min_separation
+    # a collision forced on the 300th path, where certify_path reads its
+    # exact separation: through validate_plan for a collision plan, directly
+    # for a retraction trace or a termination plan
+    real = geometry.path_min_separation
     calls = []
 
     def forced(path):
         calls.append(path)
         return 0.0 if len(calls) == 300 else real(path)
 
-    monkeypatch.setattr(module, "path_min_separation", forced)
+    monkeypatch.setattr(geometry, "path_min_separation", forced)
     report = run_suite(suite, seed=0, n=600)
     assert not report.passed
     assert report.witness == witness
@@ -428,11 +427,11 @@ def test_suites_certify_every_path_they_build(monkeypatch, suite, n):
 def test_retraction_suite_names_an_uncertified_trace(monkeypatch):
     real, calls = verify.certify_path, []
 
-    def broken(path):
+    def broken(path, start, goal):
         calls.append(path)
         if len(calls) == 300:
             raise ContractError("forced defect")
-        real(path)
+        return real(path, start, goal)
 
     monkeypatch.setattr(verify, "certify_path", broken)
     report = run_suite("retraction", seed=0, n=600)
@@ -441,7 +440,7 @@ def test_retraction_suite_names_an_uncertified_trace(monkeypatch):
 
 
 def test_continuity_probe_refuses_an_uncertified_path(monkeypatch):
-    monkeypatch.setattr(verify, "path_min_separation", lambda path: 0.0)
+    monkeypatch.setattr(geometry, "path_min_separation", lambda path: 0.0)
     with pytest.raises(ContractError, match="path separation dropped to 0.0"):
         continuity_probe(InstructionDomain.U1, seed=0, samples=1)
 
@@ -473,7 +472,7 @@ def test_every_failure_names_its_case(monkeypatch, suite, n, call, witness):
 
 
 def test_continuity_suite_names_an_uncertified_path(monkeypatch):
-    monkeypatch.setattr(verify, "path_min_separation", lambda path: 0.0)
+    monkeypatch.setattr(geometry, "path_min_separation", lambda path: 0.0)
     report = run_suite("continuity", seed=0, n=1)
     assert not report.passed
     assert report.witness == "U1 delta 0.01 sample 0: path separation dropped to 0.0"
@@ -509,22 +508,20 @@ def test_roundtrip_suite_catches_a_narrowed_vertex_snap(monkeypatch):
     assert "came back as" in report.witness
 
 
-@pytest.mark.parametrize(
-    "suite, witness",
-    [
-        (
-            "collision",
-            "pair 0: start (B:0.75, B:0.783799) goal (A:0.5, B:0.755804) endpoint err 0.000e+00",
-        ),
-        ("retraction", "sample 0: trace endpoint error 0.000e+00"),
-    ],
-)
-def test_endpoint_checks_use_the_package_tolerance(monkeypatch, suite, witness):
-    # The collision suite (through validate_plan) and the retraction suite
-    # compare endpoint errors with geometry.EPS; a negative tolerance fails
-    # their first sample there.
-    monkeypatch.setattr(planner, "EPS", -1.0)
-    monkeypatch.setattr(verify, "EPS", -1.0)
+# each suite that builds paths, and the first case it builds
+FIRST_CASES = [
+    ("collision", "pair 0: start (B:0.75, B:0.783799) goal (A:0.5, B:0.755804) "),
+    ("retraction", "sample 0: trace of (B:0.75, B:0.783799) "),
+    ("termination", "pair 0: (V1,0.757954) -> (V1,0.257954) "),
+    ("continuity", "U1 delta 0.01 sample 0: "),
+]
+
+
+@pytest.mark.parametrize("suite, case", FIRST_CASES, ids=[suite for suite, _ in FIRST_CASES])
+def test_every_suite_certifies_its_endpoints(monkeypatch, suite, case):
+    # Every suite that builds a path certifies its two ends with
+    # certify_path; an endpoint error of 1 fails the first case.
+    monkeypatch.setattr(geometry, "chart_config_dist", lambda *args: 1.0)
     report = run_suite(suite, seed=0, n=20)
     assert not report.passed
-    assert report.witness.startswith(witness)
+    assert report.witness.startswith(case + "endpoint err 1.000e+00: the path runs ")
