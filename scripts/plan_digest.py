@@ -13,8 +13,9 @@ stream:
   request.  repr writes every float exactly, so this digest also sees a
   change in the last bit of what the JSON leaves out: the segment starts,
   spine_interval and the retraction legs;
-* walk: the repr of the walk's chart legs (Plan.steps), one line per
-  request, so a change to how the walk is represented shows apart from
+* walk: the repr of the walk's chart legs, the arc moves of
+  plan_steps(chain_start, chain_goal) flattened into one tuple, one line
+  per request, so a change to how the walk is represented shows apart from
   the trajectory it yields;
 * cert: the repr of validate_plan(plan), the certified (endpoint error,
   minimum separation), one line per request, so a change to how a plan is
@@ -36,6 +37,7 @@ updates these values in the same change and says why.
 """
 
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -46,7 +48,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
 from fig8plan.geometry import configuration  # noqa: E402
-from fig8plan.planner import plan, plan_to_json, validate_plan  # noqa: E402
+from fig8plan.planner import plan, plan_steps, plan_to_json, validate_plan  # noqa: E402
 from fig8plan.render import render_svg  # noqa: E402
 from fig8plan.spine import CHAIN_VERTICES, VERTEX_CONFIG  # noqa: E402
 from fig8plan.verify import SUITE_NAMES, run_suite  # noqa: E402
@@ -81,7 +83,8 @@ def stream_digests(pairs) -> dict[str, str]:
         text.update(json.dumps(plan_to_json(p)).encode() + b"\n")
         record = (p.domain, p.hop_count, p.path.segments, p.spine_interval, p.trace_in, p.trace_out)
         path.update(repr(record).encode() + b"\n")
-        walk.update(repr(p.steps).encode() + b"\n")
+        _, moves = plan_steps(p.chain_start, p.chain_goal)
+        walk.update(repr(tuple(itertools.chain.from_iterable(moves))).encode() + b"\n")
         cert.update(repr(validate_plan(p)).encode() + b"\n")
     return {"json": text.hexdigest(), "path": path.hexdigest(), "walk": walk.hexdigest(),
             "cert": cert.hexdigest()}

@@ -135,18 +135,19 @@ def plan_steps(start: ChainPoint, goal: ChainPoint) -> tuple[InstructionDomain, 
 class Plan(
     namedtuple(
         "Plan",
-        "start goal domain chain_start chain_goal steps hop_count path spine_interval"
+        "start goal domain chain_start chain_goal chain_length hop_count path spine_interval"
         " trace_in trace_out",
     )
 ):
     """A complete collision-free trajectory between two configurations.
 
     start and goal are Configurations, chain_start and chain_goal their spine
-    images, steps the chart legs of the walk in hop_count arc moves, and path
-    the PhysPath, on the spine for t in spine_interval.  trace_in is the
-    start's retraction ChartLeg and trace_out the goal's, already reversed to
-    run towards the goal.  Each holds one leg, or none when the leg has zero
-    sweep (an endpoint on the spine that does not snap onto a vertex).
+    images, chain_length the length of the walk between them along the spine
+    in hop_count arc moves, and path the PhysPath, on the spine for t in
+    spine_interval.  trace_in is the start's retraction ChartLeg and
+    trace_out the goal's, already reversed to run towards the goal.  Each
+    holds one leg, or none when the leg has zero sweep (an endpoint on the
+    spine that does not snap onto a vertex).
     """
 
     __slots__ = ()
@@ -154,11 +155,6 @@ class Plan(
     @property
     def instruction(self) -> int:
         return self.domain.value
-
-    @property
-    def chain_length(self) -> float:
-        # added left to right, the same on every Python (see path_from_legs)
-        return reduce(add, (leg.sweep for leg in self.steps), 0.0)
 
 
 def plan(start: Configuration, goal: Configuration) -> Plan:
@@ -181,6 +177,7 @@ def plan(start: Configuration, goal: Configuration) -> Plan:
     else:
         path = constant_path(start)
 
+    # added left to right, the same on every Python (see path_from_legs)
     sw_spine = reduce(add, (leg.sweep for leg in steps), 0.0)
     total = sw_in + sw_spine + sw_out
     if total > 0.0:
@@ -189,7 +186,7 @@ def plan(start: Configuration, goal: Configuration) -> Plan:
         interval = (0.0, 1.0)
 
     return Plan(
-        start, goal, domain, r_in.point, r_out.point, steps, len(moves), path, interval,
+        start, goal, domain, r_in.point, r_out.point, sw_spine, len(moves), path, interval,
         legs_in, legs_out,
     )
 

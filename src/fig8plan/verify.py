@@ -231,9 +231,8 @@ def continuity_probe(domain: InstructionDomain, seed: int, samples: int = 16) ->
     of 10*delta from the domain boundary, and for U2 the perturbation moves
     along the antipodal stratum (both points slide together) or holds the
     vertex fixed; one that leaves the domain raises ContractError.  Each
-    path is the one plan() returns for the two spine points, certified
-    between its start and goal (certify_path); a failure is named by
-    domain, delta and sample.
+    path is the one plan() returns for the two spine points, certified by
+    validate_plan; a failure is named by domain, delta and sample.
     U3 is refused: its domain is the 36 isolated vertex pairs, on which
     every rule is continuous, so there is nothing to perturb.
     """
@@ -261,7 +260,7 @@ def _probe_path_pairs(domain: InstructionDomain, seed: int, samples: int):
             try:
                 for a, b in [(x, y), *moved]:
                     p = plan(chain_to_config(a), chain_to_config(b))
-                    certify_path(p.path, p.start, p.goal)
+                    validate_plan(p)
                     paths.append(p.path)
             except (ContractError, DomainError) as exc:
                 raise ContractError(f"{domain.name} delta {delta:g} sample {k}: {exc}") from exc
@@ -561,19 +560,17 @@ def _suite_continuity(rng: Random, n: int) -> str:
 
 def _suite_termination(rng: Random, n: int) -> str:
     # Spine pairs, vertex and antipodal images included, then all 36 vertex
-    # pairs; the collision suite checks the same bounds on its random_config plans.
+    # pairs, each plan certified by validate_plan (bounds included); the
+    # collision suite certifies its random_config plans the same way.
     pairs = itertools.chain((_random_chain_pair(rng) for _ in range(n)), _VERTEX_PAIRS)
     rows = []
     for i, (x, y) in enumerate(pairs):
         try:
             p = plan(chain_to_config(x), chain_to_config(y))
-            certify_path(p.path, p.start, p.goal)
-            length = p.chain_length
-            if p.hop_count > MAX_HOPS or length > MAX_CHAIN_LENGTH:
-                raise ContractError(f"hops {p.hop_count} length {length:.3f}")
+            validate_plan(p)
         except (ContractError, DomainError) as exc:
             raise ContractError(f"pair {i}: {_format_chain(x)} -> {_format_chain(y)} {exc}") from exc
-        rows.append((p.hop_count, length))
+        rows.append((p.hop_count, p.chain_length))
     hops, lengths = zip(*rows)
     return _bounds_witness(max(hops), max(lengths))
 

@@ -304,15 +304,32 @@ def test_boundary_replays_plan(capsys, argv):
     assert all(b > a for a, b in zip(ts, ts[1:]))
 
 
+def _run_all_suites():
+    """scripts/run_all_suites.py, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_suites.py"
+    spec = importlib.util.spec_from_file_location("run_all_suites", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_run_all_suites_full_sizes_cover_every_suite():
+    # --full looks up each suite's n in FULL_SIZES, so a suite missing there
+    # fails with a KeyError; a full run is never smaller than a quick one
+    from fig8plan import verify
+
+    sizes = _run_all_suites().FULL_SIZES
+    assert sorted(sizes) == sorted(verify.SUITE_NAMES)
+    for name, (_, quick_n) in verify._SUITES.items():
+        assert sizes[name] >= quick_n, name
+
+
 def test_run_all_suites_prints_the_replay_of_a_failing_suite(monkeypatch, capsys):
     # a failing suite's exact replay goes to stderr, with the n it ran at
     # quick and at --full size; the stdout report lines stay as they are
     from fig8plan.verify import SuiteReport
 
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_suites.py"
-    spec = importlib.util.spec_from_file_location("run_all_suites", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _run_all_suites()
     defaults = {
         "collision": 1000,
         "partition": 20000,
@@ -345,10 +362,7 @@ def test_run_all_suites_reports_every_suite_when_one_raises(monkeypatch, capsys)
     # fail; each still gets its report and its replay, and the later suites run
     from fig8plan import geometry, verify
 
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_suites.py"
-    spec = importlib.util.spec_from_file_location("run_all_suites", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _run_all_suites()
     monkeypatch.setattr(geometry, "path_min_separation", lambda path: 0.0)
     monkeypatch.setattr(sys, "argv", ["run_all_suites.py", "--seed", "3"])
     assert script.main() == 1

@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+from functools import reduce
+from operator import add
 from random import Random
 
 import pytest
@@ -555,6 +557,19 @@ def test_plan_builds_no_configuration(monkeypatch):
         assert not built, (start, goal)
         assert json.dumps(doc) == json.dumps(_json_from_waypoints(p)), (start, goal)
         built.clear()
+
+
+def test_chain_length_is_the_walk_summed_left_to_right():
+    # plan() stores chain_length; it is the sweeps of the walk's legs
+    # (plan_steps on the two spine images) added left to right, bit for bit.
+    rng = Random(5)
+    pairs = [(VERTEX_CONFIG[u], VERTEX_CONFIG[v]) for u in CHAIN_VERTICES for v in CHAIN_VERTICES]
+    pairs += [(random_config(rng), random_config(rng)) for _ in range(2000)]
+    for start, goal in pairs:
+        p = plan(start, goal)
+        _, moves = plan_steps(p.chain_start, p.chain_goal)
+        walked = reduce(add, (leg.sweep for leg in itertools.chain.from_iterable(moves)), 0.0)
+        assert float.hex(p.chain_length) == float.hex(walked), (start, goal)
 
 
 def test_plan_json_text_is_the_path():

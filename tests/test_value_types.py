@@ -24,7 +24,6 @@ SEGMENT = "PathSegment(t0=0.0, t1=1.0, circle1='A', a0=0.3, a1=0.3, circle2='B',
 PATH = f"PhysPath(segments=({SEGMENT},))"
 LEG = "ChartLeg(circle1='A', a0=0.3, a1=0.5, circle2='B', b0=0.7, b1=0.7)"
 CHAIN_POINT = "ChainPoint(circle='V1', theta=0.7)"
-SPINE_LEG = "ChartLeg(circle1='A', a0=0.1, a1=0.2, circle2='A', b0=0.6, b1=0.7)"
 
 
 def _config():
@@ -51,11 +50,11 @@ CASES = [
         lambda: Plan(
             start=_config(), goal=_config(), domain=InstructionDomain.U1,
             chain_start=ChainPoint("V1", 0.7), chain_goal=ChainPoint("V1", 0.7),
-            steps=(ChartLeg("A", 0.1, 0.2, "A", 0.6, 0.7),), hop_count=1, path=_path(),
+            chain_length=0.1, hop_count=1, path=_path(),
             spine_interval=(0.0, 1.0), trace_in=(), trace_out=(ChartLeg("A", 0.3, 0.5, "B", 0.7, 0.7),),
         ),
         f"Plan(start={CONFIG}, goal={CONFIG}, domain=<InstructionDomain.U1: 1>,"
-        f" chain_start={CHAIN_POINT}, chain_goal={CHAIN_POINT}, steps=({SPINE_LEG},), hop_count=1,"
+        f" chain_start={CHAIN_POINT}, chain_goal={CHAIN_POINT}, chain_length=0.1, hop_count=1,"
         f" path={PATH}, spine_interval=(0.0, 1.0), trace_in=(), trace_out=({LEG},))",
     ),
     (lambda: RenderSpec(), "RenderSpec(size=720.0)"),

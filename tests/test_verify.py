@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from fig8plan import geometry, spine, verify
+from fig8plan import geometry, planner, spine, verify
 from fig8plan.errors import ContractError, DomainError
 from fig8plan.geometry import (
     Configuration,
@@ -398,8 +398,8 @@ def test_separation_suites_keep_their_witnesses(suite, witness):
 )
 def test_separation_suites_name_the_failing_index(monkeypatch, suite, witness):
     # a collision forced on the 300th path, where certify_path reads its
-    # exact separation: through validate_plan for a collision plan, directly
-    # for a retraction trace or a termination plan
+    # exact separation: through validate_plan for a collision or termination
+    # plan, directly for a retraction trace
     real = geometry.path_min_separation
     calls = []
 
@@ -413,15 +413,20 @@ def test_separation_suites_name_the_failing_index(monkeypatch, suite, witness):
     assert report.witness == witness
 
 
-@pytest.mark.parametrize("suite, n", [("retraction", 50), ("termination", 50), ("continuity", 1)])
+@pytest.mark.parametrize(
+    "suite, n", [("collision", 50), ("retraction", 50), ("termination", 50), ("continuity", 1)]
+)
 def test_suites_certify_every_path_they_build(monkeypatch, suite, n):
-    # each plan or trace a suite builds outside validate_plan is certified
-    built, certified = [], []
-    for name, log in (("plan", built), ("path_from_legs", built), ("certify_path", certified)):
-        real = getattr(verify, name)
+    # each plan a suite builds passes validate_plan, and each retraction
+    # trace certify_path
+    calls = defaultdict(list)
+    for name in ("plan", "validate_plan", "path_from_legs", "certify_path"):
+        real, log = getattr(verify, name), calls[name]
         monkeypatch.setattr(verify, name, lambda *args, real=real, log=log: log.append(1) or real(*args))
     assert run_suite(suite, seed=0, n=n).passed
-    assert len(certified) == len(built) > 0
+    assert len(calls["plan"]) + len(calls["path_from_legs"]) > 0
+    assert len(calls["validate_plan"]) == len(calls["plan"])
+    assert len(calls["certify_path"]) == len(calls["path_from_legs"])
 
 
 def test_retraction_suite_names_an_uncertified_trace(monkeypatch):
@@ -525,3 +530,22 @@ def test_every_suite_certifies_its_endpoints(monkeypatch, suite, case):
     report = run_suite(suite, seed=0, n=20)
     assert not report.passed
     assert report.witness.startswith(case + "endpoint err 1.000e+00: the path runs ")
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [("chart_on_spine", lambda *args: False, "plan leaves the spine at t="), ("MAX_HOPS", 0, "plan used ")],
+    ids=["spine", "hops"],
+)
+@pytest.mark.parametrize(
+    "suite, case",
+    [(suite, case) for suite, case in FIRST_CASES if suite != "retraction"],
+    ids=[suite for suite, _ in FIRST_CASES if suite != "retraction"],
+)
+def test_every_plan_suite_runs_the_plan_certificate(monkeypatch, suite, case, name, value, message):
+    # Every suite that builds plans certifies each with validate_plan: a
+    # spine check or a hop bound that no plan passes fails the first case.
+    monkeypatch.setattr(planner, name, value)
+    report = run_suite(suite, seed=0, n=20)
+    assert not report.passed
+    assert report.witness.startswith(case + message)
